@@ -1,17 +1,20 @@
-//! E16 — the bytecode VM and the schema-epoch plan cache.
+//! E16 — prepared statements, the schema-epoch plan cache, and the
+//! planned-fragment executor.
 //!
 //! Splits one statement's cost into its phases over a scaled Figure 1
-//! database: parse + resolve (what a cache hit skips), bytecode
-//! compilation (what `PREPARE` pays once), and execution (what every
-//! run pays). Then measures the statement end-to-end through a
-//! session, cold (plan-cache miss: parse, resolve, compile, insert)
-//! and warm (cache hit: normalized-text lookup, straight to the
-//! dispatch loop), and the same through `PREPARE` / `EXECUTE` with a
-//! bound parameter.
+//! database: parse + resolve (what a cache hit skips), planning (what
+//! every run pays, since the planner re-plans the bound statement
+//! against current statistics), and execution (plan plus the
+//! `plan::exec` executor plus the relation build). Then measures the
+//! statement end to end through a session: cold (plan-cache miss:
+//! lex, parse, resolve, insert, execute), warm (cache hit: token-stream
+//! lookup, straight to execution), uncached (`use_vm: false`: every run
+//! parses and resolves), and through `PREPARE` / `EXECUTE`, with and
+//! without a bound parameter.
 //!
-//! The claim under test: a warm cached plan pays zero parse, resolve
-//! or type cost — `warm_us` tracks `execute_us`, not
-//! `parse_resolve_us + compile_us + execute_us`.
+//! The claims under test: a warm cached statement pays no parse or
+//! resolve cost (`warm_us` tracks `execute_us`), and re-planning per run
+//! is a small share of execution (`plan_us` ≪ `execute_us`).
 //!
 //! Results go to `BENCH_vm.json` at the repo root (hand-rendered JSON;
 //! the offline criterion shim has no reporting). Wall-clock timing on
@@ -22,18 +25,22 @@ use oodb::Database;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-use xsql::vm::Program;
-use xsql::{parse, resolve_stmt, EvalOptions, Outcome, Session};
+use xsql::ast::Stmt;
+use xsql::eval::Ctx;
+use xsql::{eval_select, parse, resolve_stmt, EvalOptions, Outcome, Session};
 
-const REPS: usize = 60;
+const REPS: usize = 200;
+
+/// Objects in the scaled Figure 1 database.
+const OBJECTS: usize = 150;
 
 fn scaled_db() -> Database {
-    figure1_scaled(&Figure1Params::with_total_objects(200))
+    figure1_scaled(&Figure1Params::with_total_objects(OBJECTS))
 }
 
-fn vm_opts() -> EvalOptions {
+fn opts(plan_cache: bool) -> EvalOptions {
     EvalOptions {
-        use_vm: true,
+        use_vm: plan_cache,
         use_planner: true,
         ..EvalOptions::default()
     }
@@ -44,16 +51,11 @@ fn median(mut v: Vec<u128>) -> u128 {
     v[v.len() / 2]
 }
 
-/// Times one closure `REPS` times, reporting the median in µs.
-fn time_us<F: FnMut()>(mut f: F) -> u128 {
-    let lat: Vec<u128> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_micros()
-        })
-        .collect();
-    median(lat)
+/// Times one call of `f` in µs.
+fn time_once<F: FnOnce()>(f: F) -> u128 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_micros()
 }
 
 fn run(s: &mut Session, src: &str) -> usize {
@@ -65,75 +67,93 @@ fn run(s: &mut Session, src: &str) -> usize {
 
 struct Phases {
     parse_resolve_us: u128,
-    compile_us: u128,
-    baseline_us: u128,
+    plan_us: u128,
+    execute_us: u128,
     cold_us: u128,
     warm_us: u128,
+    uncached_us: u128,
+    prepared_us: u128,
     rows: usize,
 }
 
-/// Phase split for one statement text (no parameters).
+/// Phase split for one statement text (no parameters). The phases are
+/// timed round-robin, one sample of each per repetition, so a drift in
+/// host speed lands on all of them alike.
 fn phases(src: &'static str) -> Phases {
-    // Phase timings on a standalone database.
+    // Parse + resolve on its own database (resolve interns constants).
+    let mut pr_db = scaled_db();
+    // Planning and execution of the resolved statement.
     let mut db = scaled_db();
-    let opts = vm_opts();
-    let parse_resolve_us = time_us(|| {
-        let stmt = parse(src).expect("parse");
-        std::hint::black_box(resolve_stmt(&mut db, &stmt).expect("resolve"));
-    });
     let stmt = parse(src).expect("parse");
-    let resolved = resolve_stmt(&mut db, &stmt).expect("resolve");
-    let compile_us = time_us(|| {
-        std::hint::black_box(Program::compile(&db, &opts, resolved.clone(), 0));
-    });
-
-    // Engine baseline: planner engine, VM off — every run re-parses,
-    // re-resolves and re-plans, exactly today's `XSQL_VM=0` path.
-    let mut base = Session::with_options(
-        scaled_db(),
-        EvalOptions {
-            use_vm: false,
-            use_planner: true,
-            ..EvalOptions::default()
-        },
-    );
-    run(&mut base, src); // warm the OID interner
-    let baseline_us = time_us(|| {
-        run(&mut base, src);
-    });
-
-    // Cold: a fresh session per iteration (prepared outside the timed
-    // region) — the first run of the text is always a plan-cache miss:
-    // parse, resolve, compile, insert, execute.
+    let Stmt::Select(q) = resolve_stmt(&mut db, &stmt).expect("resolve") else {
+        panic!("not a SELECT: {src}")
+    };
+    let o = opts(true);
+    // Uncached: plan cache off — every run re-parses and re-resolves.
+    let mut uncached = Session::with_options(scaled_db(), opts(false));
+    run(&mut uncached, src); // warm the OID interner
+                             // Cold: a fresh session per repetition — the first run of the text
+                             // is always a plan-cache miss.
     let cold_db = scaled_db();
     let mut cold_sessions: Vec<Session> = (0..REPS)
-        .map(|_| Session::with_options(cold_db.clone(), vm_opts()))
+        .map(|_| Session::with_options(cold_db.clone(), opts(true)))
         .collect();
-    let mut cold_iter = cold_sessions.iter_mut();
-    let cold_us = time_us(|| {
-        run(cold_iter.next().expect("one session per rep"), src);
-    });
+    // Warm: the same text every time — a cache hit after the first run.
+    let mut warm = Session::with_options(scaled_db(), opts(true));
+    let rows = run(&mut warm, src);
+    // PREPAREd once, EXECUTEd per repetition (no parameters).
+    let mut prepared = Session::with_options(scaled_db(), opts(true));
+    prepared
+        .run(&format!("PREPARE stmt AS {src}"))
+        .expect("prepare");
+    run(&mut prepared, "EXECUTE stmt");
 
-    // Warm: the same text every time — after the first run, every
-    // iteration is a cache hit.
-    let mut warm_sess = Session::with_options(scaled_db(), vm_opts());
-    let rows = run(&mut warm_sess, src);
-    let warm_us = time_us(|| {
-        run(&mut warm_sess, src);
-    });
-
+    let mut lat: [Vec<u128>; 7] = Default::default();
+    for cold in &mut cold_sessions {
+        lat[0].push(time_once(|| {
+            let stmt = parse(src).expect("parse");
+            std::hint::black_box(resolve_stmt(&mut pr_db, &stmt).expect("resolve"));
+        }));
+        lat[1].push(time_once(|| {
+            let ctx = Ctx::new(&db, &o);
+            let lines = xsql::plan::static_plan_lines(&ctx, &q).expect("planner fragment");
+            std::hint::black_box(lines);
+        }));
+        lat[2].push(time_once(|| {
+            std::hint::black_box(eval_select(&db, &q, &o).expect("execute"));
+        }));
+        lat[3].push(time_once(|| {
+            run(cold, src);
+        }));
+        lat[4].push(time_once(|| {
+            run(&mut warm, src);
+        }));
+        lat[5].push(time_once(|| {
+            run(&mut uncached, src);
+        }));
+        lat[6].push(time_once(|| {
+            run(&mut prepared, "EXECUTE stmt");
+        }));
+    }
+    let [pr, plan, exec, cold, warm, uncached, prepared] = lat.map(median);
     Phases {
-        parse_resolve_us,
-        compile_us,
-        baseline_us,
-        cold_us,
-        warm_us,
+        parse_resolve_us: pr,
+        plan_us: plan,
+        execute_us: exec,
+        cold_us: cold,
+        warm_us: warm,
+        uncached_us: uncached,
+        prepared_us: prepared,
         rows,
     }
 }
 
 fn main() {
     let queries: &[(&str, &str)] = &[
+        (
+            "wire_scan",
+            "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary > Y.Salary",
+        ),
         (
             "employee_join2",
             "SELECT X, Y FROM Employee X, Employee Y \
@@ -145,42 +165,61 @@ fn main() {
         ),
     ];
 
-    let mut json = String::from("{\n  \"experiment\": \"E16_vm_plan_cache\",\n");
+    let mut json = String::from("{\n  \"experiment\": \"E16_plan_cache_and_executor\",\n");
     let _ = writeln!(json, "  \"reps\": {REPS},");
-    let _ = writeln!(json, "  \"db\": \"figure1 scaled to 200 objects\",");
+    let _ = writeln!(json, "  \"db\": \"figure1 scaled to {OBJECTS} objects\",");
     json.push_str("  \"queries\": [\n");
     for (i, (name, src)) in queries.iter().enumerate() {
         let p = phases(src);
         println!(
-            "{name}: parse+resolve {} µs, compile {} µs, baseline {} µs, \
-             cold {} µs, warm {} µs ({} rows)",
-            p.parse_resolve_us, p.compile_us, p.baseline_us, p.cold_us, p.warm_us, p.rows
+            "{name}: parse+resolve {} µs, plan {} µs, execute {} µs, uncached {} µs, \
+             cold {} µs, warm {} µs, prepared {} µs ({} rows)",
+            p.parse_resolve_us,
+            p.plan_us,
+            p.execute_us,
+            p.uncached_us,
+            p.cold_us,
+            p.warm_us,
+            p.prepared_us,
+            p.rows
         );
         let _ = write!(
             json,
             "    {{\"name\": \"{name}\", \"rows\": {}, \
-             \"parse_resolve_us\": {}, \"compile_us\": {}, \
-             \"baseline_us\": {}, \"cold_us\": {}, \"warm_us\": {}}}",
-            p.rows, p.parse_resolve_us, p.compile_us, p.baseline_us, p.cold_us, p.warm_us
+             \"parse_resolve_us\": {}, \"plan_us\": {}, \"execute_us\": {}, \
+             \"uncached_us\": {}, \"cold_us\": {}, \"warm_us\": {}, \"prepared_us\": {}}}",
+            p.rows,
+            p.parse_resolve_us,
+            p.plan_us,
+            p.execute_us,
+            p.uncached_us,
+            p.cold_us,
+            p.warm_us,
+            p.prepared_us
         );
         json.push_str(if i + 1 < queries.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
 
-    // PREPARE / EXECUTE with a bound parameter: compile once, bind and
+    // PREPARE / EXECUTE with a bound parameter: resolve once, bind and
     // run per EXECUTE. Compared with the warm transparent-cache run of
     // the equivalent constant text.
-    let mut s = Session::with_options(scaled_db(), vm_opts());
+    let mut s = Session::with_options(scaled_db(), opts(true));
     s.run("PREPARE rich AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .expect("prepare");
+    let plain = "SELECT X FROM Employee X WHERE X.Salary > 30000";
     run(&mut s, "EXECUTE rich (30000)");
-    let execute_warm_us = time_us(|| {
-        run(&mut s, "EXECUTE rich (30000)");
-    });
-    run(&mut s, "SELECT X FROM Employee X WHERE X.Salary > 30000");
-    let plain_warm_us = time_us(|| {
-        run(&mut s, "SELECT X FROM Employee X WHERE X.Salary > 30000");
-    });
+    run(&mut s, plain);
+    let (mut exec_lat, mut plain_lat) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        exec_lat.push(time_once(|| {
+            run(&mut s, "EXECUTE rich (30000)");
+        }));
+        plain_lat.push(time_once(|| {
+            run(&mut s, plain);
+        }));
+    }
+    let (execute_warm_us, plain_warm_us) = (median(exec_lat), median(plain_lat));
     println!("prepared EXECUTE warm {execute_warm_us} µs; plain text warm {plain_warm_us} µs");
     let _ = writeln!(
         json,

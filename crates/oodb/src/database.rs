@@ -111,9 +111,9 @@ pub struct Database {
     /// Monotonic counter of *definitional* changes: class definitions,
     /// IS-A edges, signatures, computed-method installs, inheritance
     /// resolutions — and, conservatively, any rollback (which may have
-    /// reverted one of those). Compiled query plans are cached keyed on
-    /// this value, so a schema change instantly invalidates every plan
-    /// compiled against the old schema (see `xsql::vm`). Not persisted:
+    /// reverted one of those). Resolved statements are cached keyed on
+    /// this value, so a schema change instantly invalidates every
+    /// statement resolved against the old schema (see `xsql::vm`). Not persisted:
     /// a freshly opened database starts at 0 and every cache starts
     /// cold.
     schema_epoch: u64,
@@ -290,8 +290,8 @@ impl Database {
 
     /// The current schema epoch: bumped by every definitional change
     /// (class/IS-A/signature/computed-method) and conservatively by
-    /// every rollback. Plan caches key compiled statements on this
-    /// value so a stale plan can never execute (see `xsql::vm`).
+    /// every rollback. Plan caches key resolved statements on this
+    /// value so a stale statement can never execute (see `xsql::vm`).
     pub fn schema_epoch(&self) -> u64 {
         self.schema_epoch
     }

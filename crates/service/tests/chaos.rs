@@ -509,8 +509,8 @@ fn chaos_round(seed: u64) {
     }
 
     // Invariant 5: schema-epoch fencing. Definitional statements and
-    // statement-failure rollbacks bump the schema epoch mid-run; a plan
-    // compiled under an older epoch must be recompiled, never executed.
+    // statement-failure rollbacks bump the schema epoch mid-run; a program
+    // resolved under an older epoch must be re-resolved, never executed.
     // The engine counts the should-be-impossible case defensively.
     assert_eq!(
         registry.counter_total("xsql_plan_cache_stale_executions_total"),

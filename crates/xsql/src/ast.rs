@@ -89,8 +89,8 @@ pub enum IdTerm {
     /// The object `nil` (§5).
     Nil,
     /// Positional parameter `?n` (1-based) inside a `PREPARE`d
-    /// statement body. The resolver leaves parameters untouched; the VM
-    /// substitutes bound argument OIDs at `EXECUTE` time.
+    /// statement body. The resolver leaves parameters untouched;
+    /// `Program::bind` substitutes bound argument OIDs at `EXECUTE` time.
     Param(u32),
     /// A variable of any sort.
     Var(Var),
@@ -560,7 +560,7 @@ pub enum Stmt {
     /// `CHECKPOINT` — write a snapshot of the database to the store and
     /// truncate the WAL.
     Checkpoint,
-    /// `PREPARE name AS <stmt>` — compile a statement (which may
+    /// `PREPARE name AS <stmt>` — resolve a statement (which may
     /// contain `?1`-style positional parameters) once and register it
     /// under `name` in the session (engineering extension; see
     /// docs/VM.md). Prepared statements are session-local and are not

@@ -148,15 +148,13 @@ pub struct EvalOptions {
     /// to sequential. Floored at 2 — a 1-candidate partition is never
     /// split. Tests pin it low to force workers on toy extents.
     pub parallel_min_candidates: usize,
-    /// Let the bytecode VM (`crate::vm`) compile statements run through
-    /// [`Session::run`](crate::Session::run) and serve repeats from the
-    /// schema-epoch plan cache, and let `EXECUTE` run prepared programs
-    /// through the VM dispatch loop. Results are bit-identical to the
-    /// other engines (the differential suite crosses VM cold and warm
-    /// cache against naive/pipelined/planner/parallel). Defaults to on;
-    /// `XSQL_VM=0` disables compilation and caching wholesale — every
-    /// statement then takes today's parse→resolve→evaluate path
-    /// unchanged.
+    /// Let [`Session::run`](crate::Session::run) serve repeated
+    /// statement text from the transparent, schema-epoch-fenced plan
+    /// cache (`crate::vm`), skipping parse and resolve on a hit. Only
+    /// the cache is switched: execution, `PREPARE` and `EXECUTE` take
+    /// the same path either way, so results are identical (the
+    /// differential suite crosses cached cold and warm runs against
+    /// naive/pipelined/planner/parallel). Defaults to on.
     pub use_vm: bool,
     /// Optional execution-profile sink (`EXPLAIN ANALYZE`). When
     /// attached, the evaluator records strategy, partition, stage and
@@ -185,13 +183,6 @@ fn env_planner() -> bool {
     std::env::var("XSQL_PLANNER").map_or(true, |v| v != "0")
 }
 
-/// Default VM switch: on unless the `XSQL_VM` environment variable is
-/// set to `0` (the compatibility leg in CI sweeps whole suites through
-/// the pre-VM paths this way).
-fn env_vm() -> bool {
-    std::env::var("XSQL_VM").map_or(true, |v| v != "0")
-}
-
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
@@ -204,7 +195,7 @@ impl Default for EvalOptions {
             parallelism: env_parallelism(),
             use_planner: env_planner(),
             parallel_min_candidates: 64,
-            use_vm: env_vm(),
+            use_vm: true,
             profile: None,
         }
     }

@@ -7,6 +7,7 @@ use super::vars;
 use super::Ctx;
 use crate::ast::*;
 use crate::error::{XsqlError, XsqlResult};
+use oodb::{Oid, OidTable};
 use relalg::Relation;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,6 +25,63 @@ pub fn eval_rows_under<'q>(
     q: &'q SelectQuery,
     outer: &Bindings<'q>,
 ) -> XsqlResult<(Vec<String>, BTreeSet<Vec<Cell>>)> {
+    let (columns, rows) = select_rows_under(ctx, q, outer)?;
+    Ok((columns, rows.into_cells()))
+}
+
+/// The result rows of one SELECT, in whichever form the engine produced
+/// them.
+pub(crate) enum SelectRows {
+    /// Distinct bare-OID rows in join order — the planner's exit when
+    /// every SELECT item is a bare FROM variable and the items cover
+    /// every FROM variable: nothing to intern, nothing to dedup.
+    Atoms(Vec<Vec<Oid>>),
+    /// General emission: deduped, sorted cell rows.
+    Cells(BTreeSet<Vec<Cell>>),
+}
+
+impl SelectRows {
+    fn len(&self) -> usize {
+        match self {
+            SelectRows::Atoms(rows) => rows.len(),
+            SelectRows::Cells(rows) => rows.len(),
+        }
+    }
+
+    fn into_cells(self) -> BTreeSet<Vec<Cell>> {
+        match self {
+            SelectRows::Atoms(rows) => rows
+                .into_iter()
+                .map(|row| row.into_iter().map(Cell::Obj).collect())
+                .collect(),
+            SelectRows::Cells(rows) => rows,
+        }
+    }
+
+    /// Interns computed numerals and builds the relation in one bulk
+    /// pass.
+    pub(crate) fn into_relation(self, columns: Vec<String>, oids: &mut OidTable) -> Relation {
+        match self {
+            SelectRows::Atoms(rows) => Relation::from_tuples(columns, rows),
+            SelectRows::Cells(rows) => Relation::from_tuples(
+                columns,
+                rows.into_iter()
+                    .map(|row| row.into_iter().map(|c| c.into_oid(oids)).collect()),
+            ),
+        }
+    }
+}
+
+/// As [`eval_rows`], keeping the planner's bare-OID rows as they are.
+pub(crate) fn select_rows(ctx: &Ctx<'_>, q: &SelectQuery) -> XsqlResult<(Vec<String>, SelectRows)> {
+    select_rows_under(ctx, q, &Bindings::new())
+}
+
+fn select_rows_under<'q>(
+    ctx: &Ctx<'_>,
+    q: &'q SelectQuery,
+    outer: &Bindings<'q>,
+) -> XsqlResult<(Vec<String>, SelectRows)> {
     if q.oid_fn.is_some() {
         return Err(XsqlError::Resolve(
             "object-creating queries (OID FUNCTION OF) must be run through a Session".into(),
@@ -49,7 +107,6 @@ pub fn eval_rows_under<'q>(
     }
     let columns = column_names(&q.select);
     let prep = prepare(q);
-    let mut rows = BTreeSet::new();
     // Profile recording applies to the top-level statement only:
     // correlated subqueries and method bodies re-enter here with outer
     // bindings or at depth, and must not overwrite its record.
@@ -66,32 +123,36 @@ pub fn eval_rows_under<'q>(
         };
         p.record_strategy(label, ctx.opts.parallelism);
     }
-    match ctx.opts.strategy {
+    let rows = match ctx.opts.strategy {
         super::Strategy::Pipelined => {
             if let Some(planned) = crate::plan::solve_query_planned(ctx, q, &prep, outer)? {
-                rows = planned;
+                planned
             } else if let Some(merged) =
                 super::parallel::solve_query_parallel(ctx, q, &prep, outer)?
             {
-                rows = merged;
+                SelectRows::Cells(merged)
             } else {
+                let mut rows = BTreeSet::new();
                 solve_query(ctx, q, &prep, outer, &mut |ctx2, bnd| {
                     if let Some(p) = profile {
                         p.count_solution();
                     }
                     emit_rows(ctx2, &q.select, bnd, &mut rows)
                 })?;
+                SelectRows::Cells(rows)
             }
         }
         super::Strategy::Naive => {
+            let mut rows = BTreeSet::new();
             solve_query_naive(ctx, q, &prep, outer, &mut |ctx2, bnd| {
                 if let Some(p) = profile {
                     p.count_solution();
                 }
                 emit_rows(ctx2, &q.select, bnd, &mut rows)
             })?;
+            SelectRows::Cells(rows)
         }
-    }
+    };
     if let Some(p) = profile {
         p.record_totals(
             ctx.work_done(),
@@ -384,7 +445,10 @@ fn operand_name(op: &Operand) -> Option<String> {
 /// Converts rows to a relation, rejecting computed numerals (those need
 /// interning — use a `Session`).
 pub fn eval_to_relation(ctx: &Ctx<'_>, q: &SelectQuery) -> XsqlResult<Relation> {
-    let (columns, rows) = eval_rows(ctx, q)?;
+    let (columns, rows) = match select_rows(ctx, q)? {
+        (columns, SelectRows::Atoms(rows)) => return Ok(Relation::from_tuples(columns, rows)),
+        (columns, SelectRows::Cells(rows)) => (columns, rows),
+    };
     let mut tuples = Vec::with_capacity(rows.len());
     for row in rows {
         let mut t = Vec::with_capacity(row.len());

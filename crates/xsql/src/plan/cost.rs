@@ -37,10 +37,10 @@ fn selectivity(ctx: &Ctx<'_>, f: &PlanFilter<'_>, extent: usize) -> f64 {
 /// Fully deterministic: ties break toward the lower variable index.
 pub(crate) fn order(ctx: &Ctx<'_>, plan: &mut Plan<'_>) {
     for (vi, v) in plan.vars.iter_mut().enumerate() {
-        v.extent = ctx.db.instances_of(v.class).len();
-        let mut est = v.extent as f64;
+        let extent = v.extent.len();
+        let mut est = extent as f64;
         for f in plan.filters.iter().filter(|f| f.var == vi) {
-            est *= selectivity(ctx, f, v.extent);
+            est *= selectivity(ctx, f, extent);
         }
         v.est_rows = est;
     }

@@ -11,24 +11,39 @@
 //! results are bit-identical to the other engines.
 //!
 //! Tick discipline mirrors the pipelined engine: one tick per candidate
-//! examined, per hash probe hit, per theta pair, per emitted cell; one
-//! tuple count per materialized join tuple and per fresh result row.
-//! Work limits, tuple budgets, deadlines and cancellation therefore
-//! fire on the same counters with the same error types.
+//! examined, per column cell cached, per hash probe hit, per theta
+//! pair, per emitted cell; one tuple count per materialized join tuple
+//! and per fresh result row. Join steps charge their tuple counts once
+//! per driving tuple (same totals, chunk-granular limit checks, far
+//! fewer atomic bumps on large joins). Work limits, tuple budgets,
+//! deadlines and cancellation therefore fire on the same counters with
+//! the same error types.
 //!
 //! Intermediate tuples live in a flat, width-strided `Vec<u32>` of
 //! candidate indices (no per-tuple allocation); a join step appends one
-//! column. Two specializations carry the benchmark loads: a raw-`f64`
-//! theta loop when every edge compares singleton numerals under
-//! existential quantifiers (`employee_self_join`: 870×870 pairs), and
-//! direct row construction plus bulk sorted-set building when every
-//! SELECT item is a bare variable (193k-row emission).
+//! column. Three specializations carry the benchmark loads:
+//!
+//! * **Column reads** — a bare `V.Attr` join side reads the stored
+//!   state directly (symbol resolved once, borrowed value, no path
+//!   walk) and falls back to the full evaluator only for inherited or
+//!   computed values. The elements are identical either way, because
+//!   `value_at_depth` consults explicit state first.
+//! * **Raw-`f64` theta loop** — when every edge compares singleton
+//!   numerals under existential quantifiers (`employee_self_join`:
+//!   870×870 pairs).
+//! * **Bare-variable rows** — when every SELECT item is a bare FROM
+//!   variable, rows are built straight from the tuple store; when the
+//!   items also cover every FROM variable the join tuples' distinctness
+//!   carries over, so the rows leave as plain OIDs with no dedup set
+//!   ([`SelectRows::Atoms`]).
 
 use super::{EdgeKind, Plan, Probe, StepMethod};
-use crate::ast::{CmpOp, IdTerm, Operand, Quant, SelectItem, SelectQuery, SelectValue, VarSort};
+use crate::ast::{
+    CmpOp, IdTerm, MethodTerm, Operand, Quant, SelectItem, SelectQuery, SelectValue, Step, VarSort,
+};
 use crate::error::XsqlResult;
 use crate::eval::bindings::Bindings;
-use crate::eval::select::emit_rows;
+use crate::eval::select::{emit_rows, SelectRows};
 use crate::eval::value::{Cell, Elem};
 use crate::eval::Ctx;
 use oodb::Oid;
@@ -45,13 +60,13 @@ type FastEdge<'a> = (&'a [f64], &'a [f64], CmpOp, bool, usize);
 /// normalized onto `0.0`; NaN elements are skipped by both build and
 /// probe sides (`elem_eq` with NaN is always false).
 #[derive(PartialEq, Eq, Hash, Clone, Copy)]
-pub(crate) enum CanonKey {
+enum CanonKey {
     Num(u64),
     Obj(Oid),
 }
 
 impl CanonKey {
-    pub(crate) fn of(ctx: &Ctx<'_>, e: Elem) -> Option<CanonKey> {
+    fn of(ctx: &Ctx<'_>, e: Elem) -> Option<CanonKey> {
         let num = match e {
             Elem::Num(n) => Some(n),
             Elem::Obj(o) => ctx.db.oids().as_number(o),
@@ -76,7 +91,7 @@ struct EdgeColumns {
     fast: Option<(Vec<f64>, Vec<f64>)>,
 }
 
-pub(crate) fn f64_cmp(op: CmpOp, x: f64, y: f64) -> bool {
+fn f64_cmp(op: CmpOp, x: f64, y: f64) -> bool {
     match op {
         CmpOp::Eq => x == y,
         CmpOp::Ne => x != y,
@@ -87,18 +102,39 @@ pub(crate) fn f64_cmp(op: CmpOp, x: f64, y: f64) -> bool {
     }
 }
 
-/// Executes the plan: returns the per-step actual tuple counts, with
-/// result rows inserted into `rows`.
+/// `V.Attr` — a bare single-attribute path over `var` with no
+/// arguments and no selector — resolved to the attribute's OID: the
+/// shape the stored-state column read serves.
+fn bare_attr(ctx: &Ctx<'_>, op: &Operand, var: &str) -> Option<Oid> {
+    let Operand::Path(p) = op else { return None };
+    let IdTerm::Var(v) = &p.head else { return None };
+    if v.name != var {
+        return None;
+    }
+    let [Step::Method {
+        method: MethodTerm::Name(n),
+        args,
+        selector: None,
+    }] = p.steps.as_slice()
+    else {
+        return None;
+    };
+    if !args.is_empty() {
+        return None;
+    }
+    ctx.db.oids().find_sym(n)
+}
+
+/// Executes the plan: returns the per-step actual tuple counts and the
+/// result rows. This is the only executor of a [`Plan`].
 pub(crate) fn execute(
     ctx: &Ctx<'_>,
     q: &SelectQuery,
     plan: &Plan<'_>,
-    rows: &mut BTreeSet<Vec<Cell>>,
-) -> XsqlResult<Vec<usize>> {
+) -> XsqlResult<(Vec<usize>, SelectRows)> {
     // ---- access paths: filtered candidate list per variable --------
     let mut cands: Vec<Vec<Oid>> = Vec::with_capacity(plan.vars.len());
     for (vi, v) in plan.vars.iter().enumerate() {
-        let base = ctx.db.instances_of(v.class);
         // Index narrowing: intersect with the receivers the probes
         // admit. A probe is a sound superset, so this only removes
         // candidates `holds` would reject anyway.
@@ -119,7 +155,7 @@ pub(crate) fn execute(
         let mut kept = Vec::new();
         let mut bnd = Bindings::new();
         let mark = bnd.mark();
-        'cand: for o in base {
+        'cand: for &o in &v.extent {
             ctx.tick()?;
             if !ctx.sort_ok(VarSort::Individual, o) {
                 continue;
@@ -151,8 +187,18 @@ pub(crate) fn execute(
         let mut side = |vi: usize, which_a: bool| -> XsqlResult<Vec<Vec<Elem>>> {
             let v = &plan.vars[vi];
             let mut col = Vec::with_capacity(cands[vi].len());
+            let attr = match &e.kind {
+                EdgeKind::Cmp { left, right, .. } | EdgeKind::SetCmp { left, right, .. } => {
+                    bare_attr(ctx, if which_a { left } else { right }, v.name)
+                }
+                EdgeKind::SetLink { .. } => None,
+            };
             for &o in &cands[vi] {
                 ctx.tick()?;
+                if let Some(val) = attr.and_then(|m| ctx.db.stored_value(o, m, &[])) {
+                    col.push(val.members().map(Elem::Obj).collect());
+                    continue;
+                }
                 bnd.push(v.name, o);
                 let elems = match &e.kind {
                     EdgeKind::Cmp { left, right, .. } | EdgeKind::SetCmp { left, right, .. } => {
@@ -249,10 +295,10 @@ pub(crate) fn execute(
                 for t in tuples.chunks_exact(width.max(1)) {
                     for ci in 0..ncand {
                         ctx.tick()?;
-                        ctx.count_tuples(1)?;
                         next.extend_from_slice(t);
                         next.push(ci);
                     }
+                    ctx.count_tuples(ncand as usize)?;
                 }
                 tuples = next;
                 width += 1;
@@ -302,6 +348,7 @@ pub(crate) fn execute(
                     }
                     matched.sort_unstable();
                     matched.dedup();
+                    let before = count;
                     'new: for &ci in &matched {
                         ctx.tick()?;
                         for &ei in &residual {
@@ -310,11 +357,11 @@ pub(crate) fn execute(
                                 continue 'new;
                             }
                         }
-                        ctx.count_tuples(1)?;
                         count += 1;
                         next.extend_from_slice(t);
                         next.push(ci);
                     }
+                    ctx.count_tuples(count - before)?;
                 }
                 tuples = next;
                 width += 1;
@@ -340,19 +387,20 @@ pub(crate) fn execute(
                 let mut next = Vec::new();
                 let mut count = 0usize;
                 if let Some(fast) = fast {
+                    // (comparator, new-var column, other side's value,
+                    // new var on the left), refilled per driving tuple.
+                    let mut sides: Vec<(CmpOp, &[f64], f64, bool)> = Vec::with_capacity(fast.len());
                     for t in tuples.chunks_exact(width) {
-                        // (comparator, new-var column, other side's value)
-                        let sides: Vec<(CmpOp, &[f64], f64, bool)> = fast
-                            .iter()
-                            .map(|&(fa, fb, op, new_is_a, os)| {
-                                let other = t[os] as usize;
-                                if new_is_a {
-                                    (op, fa, fb[other], true)
-                                } else {
-                                    (op, fb, fa[other], false)
-                                }
-                            })
-                            .collect();
+                        sides.clear();
+                        sides.extend(fast.iter().map(|&(fa, fb, op, new_is_a, os)| {
+                            let other = t[os] as usize;
+                            if new_is_a {
+                                (op, fa, fb[other], true)
+                            } else {
+                                (op, fb, fa[other], false)
+                            }
+                        }));
+                        let before = count;
                         'fcand: for ci in 0..ncand as usize {
                             ctx.tick()?;
                             for &(op, col, other, new_is_left) in &sides {
@@ -365,14 +413,15 @@ pub(crate) fn execute(
                                     continue 'fcand;
                                 }
                             }
-                            ctx.count_tuples(1)?;
                             count += 1;
                             next.extend_from_slice(t);
                             next.push(ci as u32);
                         }
+                        ctx.count_tuples(count - before)?;
                     }
                 } else {
                     for t in tuples.chunks_exact(width) {
+                        let before = count;
                         'cand: for ci in 0..ncand {
                             ctx.tick()?;
                             for &ei in &step.edges {
@@ -381,11 +430,11 @@ pub(crate) fn execute(
                                     continue 'cand;
                                 }
                             }
-                            ctx.count_tuples(1)?;
                             count += 1;
                             next.extend_from_slice(t);
                             next.push(ci);
                         }
+                        ctx.count_tuples(count - before)?;
                     }
                 }
                 tuples = next;
@@ -399,11 +448,9 @@ pub(crate) fn execute(
 
     // ---- emission ---------------------------------------------------
     // Fast path: every SELECT item is a bare FROM variable (`SELECT X,
-    // Y`), so each row is the tuple's candidates as cells — no binding
-    // stack, no operand evaluation. Rows are built in bulk, sorted, and
-    // loaded into the set in one pass (BTreeSet insertion per row is
-    // most of the wall-clock on a 193k-row join).
-    let atom_vars: Option<Vec<usize>> = q
+    // Y`), so each row is the tuple's candidates — no binding stack, no
+    // operand evaluation.
+    let atom_tpl: Option<Vec<usize>> = q
         .select
         .iter()
         .map(|item| {
@@ -427,37 +474,59 @@ pub(crate) fn execute(
             plan.vars.iter().position(|pv| pv.name == v.name)
         })
         .collect();
-    if let Some(tpl) = atom_vars {
+    let width = width.max(1);
+    if let Some(tpl) = atom_tpl {
+        let covers_all = (0..plan.vars.len()).all(|vi| tpl.contains(&vi));
+        if covers_all {
+            // Distinct join tuples give distinct rows: no interning, no
+            // dedup — the caller bulk-builds the relation in one sort.
+            let mut out: Vec<Vec<Oid>> = Vec::with_capacity(ntuples);
+            for t in tuples.chunks_exact(width) {
+                if let Some(p) = &ctx.opts.profile {
+                    p.count_solution();
+                }
+                ctx.tick_n(tpl.len() as u64)?;
+                ctx.check_binding_set(1)?;
+                out.push(
+                    tpl.iter()
+                        .map(|&vi| cands[vi][t[slot[vi]] as usize])
+                        .collect(),
+                );
+            }
+            ctx.count_tuples(out.len())?;
+            return Ok((actuals, SelectRows::Atoms(out)));
+        }
         let mut out: Vec<Vec<Cell>> = Vec::with_capacity(ntuples);
-        for t in tuples.chunks_exact(width.max(1)) {
+        for t in tuples.chunks_exact(width) {
             if let Some(p) = &ctx.opts.profile {
                 p.count_solution();
             }
-            let mut row = Vec::with_capacity(tpl.len());
-            for &vi in &tpl {
-                ctx.tick()?;
-                ctx.check_binding_set(1)?;
-                row.push(Cell::Obj(cands[vi][t[slot[vi]] as usize]));
-            }
-            out.push(row);
+            ctx.tick_n(tpl.len() as u64)?;
+            ctx.check_binding_set(1)?;
+            out.push(
+                tpl.iter()
+                    .map(|&vi| Cell::Obj(cands[vi][t[slot[vi]] as usize]))
+                    .collect(),
+            );
         }
         // FromIterator on a BTreeSet sorts and bulk-builds — far
         // cheaper than per-row tree descents.
-        *rows = out.into_iter().collect();
+        let rows: BTreeSet<Vec<Cell>> = out.into_iter().collect();
         ctx.count_tuples(rows.len())?;
-        return Ok(actuals);
+        return Ok((actuals, SelectRows::Cells(rows)));
     }
+    let mut rows = BTreeSet::new();
     let mut bnd = Bindings::new();
     let mark = bnd.mark();
-    for t in tuples.chunks_exact(width.max(1)) {
+    for t in tuples.chunks_exact(width) {
         for (vi, v) in plan.vars.iter().enumerate() {
             bnd.push(v.name, cands[vi][t[slot[vi]] as usize]);
         }
         if let Some(p) = &ctx.opts.profile {
             p.count_solution();
         }
-        emit_rows(ctx, &q.select, &bnd, rows)?;
+        emit_rows(ctx, &q.select, &bnd, &mut rows)?;
         bnd.truncate(mark);
     }
-    Ok(actuals)
+    Ok((actuals, SelectRows::Cells(rows)))
 }

@@ -36,13 +36,17 @@
 //! extents, predicates are evaluated by the same `holds` / `compare` /
 //! `path_value` code, and emission goes through the same `emit_rows`.
 //! The differential suite crosses all engines on every paper query.
+//!
+//! `exec::execute` is the only executor of a [`Plan`]. Prepared and
+//! plan-cached statements (`crate::vm`) skip parse and resolve but reach
+//! it through the same statement path, so they are re-planned against
+//! current statistics and index completeness on every run.
 
 use crate::ast::*;
 use crate::error::XsqlResult;
 use crate::eval::bindings::Bindings;
 use crate::eval::cond::{conjunct_vars, flatten_and};
-use crate::eval::select::Prepared;
-use crate::eval::value::Cell;
+use crate::eval::select::{Prepared, SelectRows};
 use crate::eval::{vars, Ctx};
 use oodb::{Oid, ValueKey};
 use std::collections::BTreeSet;
@@ -59,8 +63,9 @@ pub struct PlanVar<'q> {
     pub class: Oid,
     /// Rendered class name (for EXPLAIN).
     pub class_name: String,
-    /// Extent size (candidate count before filters).
-    pub extent: usize,
+    /// The class extent (candidates before filters), read once per
+    /// plan and scanned by the executor.
+    pub extent: Vec<Oid>,
     /// Estimated candidates after filters.
     pub est_rows: f64,
 }
@@ -213,7 +218,9 @@ impl Plan<'_> {
             match &step.method {
                 StepMethod::Scan => out.push(format!(
                     "scan {}: {} extent, {} objects, est {est} rows{actual}",
-                    v.name, v.class_name, v.extent
+                    v.name,
+                    v.class_name,
+                    v.extent.len()
                 )),
                 StepMethod::Hash(e) => {
                     let mut labels = vec![self.edges[*e].label.clone()];
@@ -268,7 +275,7 @@ pub(crate) fn solve_query_planned(
     q: &SelectQuery,
     prep: &Prepared,
     outer: &Bindings<'_>,
-) -> XsqlResult<Option<BTreeSet<Vec<Cell>>>> {
+) -> XsqlResult<Option<SelectRows>> {
     if !ctx.opts.use_planner || ctx.ranges.is_some() || !outer.is_empty() || ctx.depth != 0 {
         return Ok(None);
     }
@@ -279,8 +286,7 @@ pub(crate) fn solve_query_planned(
     if let Some(p) = profile {
         p.record_strategy("planner", ctx.opts.parallelism);
     }
-    let mut rows = BTreeSet::new();
-    let actuals = exec::execute(ctx, q, &plan, &mut rows)?;
+    let (actuals, rows) = exec::execute(ctx, q, &plan)?;
     if let Some(p) = profile {
         p.record_plan(plan.render_lines(Some(&actuals)));
     }
@@ -288,8 +294,9 @@ pub(crate) fn solve_query_planned(
 }
 
 /// Static plan lines for plain `EXPLAIN`: what the planner would do,
-/// without executing. `None` when the planner would decline.
-pub(crate) fn static_plan_lines(ctx: &Ctx<'_>, q: &SelectQuery) -> Option<Vec<String>> {
+/// without executing. `None` when the planner would decline. Public so
+/// the benchmarks can time planning on its own.
+pub fn static_plan_lines(ctx: &Ctx<'_>, q: &SelectQuery) -> Option<Vec<String>> {
     if !ctx.opts.use_planner || ctx.ranges.is_some() {
         return None;
     }
@@ -323,7 +330,11 @@ pub(crate) fn plan_query<'q>(
             name: f.var.name.as_str(),
             class,
             class_name: ctx.db.render(class),
-            extent: 0,
+            // Self-joins read their class extent once.
+            extent: plan_vars
+                .iter()
+                .find(|v: &&PlanVar| v.class == class)
+                .map_or_else(|| ctx.db.instances_of(class), |v| v.extent.clone()),
             est_rows: 0.0,
         });
     }
@@ -557,7 +568,7 @@ fn filter_probe(ctx: &Ctx<'_>, c: &Cond, var: &str) -> Option<Probe> {
 }
 
 /// `a op b` ⟺ `b flip(op) a`.
-pub(crate) fn flip(op: CmpOp) -> CmpOp {
+fn flip(op: CmpOp) -> CmpOp {
     match op {
         CmpOp::Lt => CmpOp::Gt,
         CmpOp::Gt => CmpOp::Lt,
@@ -572,7 +583,7 @@ pub(crate) fn flip(op: CmpOp) -> CmpOp {
 /// `elem_eq`); order probes scan one type family's contiguous run —
 /// numeric constants a numeric range, string constants a lexicographic
 /// range, mirroring `elem_lt`'s two comparable families.
-pub(crate) fn probe_for(ctx: &Ctx<'_>, method: Oid, op: CmpOp, konst: Oid) -> Option<Probe> {
+fn probe_for(ctx: &Ctx<'_>, method: Oid, op: CmpOp, konst: Oid) -> Option<Probe> {
     use oodb::OidData;
     let oids = ctx.db.oids();
     if op == CmpOp::Eq {

@@ -160,8 +160,8 @@ impl Resolver<'_> {
             }
             Stmt::Update(u) => self.collect_update(u),
             Stmt::Explain { stmt: inner, .. } => self.collect_stmt(inner),
-            // The body of a PREPARE is resolved when the statement is
-            // compiled (Session::prepare), not here — its variables live
+            // The body of a PREPARE is resolved when the statement
+            // executes (Session's PREPARE arm), not here — its variables live
             // in their own scope and must not leak into this one.
             Stmt::Prepare { .. } => Ok(()),
             Stmt::Execute { args, .. } => {

@@ -2,7 +2,7 @@
 
 use crate::ast::*;
 use crate::error::{XsqlError, XsqlResult};
-use crate::eval::select::eval_rows;
+use crate::eval::select::{eval_rows, select_rows};
 use crate::eval::view::{create_view, materialize, reattach_view, update_through_view, ViewDef};
 use crate::eval::{create, method, update, Ctx, EvalOptions};
 use crate::parser::{parse, parse_script};
@@ -81,7 +81,7 @@ pub enum Outcome {
     TransactionCommitted,
     /// `ROLLBACK WORK` restored the `BEGIN WORK` state.
     TransactionRolledBack,
-    /// `PREPARE name AS <stmt>` compiled and stored a statement.
+    /// `PREPARE name AS <stmt>` resolved and stored a statement.
     Prepared {
         /// The prepared statement's name.
         name: String,
@@ -167,11 +167,11 @@ pub struct Session {
     stmt_latency: std::sync::Arc<telemetry::Histogram>,
     /// Named prepared statements (`PREPARE … AS`). Session-local and
     /// never WAL-logged: a client must re-PREPARE after a crash or
-    /// reconnect. Entries compiled under an older schema epoch are
-    /// transparently recompiled at EXECUTE.
+    /// reconnect. Entries resolved under an older schema epoch are
+    /// transparently re-resolved at EXECUTE.
     prepared: BTreeMap<String, PreparedEntry>,
-    /// The transparent plan cache: compiled programs keyed on
-    /// normalized statement text, fenced by schema epoch
+    /// The transparent plan cache: resolved programs keyed on the
+    /// statement's token stream, fenced by schema epoch
     /// ([`crate::vm::PlanCache`]). Consulted by [`Session::run`] when
     /// [`EvalOptions::use_vm`] is on.
     plan_cache: vm::PlanCache,
@@ -181,7 +181,7 @@ pub struct Session {
 }
 
 /// One `PREPARE`d statement: the unresolved body (kept for
-/// re-resolution when the schema epoch moves) and the compiled program.
+/// re-resolution when the schema epoch moves) and the resolved program.
 #[derive(Debug, Clone)]
 struct PreparedEntry {
     /// The statement as written (parameters intact, names unresolved).
@@ -249,7 +249,7 @@ struct TxnState {
     anon_counter: usize,
     catalog_len: usize,
     /// Prepared statements as of `BEGIN WORK`. `ROLLBACK WORK` restores
-    /// this snapshot: a program compiled inside the transaction may
+    /// this snapshot: a program resolved inside the transaction may
     /// reference OIDs the rollback un-interns, so in-transaction
     /// PREPAREs must not survive it.
     prepared: BTreeMap<String, PreparedEntry>,
@@ -545,19 +545,20 @@ impl Session {
     /// inside one it stays undoable until `COMMIT WORK`.
     pub fn run(&mut self, src: &str) -> XsqlResult<Outcome> {
         if self.opts.use_vm {
-            return self.run_vm(src);
+            if let Some(key) = vm::cache_key(src) {
+                return self.run_cached(key, src);
+            }
         }
         let stmt = parse(src)?;
         self.execute(&stmt)
     }
 
-    /// [`Session::run`] with the VM front end: the plan cache is
-    /// consulted on the normalized statement text under the current
-    /// schema epoch; a hit skips parse, resolve and lowering entirely.
-    /// On a miss, cacheable statements (plain SELECTs) are compiled,
-    /// run, and cached; everything else takes the stock path.
-    fn run_vm(&mut self, src: &str) -> XsqlResult<Outcome> {
-        let key = vm::normalize_src(src);
+    /// [`Session::run`] through the plan cache: it is consulted on the
+    /// statement's token-stream key under the current schema epoch; a
+    /// hit skips parse and resolve entirely. On a miss, cacheable
+    /// statements (plain SELECTs) are resolved, run, and cached;
+    /// everything else takes the stock path.
+    fn run_cached(&mut self, key: String, src: &str) -> XsqlResult<Outcome> {
         let epoch = self.db.schema_epoch();
         if let Some(prog) = self.plan_cache.lookup(&key, epoch, &self.cache_metrics) {
             return self.execute_program_gated(|s| s.run_program(&prog, &[]));
@@ -566,15 +567,15 @@ impl Session {
         if !vm::cacheable(&stmt) {
             return self.execute(&stmt);
         }
-        let mut compiled: Option<std::sync::Arc<vm::Program>> = None;
+        let mut resolved_prog: Option<std::sync::Arc<vm::Program>> = None;
         let out = self.execute_program_gated(|s| {
             let resolved = resolve_stmt(&mut s.db, &stmt)?;
-            let prog = std::sync::Arc::new(vm::Program::compile(&s.db, &s.opts, resolved, 0));
+            let prog = std::sync::Arc::new(vm::Program::new(&s.db, resolved, 0));
             let outcome = s.run_program(&prog, &[])?;
-            compiled = Some(prog);
+            resolved_prog = Some(prog);
             Ok(outcome)
         })?;
-        if let Some(prog) = compiled {
+        if let Some(prog) = resolved_prog {
             self.plan_cache.insert(key, prog, &self.cache_metrics);
         }
         Ok(out)
@@ -1182,14 +1183,12 @@ impl Session {
                 Ok(Outcome::Explained { report })
             }
             Stmt::Prepare { name, stmt: inner } => {
-                // The body is resolved and compiled now; EXECUTE pays
-                // zero parse/resolve/lowering cost. The unresolved body
-                // is kept so a schema-epoch change can recompile.
+                // The body is resolved now; EXECUTE pays zero
+                // parse/resolve cost. The unresolved body is kept so a
+                // schema-epoch change can re-resolve it.
                 let n_params = vm::max_param(inner);
                 let resolved = resolve_stmt(&mut self.db, inner)?;
-                let program = std::sync::Arc::new(vm::Program::compile(
-                    &self.db, &self.opts, resolved, n_params,
-                ));
+                let program = std::sync::Arc::new(vm::Program::new(&self.db, resolved, n_params));
                 self.prepared.insert(
                     name.clone(),
                     PreparedEntry {
@@ -1211,15 +1210,14 @@ impl Session {
                     self.cache_metrics.hits.inc();
                     entry.program
                 } else {
-                    // The schema moved since PREPARE: the compiled plan
-                    // is fenced out; re-resolve the stored body and
-                    // recompile under the current epoch.
+                    // The schema moved since PREPARE: the resolved
+                    // program is fenced out; re-resolve the stored body
+                    // under the current epoch.
                     self.cache_metrics.invalidations.inc();
                     let n_params = entry.program.n_params;
                     let resolved = resolve_stmt(&mut self.db, &entry.src)?;
-                    let program = std::sync::Arc::new(vm::Program::compile(
-                        &self.db, &self.opts, resolved, n_params,
-                    ));
+                    let program =
+                        std::sync::Arc::new(vm::Program::new(&self.db, resolved, n_params));
                     self.prepared.insert(
                         name.clone(),
                         PreparedEntry {
@@ -1341,55 +1339,25 @@ impl Session {
         Ok(profile.render(self.registry.config().deterministic))
     }
 
-    /// Executes a compiled program with the given EXECUTE arguments.
-    /// Bytecode bodies run through the VM dispatch loop; fallback
-    /// bodies re-enter [`Session::execute_resolved`] with the bound
-    /// statement (still skipping parse and resolve).
+    /// Executes a program with the given EXECUTE arguments: binds the
+    /// parameters and runs the bound statement through
+    /// [`Session::execute_resolved`], still skipping parse and resolve.
+    /// A planner-fragment SELECT is planned afresh on every run.
     fn run_program(&mut self, prog: &vm::Program, args: &[Oid]) -> XsqlResult<Outcome> {
         // The epoch fence: callers already validated (cache lookup /
-        // EXECUTE recompile), so a mismatch here is a bug — count it
+        // EXECUTE re-resolve), so a mismatch here is a bug — count it
         // (the chaos harness asserts this stays 0) and refuse to run.
         if prog.epoch != self.db.schema_epoch() {
             self.cache_metrics.stale_executions.inc();
             return Err(XsqlError::Internal(
-                "vm: stale plan reached execution (schema epoch changed since compilation)".into(),
+                "stale program reached execution (schema epoch changed since resolution)".into(),
             ));
         }
-        let bound;
-        let stmt = if prog.n_params == 0 && args.is_empty() {
-            &prog.stmt
-        } else {
-            bound = prog.bind(args, &self.db)?;
-            &bound
-        };
-        match (&prog.body, stmt) {
-            (vm::Body::Select(cs), Stmt::Select(q)) => {
-                let rows = {
-                    let ctx = Ctx::new(&self.db, &self.opts);
-                    vm::exec::run_select(&ctx, prog, q)?
-                };
-                let rel = match rows {
-                    // Bare-OID rows: distinct by construction, nothing
-                    // to intern — one bulk build.
-                    vm::exec::SelectRows::Atoms(tuples) => {
-                        Relation::from_tuples(cs.columns.clone(), tuples)
-                    }
-                    vm::exec::SelectRows::Cells(rows) => Relation::from_tuples(
-                        cs.columns.clone(),
-                        rows.into_iter().map(|row| {
-                            row.into_iter()
-                                .map(|c| c.into_oid(self.db.oids_mut()))
-                                .collect()
-                        }),
-                    ),
-                };
-                Ok(Outcome::Relation(rel))
-            }
-            _ => {
-                let stmt = stmt.clone();
-                self.execute_resolved(&stmt)
-            }
+        if prog.n_params == 0 && args.is_empty() {
+            return self.execute_resolved(&prog.stmt);
         }
+        let bound = prog.bind(args, &self.db)?;
+        self.execute_resolved(&bound)
     }
 
     fn exec_select(&mut self, q: &SelectQuery) -> XsqlResult<Outcome> {
@@ -1413,17 +1381,11 @@ impl Session {
         }
         let (columns, rows) = {
             let ctx = Ctx::new(&self.db, &self.opts);
-            eval_rows(&ctx, q)?
+            select_rows(&ctx, q)?
         };
-        let mut rel = Relation::new(columns);
-        for row in rows {
-            let t: Vec<Oid> = row
-                .into_iter()
-                .map(|c| c.into_oid(self.db.oids_mut()))
-                .collect();
-            rel.insert(t);
-        }
-        Ok(Outcome::Relation(rel))
+        Ok(Outcome::Relation(
+            rows.into_relation(columns, self.db.oids_mut()),
+        ))
     }
 
     /// Runs a SELECT with the Theorem 6.1 optimization: when the query
@@ -1454,17 +1416,9 @@ impl Session {
                 Some(r) => Ctx::with_ranges(&self.db, &self.opts, r),
                 None => Ctx::new(&self.db, &self.opts),
             };
-            eval_rows(&ctx, q)?
+            select_rows(&ctx, q)?
         };
-        let mut rel = Relation::new(columns);
-        for row in rows {
-            let t: Vec<Oid> = row
-                .into_iter()
-                .map(|c| c.into_oid(self.db.oids_mut()))
-                .collect();
-            rel.insert(t);
-        }
-        Ok(rel)
+        Ok(rows.into_relation(columns, self.db.oids_mut()))
     }
 
     /// Invokes a (possibly update) method on a receiver by name —

@@ -1,211 +1,55 @@
-//! Bytecode VM: compiled query programs, prepared statements, and the
-//! schema-epoch plan cache.
+//! Prepared statements, parameter binding, and the schema-epoch plan
+//! cache.
 //!
 //! The statement pipeline (`parse → resolve → execute`) re-does its
 //! front half on every invocation of the same query text. This module
-//! compiles a *resolved* statement once into a [`Program`] — a compact
-//! register-bytecode form when the statement fits the planner fragment
-//! of [`crate::plan`], a stored-AST fallback otherwise — and executes
-//! it through a dispatch loop ([`exec`]) that ports the planner
-//! executor operator for operator, including its tick discipline, so
-//! budget, deadline, and cancellation behavior stay aligned and result
-//! rows are bit-identical to the naive, pipelined, and planned engines.
+//! keeps a *resolved* statement as a [`Program`] so repeats skip parse
+//! and resolve; execution always goes through the one statement path
+//! (`Session::execute_resolved`), so a planner-fragment SELECT is
+//! re-planned by [`crate::plan`] against current attribute statistics
+//! and index completeness on every run. Results are therefore those of
+//! a cold statement by construction.
 //!
 //! Three consumers sit on top:
 //!
 //! * **`PREPARE name AS <stmt>` / `EXECUTE name (?1, …)`** — explicit
 //!   prepared statements with typed positional parameters
-//!   ([`crate::ast::IdTerm::Param`]). The body is resolved and compiled
-//!   at PREPARE; EXECUTE substitutes bound argument OIDs into a clone
-//!   of the template ([`Program::bind`]) and runs it, paying zero
-//!   parse/resolve cost. Prepared statements are **session-local** and
-//!   never WAL-logged: after a crash the client must re-PREPARE (an
-//!   EXECUTE against a name prepared before the crash fails cleanly
-//!   with *unknown prepared statement*).
-//! * **The transparent plan cache** — [`Session::run`] keys compiled
-//!   programs on the whitespace-normalized statement text
-//!   ([`normalize_src`]) and reuses them on textual repeats, with LRU
-//!   eviction at [`PlanCache::CAPACITY`] entries.
+//!   ([`crate::ast::IdTerm::Param`]). The body is resolved at PREPARE;
+//!   EXECUTE substitutes bound argument OIDs into a clone of the
+//!   template ([`Program::bind`]) and runs it, paying zero
+//!   parse/resolve cost. A bound parameter is a plain OID constant by
+//!   then, so the planner's index probes cover parameter keys with no
+//!   extra code. Prepared statements are **session-local** and never
+//!   WAL-logged: after a crash the client must re-PREPARE (an EXECUTE
+//!   against a name prepared before the crash fails cleanly with
+//!   *unknown prepared statement*).
+//! * **The transparent plan cache** — [`Session::run`] keys programs on
+//!   the statement's lexed token stream ([`cache_key`]) and reuses them
+//!   on repeats, with LRU eviction at [`PlanCache::CAPACITY`] entries.
+//!   Layout whitespace and comments never reach the key; literal
+//!   payloads (whitespace inside strings included) do, verbatim.
 //! * **The schema-epoch fence** — every [`Program`] records the
-//!   [`oodb::Database::schema_epoch`] it was compiled under. Any
+//!   [`oodb::Database::schema_epoch`] it was resolved under. Any
 //!   definitional statement (class/signature/method/view definition,
 //!   and conservatively any rollback that undid work) bumps the epoch,
 //!   so cache lookup and EXECUTE both treat an epoch mismatch as an
-//!   invalidation and recompile; a stale plan is structurally unable to
-//!   execute. A defensive counter
+//!   invalidation and re-resolve; a stale program is structurally
+//!   unable to execute. A defensive counter
 //!   (`xsql_plan_cache_stale_executions_total`) counts the should-be-
 //!   impossible case and is asserted zero by the chaos harness.
 //!
-//! Set `XSQL_VM=0` (or [`crate::eval::EvalOptions::use_vm`] `= false`)
-//! to disable the VM entirely: `Session::run` then takes the historical
-//! parse→execute path unchanged, and EXECUTE runs prepared bodies
-//! through the stock engines.
-//!
-//! See `docs/VM.md` for the bytecode format and opcode table.
+//! [`crate::eval::EvalOptions::use_vm`] `= false` turns the transparent
+//! cache off: `Session::run` then parses every statement. See
+//! `docs/VM.md`.
 //!
 //! [`Session::run`]: crate::Session::run
 
-pub mod exec;
-mod lower;
-
 use crate::ast::*;
 use crate::error::{XsqlError, XsqlResult};
-use crate::eval::EvalOptions;
+use crate::eval::cond::flatten_and;
+use crate::lexer::lex;
 use oodb::{Database, Oid};
 use std::collections::HashMap;
-
-/// One instruction of a compiled SELECT program.
-///
-/// The register file of the executing VM holds one *candidate-list
-/// register* per FROM variable (`v<i>`), one *column register* per join
-/// edge (`c<i>`), and a single flat tuple store that join opcodes
-/// extend one variable at a time. Operands are indices into the
-/// program's variable / filter / edge pools ([`CompiledSelect`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    /// Load register `v[var]` with the filtered candidate list of the
-    /// variable: class extent, narrowed through the attribute index
-    /// when the filter's [`ProbeSpec`] applies, every survivor
-    /// re-verified with the evaluator's own `holds`.
-    InitVar {
-        /// Variable pool index.
-        var: u16,
-    },
-    /// Cache register `c[edge]` with the per-candidate element columns
-    /// of both sides of the join edge.
-    BuildColumns {
-        /// Edge pool index.
-        edge: u16,
-    },
-    /// Seed the tuple store from register `v[var]` (the driver scan).
-    Scan {
-        /// Variable pool index.
-        var: u16,
-    },
-    /// Hash-join variable `v[var]` into the tuple store on edge
-    /// `c[hash]`; the other `edges` are residual pair filters.
-    HashJoin {
-        /// Variable pool index of the new variable.
-        var: u16,
-        /// Edge pool index of the equality edge the hash table is
-        /// built over.
-        hash: u16,
-        /// All edges between the new variable and the joined set
-        /// (including `hash`).
-        edges: Vec<u16>,
-    },
-    /// Nested theta-join variable `v[var]` into the tuple store,
-    /// evaluating every listed edge per candidate pair.
-    ThetaJoin {
-        /// Variable pool index of the new variable.
-        var: u16,
-        /// All edges between the new variable and the joined set.
-        edges: Vec<u16>,
-    },
-    /// Cross-product variable `v[var]` into the tuple store (no
-    /// connecting edge).
-    CrossJoin {
-        /// Variable pool index of the new variable.
-        var: u16,
-    },
-    /// Materialize the SELECT items of every tuple into result rows.
-    Emit,
-    /// End of program.
-    Halt,
-}
-
-/// One FROM variable of a compiled SELECT (a candidate-list register).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmVar {
-    /// Variable name (owned; the source query may be dropped).
-    pub name: String,
-    /// The class whose extent seeds the candidate set.
-    pub class: Oid,
-}
-
-/// Where a probe key comes from at bind time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KonstSrc {
-    /// A constant interned at compile time.
-    Oid(Oid),
-    /// The OID bound to positional parameter `?n` at EXECUTE.
-    Param(u32),
-}
-
-/// A deferred attribute-index probe: `attr op konst`, materialized into
-/// a typed key probe ([`crate::plan::Probe`]) when the program runs.
-/// Deferral keeps the probe sound across executions: index availability
-/// (`attr_index_complete`) is re-checked at run time, and a parameter
-/// key only exists at bind time. A probe that does not apply degrades
-/// to the plain filtered extent scan — rows are identical either way,
-/// because every probe survivor is re-verified with `holds`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeSpec {
-    /// The stored attribute (0-ary method) the ordered index is over.
-    pub method: Oid,
-    /// Comparison, oriented as `attr op konst`.
-    pub op: CmpOp,
-    /// The key (constant or parameter position).
-    pub konst: KonstSrc,
-}
-
-/// A single-variable conjunct of a compiled SELECT.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmFilter {
-    /// Variable pool index the filter constrains.
-    pub var: u16,
-    /// Index of the conjunct in the flattened WHERE clause (the
-    /// executor re-flattens the bound statement; `flatten_and` order is
-    /// deterministic).
-    pub conj: u16,
-    /// Attribute-index narrowing, when the conjunct has probe shape.
-    pub probe: Option<ProbeSpec>,
-}
-
-/// A two-variable conjunct (join edge) of a compiled SELECT.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmEdge {
-    /// Variable pool index owning the left / head side.
-    pub a: u16,
-    /// Variable pool index owning the right / selector side.
-    pub b: u16,
-    /// Index of the conjunct in the flattened WHERE clause.
-    pub conj: u16,
-}
-
-/// The compiled form of a planner-fragment SELECT: the pools the
-/// opcodes index into, the instruction stream, and the emission
-/// template.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledSelect {
-    /// FROM variables, in FROM order.
-    pub vars: Vec<VmVar>,
-    /// Single-variable conjuncts.
-    pub filters: Vec<VmFilter>,
-    /// Two-variable conjuncts.
-    pub edges: Vec<VmEdge>,
-    /// The instruction stream: `InitVar*`, `BuildColumns*`, one join
-    /// opcode per step of the cost-chosen order, `Emit`, `Halt`.
-    pub ops: Vec<Op>,
-    /// Output column names.
-    pub columns: Vec<String>,
-    /// When every SELECT item is a bare FROM variable: the variable
-    /// pool indices per output column (direct row construction, no
-    /// binding stack).
-    pub atom_tpl: Option<Vec<u16>>,
-}
-
-/// How a [`Program`] executes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Body {
-    /// Register bytecode for a planner-fragment SELECT, run by the
-    /// dispatch loop of [`exec`].
-    Select(CompiledSelect),
-    /// Everything else: the stored resolved statement re-enters the
-    /// stock execution path (`execute_resolved`). Still zero
-    /// parse/resolve cost on reuse.
-    Fallback,
-}
 
 /// Value family a typed parameter must belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,7 +69,7 @@ impl std::fmt::Display for ParamFamily {
     }
 }
 
-/// A bind-time type check recorded at compile time from a conjunct of
+/// A bind-time type check recorded at PREPARE from a conjunct of
 /// shape `V.Attr op ?n`, when every 0-ary signature of `Attr` results
 /// in the named family.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,8 +82,8 @@ pub struct ParamCheck {
     pub family: ParamFamily,
 }
 
-/// A compiled statement: the resolved template (parameter placeholders
-/// intact), its execution body, and the schema epoch it is valid for.
+/// A resolved statement template (parameter placeholders intact), its
+/// bind-time checks, and the schema epoch it is valid for.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// The resolved statement template. Parameters remain as
@@ -247,25 +91,28 @@ pub struct Program {
     pub stmt: Stmt,
     /// Number of positional parameters (the highest `?n`).
     pub n_params: u32,
-    /// [`oodb::Database::schema_epoch`] at compile time. The program
-    /// must not execute under any other epoch: resolved OIDs and the
-    /// compiled shape may reference definitions that no longer hold.
+    /// [`oodb::Database::schema_epoch`] at resolve time. The program
+    /// must not execute under any other epoch: resolved OIDs may
+    /// reference definitions that no longer hold.
     pub epoch: u64,
-    /// Execution body.
-    pub body: Body,
     /// Bind-time parameter type checks.
     pub param_checks: Vec<ParamCheck>,
 }
 
 impl Program {
-    /// Compiles a resolved statement under the given database and
-    /// options. Statements inside the planner fragment lower to
-    /// bytecode; everything else gets the [`Body::Fallback`] body. With
-    /// [`EvalOptions::use_vm`] off, compilation always produces the
-    /// fallback body, so EXECUTE runs through today's engine paths
-    /// unchanged.
-    pub fn compile(db: &Database, opts: &EvalOptions, stmt: Stmt, n_params: u32) -> Program {
-        lower::compile(db, opts, stmt, n_params)
+    /// Wraps a resolved statement under the current schema epoch,
+    /// recording the bind-time checks of its parameters.
+    pub fn new(db: &Database, stmt: Stmt, n_params: u32) -> Program {
+        let param_checks = match &stmt {
+            Stmt::Select(q) => collect_param_checks(db, q),
+            _ => Vec::new(),
+        };
+        Program {
+            epoch: db.schema_epoch(),
+            stmt,
+            n_params,
+            param_checks,
+        }
     }
 
     /// Substitutes bound argument OIDs for the parameter placeholders,
@@ -302,56 +149,6 @@ impl Program {
         subst_stmt(&mut bound, args);
         Ok(bound)
     }
-
-    /// Renders the instruction stream, one line per opcode (program
-    /// disassembly — used by the profile hook and by tests).
-    pub fn disassemble(&self) -> Vec<String> {
-        let Body::Select(cs) = &self.body else {
-            return vec!["fallback: stored resolved statement".to_string()];
-        };
-        let edge_list = |edges: &[u16]| {
-            edges
-                .iter()
-                .map(|e| format!("c{e}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        cs.ops
-            .iter()
-            .map(|op| match op {
-                Op::InitVar { var } => {
-                    let v = &cs.vars[*var as usize];
-                    let nf = cs.filters.iter().filter(|f| f.var == *var).count();
-                    let np = cs
-                        .filters
-                        .iter()
-                        .filter(|f| f.var == *var && f.probe.is_some())
-                        .count();
-                    format!(
-                        "v{var} = init {} ({} filter(s), {} probe(s))",
-                        v.name, nf, np
-                    )
-                }
-                Op::BuildColumns { edge } => {
-                    let e = &cs.edges[*edge as usize];
-                    format!(
-                        "c{edge} = columns {}~{}",
-                        cs.vars[e.a as usize].name, cs.vars[e.b as usize].name
-                    )
-                }
-                Op::Scan { var } => format!("scan v{var}"),
-                Op::HashJoin { var, hash, edges } => {
-                    format!("hashjoin v{var} on c{hash} [{}]", edge_list(edges))
-                }
-                Op::ThetaJoin { var, edges } => {
-                    format!("thetajoin v{var} [{}]", edge_list(edges))
-                }
-                Op::CrossJoin { var } => format!("crossjoin v{var}"),
-                Op::Emit => format!("emit {} column(s)", cs.columns.len()),
-                Op::Halt => "halt".to_string(),
-            })
-            .collect()
-    }
 }
 
 /// The highest parameter position `?n` occurring anywhere in the
@@ -367,7 +164,7 @@ pub fn max_param(stmt: &Stmt) -> u32 {
     max
 }
 
-/// True when `Session::run` may cache a compiled program for this
+/// True when `Session::run` may cache a program for this
 /// statement: plain SELECTs (no object creation — `OID FUNCTION OF`
 /// mints fresh OIDs per run) and relational-algebra trees of such,
 /// without parameter placeholders.
@@ -382,11 +179,88 @@ pub fn cacheable(stmt: &Stmt) -> bool {
     sel_ok(stmt) && max_param(stmt) == 0
 }
 
-/// The plan-cache key: statement text with runs of whitespace collapsed
-/// to single spaces (so reformatting does not defeat the cache; the
-/// language keeps case significant, so case is preserved).
-pub fn normalize_src(src: &str) -> String {
-    src.split_whitespace().collect::<Vec<_>>().join(" ")
+/// The plan-cache key: the statement's lexed token stream with source
+/// offsets dropped. Layout whitespace and comments vanish, while string
+/// and quoted-identifier payloads stay verbatim, so two statements share
+/// a key only when they lex to the same tokens. Case stays significant
+/// (identifiers are case-sensitive). `None` when the text does not lex;
+/// the caller then reports the parse error.
+pub fn cache_key(src: &str) -> Option<String> {
+    let tokens = lex(src).ok()?;
+    let mut key = String::with_capacity(src.len() * 2);
+    for t in &tokens {
+        use std::fmt::Write as _;
+        let _ = write!(key, "{:?} ", t.kind);
+    }
+    Some(key)
+}
+
+/// Collects bind-time type checks: for every conjunct of shape
+/// `path.Attr op ?n` (either orientation) where all 0-ary signatures of
+/// `Attr` result in the numeral family or in `String`, the bound
+/// argument must be of that family. A mis-typed argument can never
+/// match (cross-family comparisons are false), so rejecting it at bind
+/// turns a silent empty result into a typed error.
+fn collect_param_checks(db: &Database, q: &SelectQuery) -> Vec<ParamCheck> {
+    let mut conjs = Vec::new();
+    flatten_and(&q.where_clause, &mut conjs);
+    let class_named = |name: &str| db.oids().find_sym(name).filter(|&c| db.is_class(c));
+    let num_classes: Vec<Oid> = ["Numeral", "Integer", "Real"]
+        .iter()
+        .filter_map(|n| class_named(n))
+        .collect();
+    let str_class = class_named("String");
+    let mut out: Vec<ParamCheck> = Vec::new();
+    for c in conjs {
+        let Cond::Cmp { left, right, .. } = c else {
+            continue;
+        };
+        for (attr_side, konst_side) in [(left, right), (right, left)] {
+            let Operand::Path(p) = attr_side else {
+                continue;
+            };
+            let [Step::Method {
+                method: MethodTerm::Name(attr),
+                args,
+                selector: None,
+            }] = p.steps.as_slice()
+            else {
+                continue;
+            };
+            if !args.is_empty() {
+                continue;
+            }
+            let Operand::Path(k) = konst_side else {
+                continue;
+            };
+            let (IdTerm::Param(n), []) = (&k.head, k.steps.as_slice()) else {
+                continue;
+            };
+            let Some(m) = db.oids().find_sym(attr) else {
+                continue;
+            };
+            let sigs = db.signatures_of_method(m, 0);
+            if sigs.is_empty() {
+                continue;
+            }
+            let family = if sigs.iter().all(|(_, s)| num_classes.contains(&s.result)) {
+                ParamFamily::Numeral
+            } else if sigs.iter().all(|(_, s)| Some(s.result) == str_class) {
+                ParamFamily::Str
+            } else {
+                continue;
+            };
+            if out.iter().any(|pc| pc.param == *n) {
+                continue;
+            }
+            out.push(ParamCheck {
+                param: *n,
+                attr: attr.clone(),
+                family,
+            });
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -751,8 +625,8 @@ impl std::fmt::Debug for CacheEntry {
     }
 }
 
-/// The transparent, session-local plan cache: compiled programs keyed
-/// on normalized statement text, fenced by schema epoch, evicted LRU.
+/// The transparent, session-local plan cache: resolved programs keyed
+/// on [`cache_key`] token streams, fenced by schema epoch, evicted LRU.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     map: HashMap<String, CacheEntry>,
@@ -780,7 +654,7 @@ impl PlanCache {
     }
 
     /// Looks up `key` under the current schema epoch. A hit bumps the
-    /// LRU stamp and counts `hits`; an entry compiled under another
+    /// LRU stamp and counts `hits`; an entry resolved under another
     /// epoch is dropped (counted as `invalidations` *and* the miss it
     /// becomes); a plain miss counts `misses`.
     pub fn lookup(
@@ -810,7 +684,7 @@ impl PlanCache {
         }
     }
 
-    /// Inserts a freshly compiled program, evicting the least recently
+    /// Inserts a freshly resolved program, evicting the least recently
     /// used entry when full.
     pub fn insert(&mut self, key: String, prog: std::sync::Arc<Program>, m: &CacheMetrics) {
         self.tick += 1;
@@ -860,15 +734,27 @@ mod tests {
 
     #[test]
     fn normalizes_whitespace_only() {
+        // Layout whitespace and comments do not reach the key …
         assert_eq!(
-            normalize_src("SELECT   X\n  FROM Employee\tX"),
-            "SELECT X FROM Employee X"
+            cache_key("SELECT   X\n  FROM Employee\tX -- all of them"),
+            cache_key("SELECT X FROM Employee X")
         );
-        // Case stays significant.
+        // … whitespace inside a string literal does.
         assert_ne!(
-            normalize_src("select x from Employee x"),
-            normalize_src("SELECT X FROM Employee X")
+            cache_key("SELECT X FROM Company X WHERE X.Name = 'Company  3'"),
+            cache_key("SELECT X FROM Company X WHERE X.Name = 'Company 3'")
         );
+        // Literal content and case stay significant.
+        assert_ne!(
+            cache_key("SELECT X FROM Employee X WHERE X.Salary > 1"),
+            cache_key("SELECT X FROM Employee X WHERE X.Salary > 2")
+        );
+        assert_ne!(
+            cache_key("select x from Employee x"),
+            cache_key("SELECT X FROM Employee X")
+        );
+        // Text that does not lex has no key.
+        assert_eq!(cache_key("SELECT 'unterminated"), None);
     }
 
     #[test]

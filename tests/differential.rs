@@ -4,11 +4,17 @@
 //! instance and on property-generated queries over random databases.
 //! Every query additionally runs with the method index disabled, with
 //! parallel evaluation (4 workers), through the cost-based planner
-//! (with and without index probes), and through the bytecode VM (a
-//! cold compile and a warm plan-cache hit), which must all produce the
-//! same relation bit-for-bit.
+//! (with and without index probes), and through a session's plan cache
+//! (a cold miss and a warm hit), which must all produce the same
+//! relation bit-for-bit.
+//!
+//! The literal-pair leg attacks the plan cache itself: statement pairs
+//! that differ only in literal content, whitespace inside a literal,
+//! keyword/identifier case, or an `EXECUTE` argument run in both orders
+//! through one warm session, and every answer must equal a cold
+//! session's and the naive engine's.
 
-use datagen::figure1_db;
+use datagen::{figure1_db, figure1_scaled, Figure1Params};
 use oodb::{Database, DbBuilder, Oid};
 use proptest::prelude::*;
 use xsql::ast::Stmt;
@@ -76,29 +82,143 @@ fn engines(db: &mut Database, src: &str) -> Vec<(&'static str, relalg::Relation)
         .into_iter()
         .map(|(label, opts)| (label, eval_select(db, &q, &opts).unwrap()))
         .collect();
-    // Bytecode VM legs, driven through a session so the statement takes
-    // the real compile → cache → execute path: a cold run (plan-cache
-    // miss, fresh lowering) and a warm re-run of the same text (cache
-    // hit, same Program object) must both agree bit-for-bit. The
-    // session runs on a clone taken *after* the engine legs, so every
-    // result value is already interned and OIDs line up exactly.
-    let vm_opts = EvalOptions {
-        use_planner: true,
-        use_vm: true,
-        ..EvalOptions::default()
-    };
-    let mut sess = Session::with_options(db.clone(), vm_opts);
-    let mut vm_run = |label: &'static str| {
+    // Plan-cache legs, driven through a session so the statement takes
+    // the real resolve → cache → execute path: a cold run (plan-cache
+    // miss) and a warm re-run of the same text (cache hit, same Program
+    // object) must both agree bit-for-bit. The session runs on a clone
+    // taken *after* the engine legs, so every result value is already
+    // interned and OIDs line up exactly.
+    let mut sess = Session::with_options(db.clone(), cached_opts());
+    let mut cached_run = |label: &'static str| {
         let Outcome::Relation(rel) = sess.run(src).unwrap() else {
-            panic!("vm leg did not return a relation for {src}")
+            panic!("cached leg did not return a relation for {src}")
         };
         (label, rel)
     };
-    let cold = vm_run("vm");
-    let warm = vm_run("vm-warm");
+    let cold = cached_run("cached-cold");
+    let warm = cached_run("cached-warm");
     results.push(cold);
     results.push(warm);
     results
+}
+
+/// Session options with the plan cache and the planner pinned on.
+fn cached_opts() -> EvalOptions {
+    EvalOptions {
+        use_planner: true,
+        use_vm: true,
+        ..EvalOptions::default()
+    }
+}
+
+/// The rows of `src` as rendered OIDs (comparable across sessions).
+fn session_rows(s: &mut Session, src: &str) -> Vec<Vec<String>> {
+    let rel = match s.run(src) {
+        Ok(Outcome::Relation(rel)) => rel,
+        other => panic!("`{src}` gave {other:?}"),
+    };
+    rel.iter()
+        .map(|t| t.iter().map(|&o| s.db().render(o)).collect())
+        .collect()
+}
+
+/// Runs the pair `a`/`b` in both orders through one warm session (each
+/// statement twice, so the second run is a cache hit when the
+/// statement is cacheable) and asserts every answer equals a cold
+/// cached session's and the naive engine's. `setup` runs first in
+/// every session (PREPAREs for `EXECUTE` pairs).
+fn assert_literal_pair(db: &Database, setup: &[&str], a: &str, b: &str) {
+    let fresh = |opts: EvalOptions| {
+        let mut s = Session::with_options(db.clone(), opts);
+        for st in setup {
+            s.run(st).unwrap();
+        }
+        s
+    };
+    let oracle = EvalOptions {
+        use_planner: false,
+        use_vm: false,
+        ..EvalOptions::naive()
+    };
+    for (first, second) in [(a, b), (b, a)] {
+        let mut warm = fresh(cached_opts());
+        for src in [first, second, first, second] {
+            let want = session_rows(&mut fresh(oracle.clone()), src);
+            let cold = session_rows(&mut fresh(cached_opts()), src);
+            assert_eq!(
+                cold, want,
+                "cold cached session disagrees with naive on {src}"
+            );
+            let got = session_rows(&mut warm, src);
+            assert_eq!(
+                got, want,
+                "warm session (`{first}` then `{second}`) disagrees with naive on {src}"
+            );
+        }
+    }
+}
+
+#[test]
+fn literal_pairs_agree_warm_and_cold() {
+    let db = figure1_db();
+    let pairs: &[(&[&str], &str, &str)] = &[
+        // Literal content.
+        (
+            &[],
+            "SELECT X FROM Person X WHERE X.Age >= 34",
+            "SELECT X FROM Person X WHERE X.Age >= 30",
+        ),
+        (
+            &[],
+            "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary > Y.Salary and X.Salary > 30000",
+            "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary > Y.Salary and X.Salary > 40000",
+        ),
+        // Whitespace inside a literal.
+        (
+            &[],
+            "SELECT X FROM Person X WHERE X.Residence.City['newyork']",
+            "SELECT X FROM Person X WHERE X.Residence.City['new york']",
+        ),
+        (
+            &[],
+            "SELECT X FROM Person X WHERE X.Name = 'Mary'",
+            "SELECT X FROM Person X WHERE X.Name = 'Mary '",
+        ),
+        // Keyword and identifier case.
+        (
+            &[],
+            "select X from Person X where X.Age >= 34",
+            "SELECT X FROM Person X WHERE X.Age >= 34",
+        ),
+        (
+            &[],
+            "SELECT x FROM Person x WHERE x.Age >= 34",
+            "SELECT X FROM Person X WHERE X.Age >= 34",
+        ),
+        // EXECUTE argument value.
+        (
+            &["PREPARE p AS SELECT X FROM Person X WHERE X.Age >= ?1"],
+            "EXECUTE p (34)",
+            "EXECUTE p (30)",
+        ),
+        (
+            &["PREPARE c AS SELECT X FROM Person X WHERE X.Residence.City = ?1"],
+            "EXECUTE c ('newyork')",
+            "EXECUTE c ('new york')",
+        ),
+    ];
+    for (setup, a, b) in pairs {
+        assert_literal_pair(&db, setup, a, b);
+    }
+    // The scaled fixture's company names differ only in a number, so a
+    // doubled space inside the literal names no company at all.
+    let scaled = figure1_scaled(&Figure1Params::with_total_objects(500));
+    assert_literal_pair(
+        &scaled,
+        &[],
+        "SELECT X FROM Company X WHERE X.Name = 'Company  3'",
+        "SELECT X FROM Company X WHERE X.Name = 'Company 3'",
+    );
 }
 
 fn assert_all_agree(db: &mut Database, src: &str) {
@@ -182,6 +302,73 @@ fn random_db(edges: &[(u8, u8)], labels: &[(u8, bool)], ages: &[(u8, u8)]) -> Da
         }
     }
     b.build()
+}
+
+/// A `Node` label whose inner run of spaces is `spaces` long.
+fn label(spaces: usize) -> String {
+    format!("node{}x", " ".repeat(spaces))
+}
+
+/// The literal-pair leg's fixture: six `Node`s with the given ages and
+/// labels carrying 0, 1 or 2 inner spaces, so statements whose literals
+/// differ only in whitespace select different nodes.
+fn labelled_db(ages: &[u8]) -> Database {
+    let mut b = DbBuilder::new();
+    b.class("Node");
+    b.attr("Node", "Age", "Numeral");
+    b.attr("Node", "Label", "String");
+    for i in 0..6 {
+        let n = b.obj(&format!("n{i}"), "Node");
+        if let Some(&a) = ages.get(i) {
+            b.set_int(n, "Age", i64::from(a));
+        }
+        b.set_str(n, "Label", &label(i % 3));
+    }
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn literal_pairs_agree_on_random_databases(
+        ages in proptest::collection::vec(0u8..40, 0..6),
+        kind in 0usize..5,
+        t1 in 0u8..40,
+        t2 in 0u8..40,
+        s1 in 0usize..3,
+        s2 in 0usize..3,
+    ) {
+        let db = labelled_db(&ages);
+        let (l1, l2) = (label(s1), label(s2));
+        let (setup, a, b): (Option<&str>, String, String) = match kind {
+            0 => (
+                None,
+                format!("SELECT X, Y FROM Node X, Node Y WHERE X.Age > Y.Age and X.Age <= {t1}"),
+                format!("SELECT X, Y FROM Node X, Node Y WHERE X.Age > Y.Age and X.Age <= {t2}"),
+            ),
+            1 => (
+                None,
+                format!("SELECT X FROM Node X WHERE X.Label = '{l1}'"),
+                format!("SELECT X FROM Node X WHERE X.Label = '{l2}'"),
+            ),
+            2 => (
+                None,
+                format!("select X from Node X where X.Age >= {t1}"),
+                format!("SELECT X FROM Node X WHERE X.Age >= {t1}"),
+            ),
+            3 => (
+                Some("PREPARE p AS SELECT X FROM Node X WHERE X.Age > ?1"),
+                format!("EXECUTE p ({t1})"),
+                format!("EXECUTE p ({t2})"),
+            ),
+            _ => (
+                Some("PREPARE l AS SELECT X FROM Node X WHERE X.Label = ?1"),
+                format!("EXECUTE l ('{l1}')"),
+                format!("EXECUTE l ('{l2}')"),
+            ),
+        };
+        assert_literal_pair(&db, setup.as_slice(), &a, &b);
+    }
 }
 
 proptest! {

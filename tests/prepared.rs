@@ -9,14 +9,14 @@
 //! names are session-local and never WAL-logged, so an `EXECUTE` after
 //! recovery fails cleanly and the session stays usable).
 
-use datagen::figure1_db;
+use datagen::{figure1_db, figure1_scaled, Figure1Params};
 use oodb::Database;
 use std::path::Path;
 use storage::{CrashMode, FaultFs};
 use xsql::{EvalOptions, Outcome, Session, XsqlError};
 
-/// A session with the VM and planner pinned on, independent of the
-/// `XSQL_VM` / `XSQL_PLANNER` environment.
+/// A session with the plan cache and planner pinned on, independent of
+/// the `XSQL_PLANNER` environment.
 fn vm_session(db: Database) -> Session {
     Session::with_options(
         db,
@@ -70,6 +70,23 @@ fn execute_binds_parameters_and_matches_the_direct_query() {
 }
 
 #[test]
+fn whitespace_inside_a_literal_is_part_of_the_cache_key() {
+    let db = figure1_scaled(&Figure1Params::with_total_objects(500));
+    let two_spaces = "SELECT X FROM Company X WHERE X.Name = 'Company  3'";
+    let one_space = "SELECT X FROM Company X WHERE X.Name = 'Company 3'";
+    let cold = rows(&mut vm_session(db.clone()), one_space);
+    assert_eq!(cold.len(), 1, "the scaled fixture has one `Company 3`");
+
+    // Warm session: the two-space statement runs (and is cached) first.
+    // The one-space statement must not be served its program.
+    let mut warm = vm_session(db);
+    assert_eq!(rows(&mut warm, two_spaces).len(), 0);
+    let m0 = counter(&warm, "xsql_plan_cache_misses_total");
+    assert_eq!(rows(&mut warm, one_space), cold);
+    assert_eq!(counter(&warm, "xsql_plan_cache_misses_total"), m0 + 1);
+}
+
+#[test]
 fn reexecution_reuses_the_compiled_plan() {
     let mut s = vm_session(figure1_db());
     s.run("PREPARE q AS SELECT X FROM Employee X WHERE X.Salary > ?1")
@@ -78,7 +95,7 @@ fn reexecution_reuses_the_compiled_plan() {
     let first = rows(&mut s, "EXECUTE q (30000)");
     let second = rows(&mut s, "EXECUTE q (30000)");
     assert_eq!(first, second);
-    // Both EXECUTEs ran the program compiled at PREPARE (epoch
+    // Both EXECUTEs ran the program resolved at PREPARE (epoch
     // unchanged), and each counts as a plan-cache hit.
     assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), hits0 + 2);
     assert_eq!(counter(&s, "xsql_plan_cache_stale_executions_total"), 0);
@@ -159,10 +176,10 @@ fn definitional_statements_invalidate_prepared_plans() {
     let inval0 = counter(&s, "xsql_plan_cache_invalidations_total");
 
     // A definitional statement bumps the schema epoch; the prepared
-    // plan must be recompiled, never executed stale.
+    // program must be re-resolved, never executed stale.
     s.run("CREATE CLASS Scratch").unwrap();
     let after = rows(&mut s, "EXECUTE q (30000)");
-    assert_eq!(before, after, "recompiled plan changed the result");
+    assert_eq!(before, after, "re-resolved program changed the result");
     assert_eq!(
         counter(&s, "xsql_plan_cache_invalidations_total"),
         inval0 + 1,
@@ -191,7 +208,7 @@ fn transparent_plan_cache_hits_on_warm_text_and_invalidates_on_ddl() {
     let h0 = counter(&s, "xsql_plan_cache_hits_total");
     let cold = rows(&mut s, src);
     assert_eq!(counter(&s, "xsql_plan_cache_misses_total"), m0 + 1);
-    // Warm: same statement, whitespace-normalized text.
+    // Warm: same token stream, different layout.
     let warm = rows(&mut s, "SELECT X   FROM Employee X WHERE X.Salary > 30000");
     assert_eq!(cold, warm);
     assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), h0 + 1);
