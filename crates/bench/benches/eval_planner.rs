@@ -1,8 +1,8 @@
 //! E15 — the cost-based planner vs. the pipelined nested-loop engine.
 //!
-//! The E11 join workload over the same scaled Figure 1 database, run
-//! once with the planner enabled (the default) and once with
-//! `use_planner: false`, both strictly sequential, so the delta is the
+//! Three multi-variable join queries over a scaled Figure 1 database,
+//! run once with the planner enabled (the default) and once with
+//! `use_planner: false`, so the delta is the
 //! set-at-a-time plan itself — index probes, hash/theta joins over
 //! cached columns, bulk emission — and nothing else. For every query
 //! the two result relations are asserted bit-identical (the
@@ -11,8 +11,7 @@
 //! planned over pipelined.
 //!
 //! Results go to `BENCH_planner.json` at the repo root; EXPERIMENTS.md
-//! E15 narrates them. `BENCH_parallel.json` (E11) keeps the
-//! worker-sweep view of the same queries.
+//! E15 narrates them.
 
 use bench::{compile, scaled_db};
 use std::fmt::Write as _;
@@ -65,7 +64,6 @@ fn main() {
         let mut cells = Vec::new();
         for &(engine, use_planner) in engines {
             let opts = EvalOptions {
-                parallelism: 1,
                 use_planner,
                 ..EvalOptions::default()
             };

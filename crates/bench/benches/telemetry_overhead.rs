@@ -1,11 +1,11 @@
 //! E12 — overhead of the observability subsystem.
 //!
-//! Two measurements over the E11 workload (multi-variable join queries
-//! on a scaled Figure 1 database):
+//! Two measurements over three multi-variable join queries on a scaled
+//! Figure 1 database:
 //!
 //! 1. **Profile collection** — `eval_select` with a `QueryProfile`
-//!    sink attached to `EvalOptions` versus without, at 1 and 4
-//!    workers. Every recording site is gated on the `Option`, so the
+//!    sink attached to `EvalOptions` versus without. Every recording
+//!    site is gated on the `Option`, so the
 //!    attached run bounds what `EXPLAIN ANALYZE` costs over the bare
 //!    statement.
 //! 2. **Session telemetry** — `Session::run` with an *enabled*
@@ -25,9 +25,8 @@ use std::time::Instant;
 use xsql::eval::profile::QueryProfile;
 use xsql::{eval_select, EvalOptions, Session};
 
-/// Repetitions per cell; the median is reported. Higher than the E11
-/// default because the quantity of interest is a small *difference*
-/// between two medians.
+/// Repetitions per cell; the median is reported. High because the
+/// quantity of interest is a small *difference* between two medians.
 const REPS: usize = 9;
 
 const COMPANIES: usize = 30;
@@ -66,49 +65,40 @@ fn main() {
     let mut first = true;
     for (name, src) in QUERIES {
         let q = compile(&mut db, src);
-        for workers in [1usize, 4] {
-            let bare_opts = EvalOptions {
-                parallelism: workers,
-                ..EvalOptions::default()
-            };
-            // Interleave bare and profiled reps so clock-speed drift
-            // over the run biases neither side.
-            let mut bare_times = Vec::with_capacity(REPS);
-            let mut prof_times = Vec::with_capacity(REPS);
-            let mut bare_rel = None;
-            let mut prof_rel = None;
-            for _ in 0..REPS {
-                let t = Instant::now();
-                bare_rel = Some(eval_select(&db, &q, &bare_opts).expect("eval"));
-                bare_times.push(t.elapsed().as_secs_f64() * 1e3);
+        let bare_opts = EvalOptions::default();
+        // Interleave bare and profiled reps so clock-speed drift over
+        // the run biases neither side.
+        let mut bare_times = Vec::with_capacity(REPS);
+        let mut prof_times = Vec::with_capacity(REPS);
+        let mut bare_rel = None;
+        let mut prof_rel = None;
+        for _ in 0..REPS {
+            let t = Instant::now();
+            bare_rel = Some(eval_select(&db, &q, &bare_opts).expect("eval"));
+            bare_times.push(t.elapsed().as_secs_f64() * 1e3);
 
-                let opts = EvalOptions {
-                    profile: Some(Arc::new(QueryProfile::default())),
-                    ..bare_opts.clone()
-                };
-                let t = Instant::now();
-                prof_rel = Some(eval_select(&db, &q, &opts).expect("eval"));
-                prof_times.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            assert_eq!(bare_rel, prof_rel, "profiling changed the result of {name}");
-            let bare = median_ms(bare_times);
-            let prof = median_ms(prof_times);
-            let overhead_pct = (prof / bare - 1.0) * 100.0;
-            println!(
-                "{name} workers={workers}: bare {bare:.2} ms, profiled {prof:.2} ms \
-                 ({overhead_pct:+.1}%)"
-            );
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{\"name\": \"{name}\", \"workers\": {workers}, \
-                 \"bare_ms\": {bare:.3}, \"profiled_ms\": {prof:.3}, \
-                 \"overhead_pct\": {overhead_pct:.2}}}"
-            );
+            let opts = EvalOptions {
+                profile: Some(Arc::new(QueryProfile::default())),
+                ..bare_opts.clone()
+            };
+            let t = Instant::now();
+            prof_rel = Some(eval_select(&db, &q, &opts).expect("eval"));
+            prof_times.push(t.elapsed().as_secs_f64() * 1e3);
         }
+        assert_eq!(bare_rel, prof_rel, "profiling changed the result of {name}");
+        let bare = median_ms(bare_times);
+        let prof = median_ms(prof_times);
+        let overhead_pct = (prof / bare - 1.0) * 100.0;
+        println!("{name}: bare {bare:.2} ms, profiled {prof:.2} ms ({overhead_pct:+.1}%)");
+        if !first {
+            json.push_str(",\n");
+        }
+        first = false;
+        let _ = write!(
+            json,
+            "    {{\"name\": \"{name}\", \"bare_ms\": {bare:.3}, \
+             \"profiled_ms\": {prof:.3}, \"overhead_pct\": {overhead_pct:.2}}}"
+        );
     }
     json.push_str("\n  ],\n  \"session_overhead\": [\n");
 

@@ -1,13 +1,14 @@
 //! Typed ordered secondary index over attribute values.
 //!
-//! The inverted indexes the evaluator has had so far (`by_method`,
-//! `by_method_value`) answer *exact-OID* lookups only: "which receivers
-//! store this very object under this method". A cost-based planner
-//! needs two things more: **order** (range predicates `X.Age < 30`
-//! probe a contiguous key run instead of scanning the extent) and
-//! **numeral insensitivity** (the paper's abstract-number semantics —
-//! the numeral objects `2` and `2.0` denote the same number, so an
-//! equality probe must land both spellings in one bucket).
+//! The inverted method index (`by_method`) answers only "which
+//! receivers store anything under this method". Value lookups need two
+//! things more: **order** (range predicates `X.Age < 30` probe a
+//! contiguous key run instead of scanning the extent) and **numeral
+//! insensitivity** (the paper's abstract-number semantics — the numeral
+//! objects `2` and `2.0` denote the same number, so an equality probe
+//! must land both spellings in one bucket). This index serves both the
+//! planner's access paths and the evaluator's value-anchored head
+//! candidates (`Database::candidates_with_method_value`).
 //!
 //! [`ValueKey`] is that typed key: numerals collapse onto their shared
 //! numeric value encoded in total-order bits (the same bit-flip
@@ -20,14 +21,14 @@
 //!
 //! The index itself lives in [`Database`](crate::Database) as
 //! `by_method_key` and is maintained by the same two private helpers
-//! (`index_insert` / `index_remove`) that keep the exact-OID indexes
-//! alive. Every mutation path funnels through those helpers — direct
-//! stores, undo application (`ROLLBACK` / savepoints), redo replay
-//! (crash recovery and replicas), and snapshot import — so
-//! transactional rollback and recovery keep this index consistent for
-//! free. `Database::attr_index_divergence` checks the live structure
-//! against a from-scratch rebuild, which the proptest suites run after
-//! hostile interleavings.
+//! (`index_insert` / `index_remove`) that keep `by_method` alive. Every
+//! mutation path funnels through those helpers — direct stores, undo
+//! application (`ROLLBACK` / savepoints), redo replay (crash recovery
+//! and replicas), and snapshot import — so transactional rollback and
+//! recovery keep this index consistent for free.
+//! `Database::attr_index_divergence` checks the live structure against
+//! a from-scratch rebuild, which the proptest suites run after hostile
+//! interleavings.
 
 use crate::oid::{Oid, OidData, OidTable};
 use std::collections::{BTreeMap, BTreeSet};

@@ -90,8 +90,6 @@ pub struct Database {
     /// The paper's own reference point is \[BERT89\], "Indexing
     /// Techniques for Queries on Nested Objects".
     by_method: HashMap<Oid, BTreeSet<Oid>>,
-    /// Inverted index: (method, value member) -> receivers.
-    by_method_value: HashMap<(Oid, Oid), BTreeSet<Oid>>,
     /// Ordered secondary index: method -> typed value key -> receivers
     /// (see [`crate::attr_index`]). Numeral members collapse onto one
     /// numeric key, so equality probes are numeral-insensitive and
@@ -172,7 +170,6 @@ impl Database {
             method_objects: BTreeSet::new(),
             state: BTreeMap::new(),
             by_method: HashMap::new(),
-            by_method_value: HashMap::new(),
             by_method_key: HashMap::new(),
             computed: HashMap::new(),
             computed_order: Vec::new(),
@@ -557,7 +554,6 @@ impl Database {
             method_objects: snap.method_objects.into_iter().collect(),
             state: BTreeMap::new(),
             by_method: HashMap::new(),
-            by_method_value: HashMap::new(),
             by_method_key: HashMap::new(),
             computed: HashMap::new(),
             computed_order: Vec::new(),
@@ -1156,10 +1152,6 @@ impl Database {
     fn index_insert(&mut self, recv: Oid, method: Oid, val: &Val) {
         self.by_method.entry(method).or_default().insert(recv);
         for m in val.members() {
-            self.by_method_value
-                .entry((method, m))
-                .or_default()
-                .insert(recv);
             let key = ValueKey::of(&self.oids, m);
             self.by_method_key
                 .entry(method)
@@ -1171,11 +1163,6 @@ impl Database {
     }
 
     fn index_remove(&mut self, recv: Oid, method: Oid, old: &Val) {
-        for m in old.members() {
-            if let Some(set) = self.by_method_value.get_mut(&(method, m)) {
-                set.remove(&recv);
-            }
-        }
         // Ordered index: a (key, recv) posting dies only when no
         // remaining stored entry of (recv, method) witnesses the key —
         // the state map already reflects the post-change value at every
@@ -1345,59 +1332,33 @@ impl Database {
     /// uses it to avoid scanning the whole domain for head-unbound path
     /// expressions (cf. \[BERT89\]).
     pub fn candidates_with_method(&self, method: Oid) -> BTreeSet<Oid> {
-        let mut out = BTreeSet::new();
-        if let Some(recvs) = self.by_method.get(&method) {
-            for &r in recvs {
-                if self.is_class(r) {
-                    out.extend(self.instances_of(r));
-                    // Subclass class-objects inherit the default too.
-                    for d in self.strict_descendants(r) {
-                        out.insert(d);
-                    }
-                    out.insert(r);
-                } else {
-                    out.insert(r);
-                }
-            }
-        }
-        for &(c, m, _) in &self.computed_order {
-            if m == method {
-                out.extend(self.instances_of(c));
-            }
-        }
-        out
-    }
-
-    /// The receivers whose stored value for `method` contains `value`
-    /// (exact-member lookup in the inverted index; inherited defaults
-    /// are reachable through the class-object receiver).
-    pub fn receivers_by_value(&self, method: Oid, value: Oid) -> BTreeSet<Oid> {
-        self.by_method_value
-            .get(&(method, value))
-            .cloned()
-            .unwrap_or_default()
+        self.expand_receivers(method, self.by_method.get(&method))
     }
 
     /// As [`Database::candidates_with_method`], further anchored on a
-    /// known value member: a sound superset of the objects `o` with
-    /// `value ∈ o.method(…)`. Exact-value lookups only — numeral
-    /// equality across `Int`/`Real` OIDs is the caller's concern (it
-    /// falls back to the unanchored candidates when both spellings
-    /// could be stored).
+    /// known value member: a sound superset of the objects `o` with a
+    /// member equal to `value` in `o.method(…)`. The lookup goes
+    /// through the typed index, so it is numeral-insensitive: `2` and
+    /// `2.0` find the same receivers.
     pub fn candidates_with_method_value(&self, method: Oid, value: Oid) -> BTreeSet<Oid> {
+        let key = ValueKey::of(&self.oids, value);
+        let recvs = self.by_method_key.get(&method).and_then(|m| m.get(&key));
+        self.expand_receivers(method, recvs)
+    }
+
+    /// The objects on which `method` may be defined through `recvs`:
+    /// each receiver itself, plus, for class-object receivers (stored
+    /// defaults), their instances and subclass class-objects; plus the
+    /// instances of classes with a computed definition of `method`.
+    fn expand_receivers(&self, method: Oid, recvs: Option<&BTreeSet<Oid>>) -> BTreeSet<Oid> {
         let mut out = BTreeSet::new();
-        if let Some(recvs) = self.by_method_value.get(&(method, value)) {
-            for &r in recvs {
-                if self.is_class(r) {
-                    out.extend(self.instances_of(r));
-                    for d in self.strict_descendants(r) {
-                        out.insert(d);
-                    }
-                    out.insert(r);
-                } else {
-                    out.insert(r);
-                }
+        for &r in recvs.into_iter().flatten() {
+            if self.is_class(r) {
+                out.extend(self.instances_of(r));
+                // Subclass class-objects inherit the default too.
+                out.extend(self.strict_descendants(r));
             }
+            out.insert(r);
         }
         for &(c, m, _) in &self.computed_order {
             if m == method {
@@ -1419,8 +1380,7 @@ impl Database {
     }
 
     /// Receivers whose stored value for `method` contains a member with
-    /// exactly this typed key (numeral-insensitive, unlike
-    /// [`Database::receivers_by_value`]).
+    /// exactly this typed key (numeral-insensitive).
     pub fn attr_receivers_eq(&self, method: Oid, key: &ValueKey) -> BTreeSet<Oid> {
         self.by_method_key
             .get(&method)
@@ -2049,5 +2009,18 @@ mod purge_tests {
         db.set_scalar(other, m, &[], red).unwrap();
         let got = db.candidates_with_method_value(m, red);
         assert!(got.contains(&o1));
+        // Overwriting one argument tuple keeps the receiver anchored
+        // while another tuple of the same method still holds the value.
+        let (one, two) = (db.oids_mut().int(1), db.oids_mut().int(2));
+        db.set_scalar(b, m, &[one], red).unwrap();
+        db.set_scalar(b, m, &[two], red).unwrap();
+        db.set_scalar(b, m, &[one], blue).unwrap();
+        assert!(db.candidates_with_method_value(m, red).contains(&b));
+        // Numeral lookups are insensitive to the Int/Real spelling.
+        let three = db.oids_mut().int(3);
+        let three_real = db.oids_mut().real(3.0);
+        db.set_scalar(a, m, &[two], three).unwrap();
+        assert!(db.candidates_with_method_value(m, three_real).contains(&a));
+        assert!(db.attr_index_divergence().is_empty());
     }
 }

@@ -298,11 +298,12 @@ mod tests {
         db.set_scalar(o, m, &[], red).unwrap();
         let sp = db.begin();
         db.set_scalar(o, m, &[], blue).unwrap();
-        assert!(db.receivers_by_value(m, blue).contains(&o));
+        assert!(db.candidates_with_method_value(m, blue).contains(&o));
         db.rollback_to(sp).unwrap();
         db.commit();
-        assert!(db.receivers_by_value(m, red).contains(&o));
-        assert!(!db.receivers_by_value(m, blue).contains(&o));
+        assert!(db.candidates_with_method_value(m, red).contains(&o));
+        assert!(!db.candidates_with_method_value(m, blue).contains(&o));
+        assert!(db.attr_index_divergence().is_empty());
         assert_eq!(
             db.value(o, m, &[]).unwrap().and_then(|v| v.as_scalar()),
             Some(red)

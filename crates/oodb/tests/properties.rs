@@ -183,10 +183,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The inverted indexes stay consistent with the stored state under
-    /// arbitrary interleavings of writes and removals.
+    /// arbitrary interleavings of writes and removals, across several
+    /// argument tuples of one method (a value dropped from one tuple
+    /// must stay indexed while another tuple of the same receiver and
+    /// method still holds it).
     #[test]
     fn method_index_consistent_under_mutation(
-        ops in proptest::collection::vec((0u8..4, 0u8..5, 0u8..3, -5i64..5), 0..40),
+        ops in proptest::collection::vec((0u8..4, 0u8..5, 0u8..3, 0u8..3, -5i64..5), 0..40),
     ) {
         let mut db = Database::new();
         let c = db.define_class("Thing", &[]).unwrap();
@@ -196,20 +199,27 @@ proptest! {
         let methods: Vec<Oid> = (0..3)
             .map(|i| db.oids_mut().sym(&format!("m{i}")))
             .collect();
-        for &(kind, o, m, v) in &ops {
+        let arg_tuples: Vec<Vec<Oid>> = vec![
+            vec![],
+            vec![db.oids_mut().int(1)],
+            vec![db.oids_mut().int(2)],
+        ];
+        for &(kind, o, m, a, v) in &ops {
             let (obj, meth) = (objs[(o % 5) as usize], methods[(m % 3) as usize]);
+            let args = &arg_tuples[(a % 3) as usize];
             let val = db.oids_mut().int(v);
             match kind % 4 {
-                0 => db.set_scalar(obj, meth, &[], val).unwrap(),
-                1 => db.set_set(obj, meth, &[], [val]).unwrap(),
+                0 => db.set_scalar(obj, meth, args, val).unwrap(),
+                1 => db.set_set(obj, meth, args, [val]).unwrap(),
                 2 => {
                     // insert_into_set refuses on scalar entries — accept
                     // either outcome.
-                    let _ = db.insert_into_set(obj, meth, &[], val);
+                    let _ = db.insert_into_set(obj, meth, args, val);
                 }
-                _ => db.remove_value(obj, meth, &[]),
+                _ => db.remove_value(obj, meth, args),
             }
         }
+        prop_assert_eq!(db.attr_index_divergence(), Vec::<String>::new());
         // Index agrees with a full scan.
         for &meth in &methods {
             let mut scan_recvs = std::collections::BTreeSet::new();
@@ -228,12 +238,12 @@ proptest! {
             // adds inherited/computed candidates; none here, so equal).
             prop_assert_eq!(&idx_recvs, &scan_recvs);
             for &(member, r) in &scan_pairs {
-                prop_assert!(db.receivers_by_value(meth, member).contains(&r));
+                prop_assert!(db.candidates_with_method_value(meth, member).contains(&r));
             }
             // And nothing stale: every indexed (value, receiver) is live.
             for &v in &[-5i64, -1, 0, 1, 4] {
                 let val = db.oids_mut().int(v);
-                for r in db.receivers_by_value(meth, val) {
+                for r in db.candidates_with_method_value(meth, val) {
                     let live = db
                         .stored_entries_for(r, meth)
                         .any(|(_, value)| value.contains(val));

@@ -77,13 +77,6 @@ pub struct ServiceConfig {
     /// with the same seed hand out the same hint sequence — the chaos
     /// harness and the distribution unit test depend on that.
     pub jitter_seed: u64,
-    /// Worker threads each snapshot reader may use for one query
-    /// (`EvalOptions::parallelism`). `0` inherits the base session
-    /// options. Readers evaluate on immutable published epochs, so
-    /// intra-query parallelism is safe there; the writer thread always
-    /// runs sequentially. Total evaluation threads are bounded by
-    /// `max_readers × reader_parallelism`.
-    pub reader_parallelism: usize,
 }
 
 impl Default for ServiceConfig {
@@ -98,7 +91,6 @@ impl Default for ServiceConfig {
             retry_after: Duration::from_millis(50),
             retry_jitter: 0.5,
             jitter_seed: 0x5eed_cafe,
-            reader_parallelism: 0,
         }
     }
 }
@@ -934,9 +926,6 @@ impl SessionHandle {
         opts.cancel = ctx.cancel.clone();
         opts.budget.deadline = deadline;
         opts.budget.cancel_at_tick = ctx.cancel_at_tick;
-        if self.inner.cfg.reader_parallelism > 0 {
-            opts.parallelism = self.inner.cfg.reader_parallelism;
-        }
         reader.sess.set_options(opts);
         // Install the prepared statement into this epoch's session on
         // first use (reader sessions are rebuilt per epoch, and the
@@ -1142,10 +1131,6 @@ fn exec_unit(session: &mut Session, req: &WriteReq) -> Result<Vec<Outcome>, Unit
     opts.cancel = req.ctx.cancel.clone();
     opts.budget.deadline = req.ctx.deadline;
     opts.budget.cancel_at_tick = req.ctx.cancel_at_tick;
-    // The writer is the one thread allowed to mutate state; its
-    // statements (including the reads embedded in updates) always
-    // evaluate sequentially.
-    opts.parallelism = 1;
     session.set_options(opts);
     if !req.txn {
         return session

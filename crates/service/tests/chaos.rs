@@ -245,10 +245,6 @@ fn chaos_round(seed: u64) {
         // the seed.
         retry_jitter: 0.5,
         jitter_seed: seed,
-        // Exercise sequential and parallel snapshot readers alike;
-        // results are bit-identical either way, so the checker needs no
-        // special case.
-        reader_parallelism: rng.gen_range(1..=2usize),
     };
 
     // Plan the workload up front so it is a pure function of the seed.

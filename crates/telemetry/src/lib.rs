@@ -58,30 +58,20 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Exposition format (`XSQL_TELEMETRY_FORMAT=text|json`).
     pub format: EmitFormat,
-    /// When set, renderings that include wall-clock timings (notably
-    /// `EXPLAIN ANALYZE` profiles) suppress them so golden tests are
-    /// byte-stable (`XSQL_TELEMETRY_DETERMINISTIC=1`).
-    pub deterministic: bool,
 }
 
 impl TelemetryConfig {
-    /// Reads the configuration from `XSQL_TELEMETRY`,
-    /// `XSQL_TELEMETRY_FORMAT` and `XSQL_TELEMETRY_DETERMINISTIC`.
+    /// Reads the configuration from `XSQL_TELEMETRY` and
+    /// `XSQL_TELEMETRY_FORMAT`.
     pub fn from_env() -> Self {
-        let truthy = |k: &str| {
-            std::env::var(k)
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false)
-        };
+        let enabled = std::env::var("XSQL_TELEMETRY")
+            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+            .unwrap_or(false);
         let format = match std::env::var("XSQL_TELEMETRY_FORMAT").as_deref() {
             Ok("json") | Ok("JSON") => EmitFormat::Json,
             _ => EmitFormat::Text,
         };
-        TelemetryConfig {
-            enabled: truthy("XSQL_TELEMETRY"),
-            format,
-            deterministic: truthy("XSQL_TELEMETRY_DETERMINISTIC"),
-        }
+        TelemetryConfig { enabled, format }
     }
 }
 
@@ -573,7 +563,6 @@ mod tests {
         let r = Registry::with_config(TelemetryConfig {
             enabled: true,
             format: EmitFormat::Json,
-            deterministic: false,
         });
         r.counter("c", &[]).inc();
         r.histogram("h", &[], &[10]).observe(3);

@@ -72,19 +72,6 @@ fn collect_cond_subquery_vars<'q>(c: &'q Cond, out: &mut BTreeSet<&'q str>) {
     }
 }
 
-/// A partitionable outermost loop discovered by
-/// [`Ctx::choose_partition`] for parallel evaluation: the variable to
-/// split on and a sound superset of its satisfying values, already
-/// filtered for sort admissibility.
-pub(crate) struct Partition<'q> {
-    pub var: &'q str,
-    pub candidates: Vec<Oid>,
-    /// Provenance of the candidate list (mirrors the decision chain of
-    /// `head_candidates` / `instance_candidates`); surfaced by the
-    /// `EXPLAIN ANALYZE` profile.
-    pub source: &'static str,
-}
-
 enum Generator<'q> {
     /// A stand-alone path expression: traversal binds its variables.
     Path(&'q PathExpr),
@@ -433,87 +420,6 @@ impl<'d> Ctx<'d> {
             }
         }
         self.db.instances_of(class)
-    }
-
-    /// Picks the variable a parallel evaluation partitions on, together
-    /// with its candidate values, by mirroring the scheduler's first
-    /// generator choice under empty bindings. Returns `None` when no
-    /// partition is worthwhile or safe — a ground conjunct present
-    /// (sequential evaluation would fire it as a filter first), the
-    /// cheapest generator is not an outer candidate loop, or the
-    /// candidates cannot be enumerated up front.
-    ///
-    /// Soundness does not depend on matching the sequential scheduler:
-    /// the candidate list is a superset of every value the variable
-    /// takes in any solution (Theorem 6.1 ranges, the method index, and
-    /// extents are all sound supersets), and `solve_conjuncts` under a
-    /// pre-bound variable enumerates exactly the solutions with that
-    /// binding — so the union over the partition is the full, exact
-    /// solution set.
-    pub(crate) fn choose_partition<'q>(
-        &self,
-        conjs: &[&'q Cond],
-        outer_vars: &BTreeSet<&'q str>,
-    ) -> XsqlResult<Option<Partition<'q>>> {
-        let bnd = Bindings::new();
-        for c in conjs {
-            if conjunct_vars(c, outer_vars).is_empty() {
-                return Ok(None);
-            }
-        }
-        let mut best: Option<(u64, Generator<'q>)> = None;
-        for c in conjs {
-            if let Some((score, g)) = self.generator_for(c, &bnd, outer_vars) {
-                if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                    best = Some((score, g));
-                }
-            }
-        }
-        let part = match best {
-            Some((_, Generator::Path(p))) | Some((_, Generator::CmpPath(p))) => {
-                let IdTerm::Var(v) = &p.head else {
-                    return Ok(None);
-                };
-                // Mirror `walk_path`: budget the candidate set, then
-                // keep only sort-admissible heads.
-                let candidates = self.head_candidates(p, v, &bnd);
-                self.check_binding_set(candidates.len())?;
-                Partition {
-                    var: &v.name,
-                    candidates: candidates
-                        .into_iter()
-                        .filter(|&o| self.sort_ok(v.sort, o))
-                        .collect(),
-                    source: self.head_candidate_source(p, v),
-                }
-            }
-            Some((_, Generator::InstanceOf(obj, class))) => {
-                let IdTerm::Var(v) = obj else {
-                    return Ok(None);
-                };
-                let Some(cl) = self.try_eval(class, &bnd) else {
-                    return Ok(None);
-                };
-                Partition {
-                    var: &v.name,
-                    candidates: self
-                        .instance_candidates(obj, cl, &bnd)
-                        .into_iter()
-                        .filter(|&o| self.sort_ok(v.sort, o))
-                        .collect(),
-                    source: if self
-                        .ranges
-                        .is_some_and(|rs| rs.contains_key(v.name.as_str()))
-                    {
-                        "theorem-6.1-range"
-                    } else {
-                        "class-extent"
-                    },
-                }
-            }
-            _ => return Ok(None),
-        };
-        Ok(Some(part))
     }
 
     /// Enumerates the distinct extensions of `bnd` that satisfy path

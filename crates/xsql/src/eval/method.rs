@@ -87,10 +87,6 @@ impl QueryMethod {
             has_update: cond_has_update(&a.query.where_clause),
             opts: EvalOptions {
                 strategy: super::Strategy::Pipelined,
-                // Method bodies always run under non-empty bindings
-                // (the receiver), so they never parallelize; pin the
-                // option to make that explicit.
-                parallelism: 1,
                 ..opts
             },
             name: format!("{}::{}", a.class, method),

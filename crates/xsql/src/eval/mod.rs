@@ -18,7 +18,6 @@ pub mod bindings;
 pub mod cond;
 pub mod create;
 pub mod method;
-pub mod parallel;
 pub mod path;
 pub mod profile;
 pub mod select;
@@ -32,7 +31,7 @@ use crate::error::{XsqlError, XsqlResult};
 use oodb::{Database, Oid};
 use std::cell::Cell as StdCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,32 +62,6 @@ impl CancelFlag {
         self.0.load(Ordering::Relaxed)
     }
 }
-
-/// Counters shared by every [`Ctx`] participating in one statement —
-/// the statement's root context plus, under parallel evaluation, the
-/// per-worker contexts it spawns. The budget limits of [`EvalOptions`]
-/// apply to these shared totals, so `work_limit`, `max_tuples` and the
-/// injected `cancel_at_tick` fire cooperatively across all workers
-/// exactly as they do on one thread.
-#[derive(Debug, Default)]
-pub struct EvalCounters {
-    /// Ticks published by all contexts. Each context buffers its ticks
-    /// locally and publishes them at its poll points (every
-    /// [`DEADLINE_CHECK_MASK`]+1 ticks), so the shared counter is not a
-    /// per-tick contention point.
-    pub work: AtomicU64,
-    /// Tuples materialized by all contexts (updated directly — tuple
-    /// materialization is orders of magnitude rarer than ticks).
-    pub tuples: AtomicUsize,
-    /// Tripped when one parallel worker fails, so its siblings stop at
-    /// their next poll instead of completing their partitions.
-    pub abort: AtomicBool,
-}
-
-/// Reason string of the internal `Cancelled` error a worker fails with
-/// when a sibling tripped [`EvalCounters::abort`]; the parallel driver
-/// filters these out and reports the sibling's original error.
-pub(crate) const SIBLING_ABORT_REASON: &str = "aborted because a parallel sibling worker failed";
 
 /// Evaluation strategy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -124,13 +97,6 @@ pub struct EvalOptions {
     /// hung or abandoned query degrades into [`XsqlError::Cancelled`]
     /// instead of wedging its worker.
     pub cancel: CancelFlag,
-    /// Number of worker threads a top-level pipelined SELECT may use.
-    /// `1` (the default) evaluates sequentially; `n ≥ 2` partitions the
-    /// outermost candidate domain across `n` scoped workers sharing the
-    /// read-only database (see `docs/PARALLELISM.md`). Results are
-    /// bit-identical to sequential evaluation. Defaults to the
-    /// `XSQL_PARALLELISM` environment variable when set.
-    pub parallelism: usize,
     /// Let the cost-based planner (`crate::plan`) take over top-level
     /// pipelined SELECTs whose WHERE clause it fully recognizes: it
     /// picks join order and access path (extent scan, attribute-index
@@ -141,39 +107,20 @@ pub struct EvalOptions {
     /// disables it wholesale (the no-index/no-planner differential leg
     /// and CI use this).
     pub use_planner: bool,
-    /// Minimum candidate count of the partitioned generator before the
-    /// parallel driver spawns workers. Below this, thread spawn and
-    /// merge overhead outweigh the scan (BENCH_parallel.json measured
-    /// 0.85× at 2 workers on a 30-row extent), so evaluation falls back
-    /// to sequential. Floored at 2 — a 1-candidate partition is never
-    /// split. Tests pin it low to force workers on toy extents.
-    pub parallel_min_candidates: usize,
     /// Let [`Session::run`](crate::Session::run) serve repeated
     /// statement text from the transparent, schema-epoch-fenced plan
     /// cache (`crate::vm`), skipping parse and resolve on a hit. Only
     /// the cache is switched: execution, `PREPARE` and `EXECUTE` take
     /// the same path either way, so results are identical (the
     /// differential suite crosses cached cold and warm runs against
-    /// naive/pipelined/planner/parallel). Defaults to on.
+    /// naive/pipelined/planner). Defaults to on.
     pub use_vm: bool,
     /// Optional execution-profile sink (`EXPLAIN ANALYZE`). When
-    /// attached, the evaluator records strategy, partition, stage and
-    /// cost information into it; recording sites are gated on the
-    /// `Option` and sit at stage boundaries, so ordinary evaluation
-    /// pays nothing. Cloning the options (as the parallel driver does
-    /// for its workers) shares the sink.
+    /// attached, the evaluator records strategy, plan, stage and cost
+    /// information into it; recording sites are gated on the `Option`
+    /// and sit at stage boundaries, so ordinary evaluation pays
+    /// nothing. Cloning the options shares the sink.
     pub profile: Option<Arc<profile::QueryProfile>>,
-}
-
-/// Default parallelism: the `XSQL_PARALLELISM` environment variable
-/// when set to a positive integer, else 1 (sequential). The env hook
-/// lets CI run entire existing test suites under parallel evaluation
-/// without touching each call site.
-fn env_parallelism() -> usize {
-    std::env::var("XSQL_PARALLELISM")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 /// Default planner switch: on unless the `XSQL_PLANNER` environment
@@ -192,9 +139,7 @@ impl Default for EvalOptions {
             use_method_index: true,
             budget: EvalBudget::default(),
             cancel: CancelFlag::default(),
-            parallelism: env_parallelism(),
             use_planner: env_planner(),
-            parallel_min_candidates: 64,
             use_vm: true,
             profile: None,
         }
@@ -272,23 +217,14 @@ pub struct Ctx<'d> {
     pub db: &'d Database,
     /// Evaluation options.
     pub opts: &'d EvalOptions,
-    /// Counters shared with any sibling contexts of the same statement
-    /// (parallel workers); budgets apply to the shared totals.
-    pub counters: Arc<EvalCounters>,
-    /// Ticks performed by this context alone. Exact at every tick;
-    /// published to `counters.work` in batches at poll points.
+    /// Ticks performed so far; `work_limit` and `cancel_at_tick` apply
+    /// to this count.
     pub work: StdCell<u64>,
-    /// Portion of `work` already published to `counters.work`.
-    flushed: StdCell<u64>,
-    /// Ticks observed from sibling contexts at the last poll point
-    /// (`counters.work` minus this context's published share). Zero
-    /// whenever the statement evaluates sequentially, which keeps
-    /// single-threaded work accounting bit-exact.
-    foreign: StdCell<u64>,
+    /// Tuples materialized so far; `max_tuples` applies to this count.
+    pub(crate) tuples: StdCell<usize>,
     /// Computed-method invocation depth (recursion guard).
     pub depth: usize,
-    /// Current path-walk recursion depth (budgeted; per-thread, since
-    /// it tracks this context's own stack).
+    /// Current path-walk recursion depth (budgeted).
     pub path_depth: StdCell<usize>,
     /// Optional Theorem 6.1 ranges (typed strategy).
     pub ranges: Option<&'d Ranges>,
@@ -297,42 +233,29 @@ pub struct Ctx<'d> {
 impl<'d> Ctx<'d> {
     /// A fresh context over a database.
     pub fn new(db: &'d Database, opts: &'d EvalOptions) -> Self {
-        Ctx::with_parts(db, opts, None, Arc::new(EvalCounters::default()), 0)
+        Ctx::with_depth(db, opts, 0)
     }
 
     /// A context whose variable domains are narrowed by Theorem 6.1
     /// ranges.
     pub fn with_ranges(db: &'d Database, opts: &'d EvalOptions, ranges: &'d Ranges) -> Self {
-        Ctx::with_parts(db, opts, Some(ranges), Arc::new(EvalCounters::default()), 0)
+        Ctx {
+            ranges: Some(ranges),
+            ..Ctx::new(db, opts)
+        }
     }
 
     /// A fresh context for a computed-method body at invocation depth
     /// `depth`.
     pub fn with_depth(db: &'d Database, opts: &'d EvalOptions, depth: usize) -> Self {
-        Ctx::with_parts(db, opts, None, Arc::new(EvalCounters::default()), depth)
-    }
-
-    /// The general constructor: a context that shares `counters` with
-    /// its siblings. Used by the parallel driver to give each worker a
-    /// context of its own (bindings and path depth are per-thread)
-    /// while work, tuple, and abort accounting stay statement-global.
-    pub fn with_parts(
-        db: &'d Database,
-        opts: &'d EvalOptions,
-        ranges: Option<&'d Ranges>,
-        counters: Arc<EvalCounters>,
-        depth: usize,
-    ) -> Self {
         Ctx {
             db,
             opts,
-            counters,
             work: StdCell::new(0),
-            flushed: StdCell::new(0),
-            foreign: StdCell::new(0),
+            tuples: StdCell::new(0),
             depth,
             path_depth: StdCell::new(0),
-            ranges,
+            ranges: None,
         }
     }
 
@@ -340,19 +263,16 @@ impl<'d> Ctx<'d> {
     /// when the statement's deadline has passed, or when its
     /// cancellation token was tripped (the same tick points serve all
     /// three, so every loop the work limit bounds is also a
-    /// cancellation point). The limits apply to the statement's total
-    /// work: this context's exact tick count plus the ticks published
-    /// by any parallel siblings as of the last poll.
+    /// cancellation point).
     #[inline]
     pub fn tick(&self) -> XsqlResult<()> {
         let w = self.work.get() + 1;
         self.work.set(w);
-        let total = w + self.foreign.get();
-        if total > self.opts.work_limit {
+        if w > self.opts.work_limit {
             return Err(XsqlError::WorkLimit(self.opts.work_limit));
         }
         if let Some(k) = self.opts.budget.cancel_at_tick {
-            if total >= k {
+            if w >= k {
                 return Err(XsqlError::Cancelled {
                     reason: format!("cancellation injected at tick {k}"),
                 });
@@ -380,12 +300,11 @@ impl<'d> Ctx<'d> {
         let prev = self.work.get();
         let w = prev + n;
         self.work.set(w);
-        let total = w + self.foreign.get();
-        if total > self.opts.work_limit {
+        if w > self.opts.work_limit {
             return Err(XsqlError::WorkLimit(self.opts.work_limit));
         }
         if let Some(k) = self.opts.budget.cancel_at_tick {
-            if total >= k {
+            if w >= k {
                 return Err(XsqlError::Cancelled {
                     reason: format!("cancellation injected at tick {k}"),
                 });
@@ -398,25 +317,11 @@ impl<'d> Ctx<'d> {
         Ok(())
     }
 
-    /// The slow half of [`Ctx::tick`]: publishes buffered ticks,
-    /// refreshes the sibling count, and polls the abort flag, the
-    /// cancellation flag, and the wall clock. Split out so the fast
-    /// path stays a few arithmetic instructions.
+    /// The slow half of [`Ctx::tick`]: polls the cancellation flag and
+    /// the wall clock. Split out so the fast path stays a few
+    /// arithmetic instructions.
     #[cold]
     fn check_interrupts(&self) -> XsqlResult<()> {
-        self.flush_work();
-        let local = self.work.get();
-        self.foreign.set(
-            self.counters
-                .work
-                .load(Ordering::Relaxed)
-                .saturating_sub(local),
-        );
-        if self.counters.abort.load(Ordering::Relaxed) {
-            return Err(XsqlError::Cancelled {
-                reason: SIBLING_ABORT_REASON.into(),
-            });
-        }
         if self.opts.cancel.is_cancelled() {
             return Err(XsqlError::Cancelled {
                 reason: "cancelled by client".into(),
@@ -432,24 +337,9 @@ impl<'d> Ctx<'d> {
         Ok(())
     }
 
-    /// Publishes this context's buffered ticks to the shared counters.
-    /// Called automatically at poll points and by [`Ctx::work_done`];
-    /// the parallel driver calls it once more when a worker finishes so
-    /// no ticks are lost.
-    pub fn flush_work(&self) {
-        let local = self.work.get();
-        let delta = local - self.flushed.get();
-        if delta != 0 {
-            self.counters.work.fetch_add(delta, Ordering::Relaxed);
-            self.flushed.set(local);
-        }
-    }
-
-    /// Work performed so far by the whole statement — this context plus
-    /// any parallel siblings (exposed for benchmarks/diagnostics).
+    /// Work performed so far (exposed for benchmarks/diagnostics).
     pub fn work_done(&self) -> u64 {
-        self.flush_work();
-        self.counters.work.load(Ordering::Relaxed)
+        self.work.get()
     }
 
     /// Enters one level of path-walk recursion; the returned guard
@@ -470,16 +360,11 @@ impl<'d> Ctx<'d> {
 
     /// Accounts `n` freshly materialized tuples; errors with
     /// [`XsqlError::Budget`] when the cumulative tuple budget is
-    /// exhausted. The count is statement-global (shared with parallel
-    /// siblings); tuples are rare enough relative to ticks that the
-    /// direct atomic update never shows up in profiles.
+    /// exhausted.
     #[inline]
     pub fn count_tuples(&self, n: usize) -> XsqlResult<()> {
-        let t = self
-            .counters
-            .tuples
-            .fetch_add(n, Ordering::Relaxed)
-            .saturating_add(n);
+        let t = self.tuples.get().saturating_add(n);
+        self.tuples.set(t);
         if t > self.opts.budget.max_tuples {
             Err(XsqlError::Budget {
                 resource: "materialized tuple",

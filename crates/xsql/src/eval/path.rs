@@ -174,7 +174,7 @@ impl<'d> Ctx<'d> {
                 // strategy, or to the inverted method index when the
                 // first step names a fixed method (the Nobel-query
                 // shape `SELECT X WHERE X.WonNobelPrize`).
-                let candidates = self.head_candidates(p, v, bnd);
+                let candidates = self.head_candidates(p, v);
                 self.check_binding_set(candidates.len())?;
                 for o in candidates {
                     if !self.sort_ok(v.sort, o) {
@@ -220,13 +220,7 @@ impl<'d> Ctx<'d> {
     /// a fixed method name, the inverted index gives a sound superset of
     /// the heads on which that method can be defined; else the sort's
     /// active domain.
-    pub(crate) fn head_candidates(
-        &self,
-        p: &PathExpr,
-        v: &crate::ast::Var,
-        bnd: &Bindings<'_>,
-    ) -> Vec<Oid> {
-        let _ = bnd;
+    fn head_candidates(&self, p: &PathExpr, v: &crate::ast::Var) -> Vec<Oid> {
         if let Some(rs) = self.ranges {
             if let Some(set) = rs.get(&v.name) {
                 return set.iter().copied().collect();
@@ -241,53 +235,20 @@ impl<'d> Ctx<'d> {
             {
                 if let Some(m) = self.db.oids().find_sym(n) {
                     // A ground first-step selector anchors the lookup to
-                    // the (method, value) index — unless the value is a
-                    // numeral, where Int/Real spellings may both be
-                    // stored and only the unanchored index is sound.
+                    // the typed value index, which is numeral-insensitive
+                    // like `oid_eq`.
                     if let Some(IdTerm::Oid(sel)) = selector {
-                        if self.db.oids().as_number(*sel).is_none() {
-                            return self
-                                .db
-                                .candidates_with_method_value(m, *sel)
-                                .into_iter()
-                                .collect();
-                        }
+                        return self
+                            .db
+                            .candidates_with_method_value(m, *sel)
+                            .into_iter()
+                            .collect();
                     }
                     return self.db.candidates_with_method(m).into_iter().collect();
                 }
             }
         }
         self.domain(v.sort)
-    }
-
-    /// Which branch of [`Ctx::head_candidates`] would supply the
-    /// candidates for `(p, v)` under empty bindings — the provenance
-    /// string the `EXPLAIN ANALYZE` profile reports. Mirrors the
-    /// decision chain above without enumerating anything.
-    pub(crate) fn head_candidate_source(&self, p: &PathExpr, v: &crate::ast::Var) -> &'static str {
-        if let Some(rs) = self.ranges {
-            if rs.contains_key(&v.name) {
-                return "theorem-6.1-range";
-            }
-        }
-        if self.opts.use_method_index {
-            if let Some(Step::Method {
-                method: MethodTerm::Name(n),
-                selector,
-                ..
-            }) = p.steps.first()
-            {
-                if self.db.oids().find_sym(n).is_some() {
-                    if let Some(IdTerm::Oid(sel)) = selector {
-                        if self.db.oids().as_number(*sel).is_none() {
-                            return "method-value-index";
-                        }
-                    }
-                    return "method-index";
-                }
-            }
-        }
-        "active-domain"
     }
 
     fn walk_steps<'q>(

@@ -2,82 +2,38 @@
 //!
 //! A [`QueryProfile`] is an optional, shared sink attached to
 //! [`EvalOptions`](super::EvalOptions): when present, the evaluator
-//! records what it actually did — the strategy taken, the partition
-//! generator [`choose_partition`](super::Ctx::choose_partition) picked,
-//! tick and tuple totals from the statement's shared
-//! [`EvalCounters`](super::EvalCounters), the binding-set high-water
-//! mark, solution/row counts per pipeline stage, and per-worker wall
-//! time under parallel evaluation. Every recording site is gated on the
-//! `Option`, so evaluation without a profile attached pays nothing
-//! beyond a null check at stage boundaries (never in per-tick loops).
+//! records what it actually did — the strategy taken, tick and tuple
+//! totals, the binding-set high-water mark, and solution/row counts per
+//! pipeline stage. Every recording site is gated on the `Option`, so
+//! evaluation without a profile attached pays nothing beyond a null
+//! check at stage boundaries (never in per-tick loops).
 //!
-//! The profile renders as a tree via [`relalg::render_tree`]. Under
-//! [`TelemetryConfig::deterministic`](telemetry::TelemetryConfig)
-//! wall-clock timings are suppressed so golden tests are byte-stable;
-//! tick, row, and candidate counts are deterministic functions of the
-//! database and options and are always shown.
+//! The profile renders as a tree via [`relalg::render_tree`]. It holds
+//! no wall-clock timings: tick, row, and candidate counts are
+//! deterministic functions of the database and options, so the
+//! rendering is byte-stable for golden tests.
 
 use relalg::TreeNode;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The partition the parallel driver split on, as recorded for a
-/// profile (an owned echo of the internal `Partition`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionInfo {
-    /// The variable whose candidate domain was partitioned.
-    pub var: String,
-    /// Where the candidate list came from: `"theorem-6.1-range"`,
-    /// `"method-value-index"`, `"method-index"`, `"class-extent"` or
-    /// `"active-domain"`.
-    pub source: &'static str,
-    /// Number of candidate values split across the workers.
-    pub candidates: usize,
-    /// Number of worker threads the candidates were striped over.
-    pub workers: usize,
-}
-
-/// Execution record of one parallel worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerProfile {
-    /// Worker index (also its round-robin stripe offset).
-    pub index: usize,
-    /// Candidates of the partition variable this worker enumerated.
-    pub candidates: usize,
-    /// Rows the worker produced before the cross-worker union.
-    pub rows: usize,
-    /// Wall-clock time the worker ran, in microseconds.
-    pub wall_micros: u64,
-}
-
-/// A profile sink for one top-level SELECT evaluation. Shared via
-/// `Arc` between the root context and any parallel workers; all fields
-/// are internally synchronized.
+/// A profile sink for one top-level SELECT evaluation, shared via `Arc`
+/// through [`EvalOptions`](super::EvalOptions).
 #[derive(Debug, Default)]
 pub struct QueryProfile {
     strategy: Mutex<Option<String>>,
-    parallelism: AtomicUsize,
-    partition: Mutex<Option<PartitionInfo>>,
     solutions: AtomicU64,
     binding_set_hwm: AtomicUsize,
     ticks: AtomicU64,
     tuples: AtomicUsize,
     rows_out: AtomicUsize,
-    workers: Mutex<Vec<WorkerProfile>>,
     plan: Mutex<Vec<String>>,
 }
 
 impl QueryProfile {
-    /// Records the strategy label and requested parallelism (top-level
-    /// evaluation entry).
-    pub(crate) fn record_strategy(&self, label: &str, parallelism: usize) {
+    /// Records the strategy label (top-level evaluation entry).
+    pub(crate) fn record_strategy(&self, label: &str) {
         *self.strategy.lock().unwrap() = Some(label.to_string());
-        self.parallelism.store(parallelism, Ordering::Relaxed);
-    }
-
-    /// Records the partition the parallel driver committed to.
-    pub(crate) fn record_partition(&self, info: PartitionInfo) {
-        *self.partition.lock().unwrap() = Some(info);
     }
 
     /// Records the cost-based planner's step lines (join order, access
@@ -110,17 +66,12 @@ impl QueryProfile {
         self.rows_out.store(rows_out, Ordering::Relaxed);
     }
 
-    /// Appends one worker's execution record.
-    pub(crate) fn push_worker(&self, w: WorkerProfile) {
-        self.workers.lock().unwrap().push(w);
-    }
-
     /// Result rows after duplicate elimination.
     pub fn rows_out(&self) -> usize {
         self.rows_out.load(Ordering::Relaxed)
     }
 
-    /// Total evaluation ticks (all workers).
+    /// Total evaluation ticks.
     pub fn ticks(&self) -> u64 {
         self.ticks.load(Ordering::Relaxed)
     }
@@ -130,25 +81,15 @@ impl QueryProfile {
         self.solutions.load(Ordering::Relaxed)
     }
 
-    /// The recorded partition, if the parallel driver split the query.
-    pub fn partition(&self) -> Option<PartitionInfo> {
-        self.partition.lock().unwrap().clone()
-    }
-
-    /// Lays the profile out as a tree. With `deterministic` set,
-    /// wall-clock timings are suppressed (tick/row/candidate counts are
-    /// already deterministic).
-    pub fn to_tree(&self, deterministic: bool) -> TreeNode {
+    /// Lays the profile out as a tree.
+    pub fn to_tree(&self) -> TreeNode {
         let strategy = self
             .strategy
             .lock()
             .unwrap()
             .clone()
             .unwrap_or_else(|| "unknown".to_string());
-        let parallelism = self.parallelism.load(Ordering::Relaxed);
-        let mut children = vec![TreeNode::leaf(format!(
-            "strategy: {strategy}, parallelism {parallelism}"
-        ))];
+        let mut children = vec![TreeNode::leaf(format!("strategy: {strategy}"))];
 
         let plan_lines = self.plan.lock().unwrap().clone();
         if !plan_lines.is_empty() {
@@ -156,35 +97,6 @@ impl QueryProfile {
                 "cost-based plan".to_string(),
                 plan_lines.into_iter().map(TreeNode::leaf).collect(),
             ));
-        }
-
-        match self.partition() {
-            Some(p) => {
-                let mut workers = self.workers.lock().unwrap().clone();
-                workers.sort_by_key(|w| w.index);
-                let kids = workers
-                    .iter()
-                    .map(|w| {
-                        let timing = if deterministic {
-                            String::new()
-                        } else {
-                            format!(" in {} µs", w.wall_micros)
-                        };
-                        TreeNode::leaf(format!(
-                            "worker {}: {} candidates -> {} rows{timing}",
-                            w.index, w.candidates, w.rows
-                        ))
-                    })
-                    .collect();
-                children.push(TreeNode::branch(
-                    format!(
-                        "partition: {} via {} ({} candidates, {} workers)",
-                        p.var, p.source, p.candidates, p.workers
-                    ),
-                    kids,
-                ));
-            }
-            None => children.push(TreeNode::leaf("partition: none (sequential)")),
         }
 
         children.push(TreeNode::branch(
@@ -213,26 +125,16 @@ impl QueryProfile {
     }
 
     /// Renders the profile tree (see [`QueryProfile::to_tree`]).
-    pub fn render(&self, deterministic: bool) -> String {
-        relalg::render_tree(&self.to_tree(deterministic))
+    pub fn render(&self) -> String {
+        relalg::render_tree(&self.to_tree())
     }
 }
 
 /// Renders the **static** plan for plain `EXPLAIN` — what evaluation
 /// *would* do under the session's options, without running the query:
-/// the strategy label and the partition [`choose_partition`] would
-/// commit to (or `none` when the query must run sequentially).
-///
-/// [`choose_partition`]: super::Ctx::choose_partition
-pub(crate) fn static_plan(
-    ctx: &super::Ctx<'_>,
-    q: &crate::ast::SelectQuery,
-) -> crate::error::XsqlResult<String> {
-    use super::bindings::Bindings;
-    use super::select::{assemble_conjuncts, prepare};
-    use super::vars;
-    use std::collections::BTreeSet;
-
+/// the strategy label, and the planner's join order when the planner
+/// would take the query.
+pub(crate) fn static_plan(ctx: &super::Ctx<'_>, q: &crate::ast::SelectQuery) -> String {
     // The planner runs first in the pipelined dispatch; when it would
     // take the query, the static plan is its join order.
     let planner_lines = match ctx.opts.strategy {
@@ -245,51 +147,14 @@ pub(crate) fn static_plan(
         (super::Strategy::Pipelined, true, None) => "pipelined+theorem-6.1-ranges",
         (super::Strategy::Pipelined, false, None) => "pipelined",
     };
-    let mut children = vec![TreeNode::leaf(format!(
-        "strategy: {strategy}, parallelism {}",
-        ctx.opts.parallelism
-    ))];
+    let mut children = vec![TreeNode::leaf(format!("strategy: {strategy}"))];
     if let Some(lines) = planner_lines {
         children.push(TreeNode::branch(
             "cost-based plan".to_string(),
             lines.into_iter().map(TreeNode::leaf).collect(),
         ));
-        return Ok(relalg::render_tree(&TreeNode::branch(
-            "plan".to_string(),
-            children,
-        )));
     }
-    let prep = prepare(q);
-    let outer = Bindings::new();
-    let conjs = assemble_conjuncts(q, &prep, &outer);
-    let mut outer_vars = BTreeSet::new();
-    vars::query_vars(q, &mut outer_vars);
-    // Mirror the parallel driver's gate: a partition is only *used*
-    // when parallelism is requested and there is something to split.
-    let partition = if ctx.opts.parallelism >= 2 && !conjs.is_empty() {
-        ctx.choose_partition(&conjs, &outer_vars)?
-    } else {
-        None
-    };
-    match partition {
-        // Mirror the parallel driver's small-extent gate: below the
-        // candidate threshold it declines the split and runs
-        // sequentially, and EXPLAIN must say so.
-        Some(p) if p.candidates.len() >= ctx.opts.parallel_min_candidates.max(2) => {
-            let workers = ctx.opts.parallelism.min(p.candidates.len());
-            children.push(TreeNode::leaf(format!(
-                "partition: {} via {} ({} candidates, {workers} workers)",
-                p.var,
-                p.source,
-                p.candidates.len()
-            )));
-        }
-        _ => children.push(TreeNode::leaf("partition: none (sequential)")),
-    }
-    Ok(relalg::render_tree(&TreeNode::branch(
-        "plan".to_string(),
-        children,
-    )))
+    relalg::render_tree(&TreeNode::branch("plan".to_string(), children))
 }
 
 #[cfg(test)]
@@ -297,53 +162,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deterministic_render_suppresses_timings() {
+    fn profile_renders_counts() {
         let p = QueryProfile::default();
-        p.record_strategy("pipelined", 4);
-        p.record_partition(PartitionInfo {
-            var: "X".into(),
-            source: "class-extent",
-            candidates: 10,
-            workers: 2,
-        });
-        p.push_worker(WorkerProfile {
-            index: 1,
-            candidates: 5,
-            rows: 3,
-            wall_micros: 1234,
-        });
-        p.push_worker(WorkerProfile {
-            index: 0,
-            candidates: 5,
-            rows: 2,
-            wall_micros: 987,
-        });
+        p.record_strategy("naive");
         p.count_solution();
         p.note_binding_set(10);
         p.note_binding_set(4); // lower: must not regress the mark
         p.record_totals(64, 5, 5);
-
-        let det = p.render(true);
-        assert!(!det.contains("µs"), "{det}");
-        // Workers are ordered by index regardless of insertion order.
-        let w0 = det.find("worker 0").unwrap();
-        let w1 = det.find("worker 1").unwrap();
-        assert!(w0 < w1, "{det}");
-        assert!(det.contains("partition: X via class-extent (10 candidates, 2 workers)"));
-        assert!(det.contains("binding-set high-water mark: 10"));
-        assert!(det.contains("cost: 64 ticks, 5 tuples materialized"));
-
-        let timed = p.render(false);
-        assert!(timed.contains("1234 µs"), "{timed}");
-    }
-
-    #[test]
-    fn sequential_profile_renders_without_partition() {
-        let p = QueryProfile::default();
-        p.record_strategy("naive", 1);
-        p.record_totals(10, 2, 2);
-        let s = p.render(true);
-        assert!(s.contains("partition: none (sequential)"), "{s}");
-        assert!(s.contains("strategy: naive, parallelism 1"), "{s}");
+        let s = p.render();
+        assert!(s.contains("strategy: naive"), "{s}");
+        assert!(s.contains("solutions: 1 satisfying bindings"), "{s}");
+        assert!(s.contains("binding-set high-water mark: 10"), "{s}");
+        assert!(s.contains("cost: 64 ticks, 5 tuples materialized"), "{s}");
     }
 }

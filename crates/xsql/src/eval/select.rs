@@ -121,16 +121,12 @@ fn select_rows_under<'q>(
             (super::Strategy::Pipelined, true) => "pipelined+theorem-6.1-ranges",
             (super::Strategy::Pipelined, false) => "pipelined",
         };
-        p.record_strategy(label, ctx.opts.parallelism);
+        p.record_strategy(label);
     }
     let rows = match ctx.opts.strategy {
         super::Strategy::Pipelined => {
             if let Some(planned) = crate::plan::solve_query_planned(ctx, q, &prep, outer)? {
                 planned
-            } else if let Some(merged) =
-                super::parallel::solve_query_parallel(ctx, q, &prep, outer)?
-            {
-                SelectRows::Cells(merged)
             } else {
                 let mut rows = BTreeSet::new();
                 solve_query(ctx, q, &prep, outer, &mut |ctx2, bnd| {
@@ -154,13 +150,7 @@ fn select_rows_under<'q>(
         }
     };
     if let Some(p) = profile {
-        p.record_totals(
-            ctx.work_done(),
-            ctx.counters
-                .tuples
-                .load(std::sync::atomic::Ordering::Relaxed),
-            rows.len(),
-        );
+        p.record_totals(ctx.work_done(), ctx.tuples.get(), rows.len());
     }
     Ok((columns, rows))
 }
@@ -241,7 +231,18 @@ pub fn solve_query<'q>(
     outer: &Bindings<'q>,
     k: &mut dyn FnMut(&Ctx<'_>, &mut Bindings<'q>) -> XsqlResult<()>,
 ) -> XsqlResult<()> {
-    let conjs = assemble_conjuncts(q, prep, outer);
+    // The synthesized FROM conditions, the flattened WHERE clause, and
+    // the SELECT-only enumeration pseudo-conjuncts (minus any made
+    // redundant by outer bindings).
+    let mut conjs: Vec<&'q Cond> = prep.from_conds.iter().collect();
+    flatten_and(&q.where_clause, &mut conjs);
+    conjs.extend(prep.select_only.iter().filter(|c| match c {
+        Cond::Path(p) => match &p.head {
+            IdTerm::Var(v) => !outer.is_bound(&v.name),
+            _ => true,
+        },
+        _ => true,
+    }));
 
     let mut outer_vars = BTreeSet::new();
     vars::query_vars(q, &mut outer_vars);
@@ -252,28 +253,6 @@ pub fn solve_query<'q>(
     ctx.solve_conjuncts(&conjs, &sorts, &outer_vars, &mut bnd, &mut |bnd2| {
         k(ctx, bnd2)
     })
-}
-
-/// The conjunct list the pipelined scheduler solves: the synthesized
-/// FROM conditions, the flattened WHERE clause, and the SELECT-only
-/// enumeration pseudo-conjuncts (minus any made redundant by outer
-/// bindings). Shared by the sequential and the parallel drivers so both
-/// solve the same problem.
-pub(crate) fn assemble_conjuncts<'q>(
-    q: &'q SelectQuery,
-    prep: &'q Prepared,
-    outer: &Bindings<'q>,
-) -> Vec<&'q Cond> {
-    let mut conjs: Vec<&'q Cond> = prep.from_conds.iter().collect();
-    flatten_and(&q.where_clause, &mut conjs);
-    conjs.extend(prep.select_only.iter().filter(|c| match c {
-        Cond::Path(p) => match &p.head {
-            IdTerm::Var(v) => !outer.is_bound(&v.name),
-            _ => true,
-        },
-        _ => true,
-    }));
-    conjs
 }
 
 /// The §3.4 naive specification engine: enumerate all substitutions of

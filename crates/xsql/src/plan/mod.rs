@@ -284,7 +284,7 @@ pub(crate) fn solve_query_planned(
     };
     let profile = ctx.opts.profile.as_ref();
     if let Some(p) = profile {
-        p.record_strategy("planner", ctx.opts.parallelism);
+        p.record_strategy("planner");
     }
     let (actuals, rows) = exec::execute(ctx, q, &plan)?;
     if let Some(p) = profile {

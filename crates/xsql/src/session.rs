@@ -498,14 +498,6 @@ impl Session {
         self.opts = opts;
     }
 
-    /// Sets the worker count for top-level SELECT evaluation (clamped
-    /// to at least 1; see [`EvalOptions::parallelism`]). Statements
-    /// other than reads, and nested evaluation, always run
-    /// sequentially regardless of this setting.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.opts.parallelism = workers.max(1);
-    }
-
     /// A registered view definition.
     pub fn view(&self, name: &str) -> Option<&ViewDef> {
         self.views.get(name)
@@ -1315,7 +1307,7 @@ impl Session {
         // The static plan under the session's options — what EXPLAIN
         // ANALYZE would measure, predicted without running the query.
         let ctx = Ctx::new(&self.db, &self.opts);
-        out.push_str(&crate::eval::profile::static_plan(&ctx, q)?);
+        out.push_str(&crate::eval::profile::static_plan(&ctx, q));
         Ok(out)
     }
 
@@ -1336,7 +1328,7 @@ impl Session {
         };
         let ctx = Ctx::new(&self.db, &opts);
         eval_rows(&ctx, q)?;
-        Ok(profile.render(self.registry.config().deterministic))
+        Ok(profile.render())
     }
 
     /// Executes a program with the given EXECUTE arguments: binds the

@@ -36,7 +36,6 @@ struct Config {
     serve: bool,
     stats: bool,
     deadline_ms: Option<u64>,
-    parallel: Option<usize>,
     listen: Option<String>,
     replica_of: Option<String>,
     connect: Option<String>,
@@ -54,7 +53,6 @@ fn parse_args() -> Result<Config, String> {
         serve: false,
         stats: false,
         deadline_ms: None,
-        parallel: None,
         listen: None,
         replica_of: None,
         connect: None,
@@ -88,18 +86,6 @@ fn parse_args() -> Result<Config, String> {
                     v.parse()
                         .map_err(|_| format!("--deadline-ms: not a number: `{v}`"))?,
                 );
-            }
-            "--parallel" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| "--parallel requires a value".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--parallel: not a number: `{v}`"))?;
-                if n == 0 {
-                    return Err("--parallel requires at least 1 worker".to_string());
-                }
-                cfg.parallel = Some(n);
             }
             "--listen" => {
                 cfg.listen = Some(
@@ -140,7 +126,7 @@ fn parse_args() -> Result<Config, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: xsql-cli [--db empty|figure1|nobel|university] [--open DIR] \
-                            [--typed] [--serve] [--stats] [--deadline-ms N] [--parallel N] \
+                            [--typed] [--serve] [--stats] [--deadline-ms N] \
                             [--listen ADDR [--replica-of DIR] [--leader-hint ADDR]] \
                             [--connect ADDR] [--promote ADDR] [--token T] \
                             [script.xsql ...]\n\
@@ -149,8 +135,6 @@ fn parse_args() -> Result<Config, String> {
                      --stats prints the telemetry exposition (statement latencies, \
                      WAL/service metrics, role/generation) after the scripts finish; \
                      --deadline-ms bounds every statement's wall-clock time; \
-                     --parallel evaluates top-level SELECTs on N worker threads \
-                     (results are bit-identical to sequential evaluation); \
                      --listen serves the database over TCP (see docs/SERVING.md) and \
                      drains gracefully on SIGTERM; with --replica-of DIR it serves a \
                      WAL-shipped read replica tailing that primary store directory; \
@@ -386,7 +370,6 @@ fn listen_primary(cfg: &Config, session: Session, addr: &str) -> ExitCode {
         session,
         ServiceConfig {
             default_deadline: cfg.deadline_ms.map(Duration::from_millis),
-            reader_parallelism: cfg.parallel.unwrap_or(0),
             ..ServiceConfig::default()
         },
     ));
@@ -468,7 +451,6 @@ fn listen_replica(cfg: &Config, primary_dir: &str, addr: &str) -> ExitCode {
     let promote_dir = primary_dir.to_string();
     let promote_tag = tag.clone();
     let default_deadline = cfg.deadline_ms.map(Duration::from_millis);
-    let reader_parallelism = cfg.parallel.unwrap_or(0);
     server.set_promote_hook(Box::new(move || {
         let replica = hook_slot
             .lock()
@@ -494,7 +476,6 @@ fn listen_replica(cfg: &Config, primary_dir: &str, addr: &str) -> ExitCode {
             session,
             ServiceConfig {
                 default_deadline,
-                reader_parallelism,
                 ..ServiceConfig::default()
             },
         )))
@@ -711,10 +692,6 @@ fn main() -> ExitCode {
             }
         }
     };
-    if let Some(n) = cfg.parallel {
-        session.set_parallelism(n);
-    }
-
     if let Some(addr) = cfg.listen.clone() {
         return listen_primary(&cfg, session, &addr);
     }
@@ -738,7 +715,6 @@ fn main() -> ExitCode {
             session,
             ServiceConfig {
                 default_deadline: cfg.deadline_ms.map(Duration::from_millis),
-                reader_parallelism: cfg.parallel.unwrap_or(0),
                 ..ServiceConfig::default()
             },
         ));

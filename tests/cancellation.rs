@@ -7,9 +7,17 @@
 //! statement, `cancel_at_tick` walks k = 1, 2, 3, … until the statement
 //! finally completes, so every tick point the statement ever reaches is
 //! exercised as a cancellation site.
+//!
+//! The budget tests below pin how each resource limit aborts a query on
+//! the scaled Figure 1 instance: the typed error and its reason.
 
+use datagen::{figure1_scaled, Figure1Params};
 use oodb::Database;
-use xsql::{EvalOptions, Session, XsqlError};
+use std::time::{Duration, Instant};
+use xsql::ast::Stmt;
+use xsql::{
+    eval_select, parse, resolve_stmt, CancelFlag, EvalBudget, EvalOptions, Session, XsqlError,
+};
 
 fn digest(db: &Database) -> String {
     use std::fmt::Write as _;
@@ -135,5 +143,148 @@ proptest::proptest! {
             // must be fully usable after any number of cancellations.
             session.set_options(EvalOptions::default());
         }
+    }
+}
+
+/// A join whose evaluation takes far more than a few hundred ticks.
+const JOIN: &str =
+    "SELECT X, W FROM Company X, Employee W WHERE X.Divisions.Employees[W] and W.Salary > 30000";
+
+/// Evaluates `src` on the default scaled Figure 1 instance.
+fn run_scaled(src: &str, opts: &EvalOptions) -> xsql::XsqlResult<relalg::Relation> {
+    let mut db = figure1_scaled(&Figure1Params::default());
+    let stmt = parse(src).unwrap();
+    let Stmt::Select(q) = resolve_stmt(&mut db, &stmt).unwrap() else {
+        panic!("not a select")
+    };
+    eval_select(&db, &q, opts)
+}
+
+#[test]
+fn work_limit_aborts_scaled_query() {
+    let opts = EvalOptions {
+        work_limit: 500,
+        ..EvalOptions::default()
+    };
+    match run_scaled(JOIN, &opts) {
+        Err(XsqlError::WorkLimit(limit)) => assert_eq!(limit, 500),
+        other => panic!("expected WorkLimit, got {other:?}"),
+    }
+}
+
+#[test]
+fn tuple_budget_aborts_scaled_query() {
+    let opts = EvalOptions {
+        budget: EvalBudget {
+            max_tuples: 50,
+            ..EvalBudget::default()
+        },
+        ..EvalOptions::default()
+    };
+    match run_scaled(
+        "SELECT X, W FROM Employee X, Employee W WHERE X.Salary <= W.Salary",
+        &opts,
+    ) {
+        Err(XsqlError::Budget { resource, limit }) => {
+            assert_eq!(resource, "materialized tuple");
+            assert_eq!(limit, 50);
+        }
+        other => panic!("expected tuple Budget error, got {other:?}"),
+    }
+}
+
+#[test]
+fn pre_tripped_cancel_flag_aborts_query() {
+    let cancel = CancelFlag::new();
+    cancel.cancel();
+    let opts = EvalOptions {
+        cancel,
+        ..EvalOptions::default()
+    };
+    match run_scaled(JOIN, &opts) {
+        Err(XsqlError::Cancelled { reason }) => assert_eq!(reason, "cancelled by client"),
+        other => panic!("expected client cancellation, got {other:?}"),
+    }
+}
+
+#[test]
+fn expired_deadline_aborts_query() {
+    let opts = EvalOptions {
+        budget: EvalBudget {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..EvalBudget::default()
+        },
+        ..EvalOptions::default()
+    };
+    match run_scaled(JOIN, &opts) {
+        Err(XsqlError::Cancelled { reason }) => assert_eq!(reason, "statement deadline exceeded"),
+        other => panic!("expected deadline cancellation, got {other:?}"),
+    }
+}
+
+#[test]
+fn injected_tick_cancellation_aborts_query() {
+    for k in [1, 7, 100, 1000] {
+        let opts = EvalOptions {
+            budget: EvalBudget {
+                cancel_at_tick: Some(k),
+                ..EvalBudget::default()
+            },
+            ..EvalOptions::default()
+        };
+        match run_scaled(JOIN, &opts) {
+            Err(XsqlError::Cancelled { reason }) => {
+                assert_eq!(reason, format!("cancellation injected at tick {k}"));
+            }
+            other => panic!("expected injected cancellation at k={k}, got {other:?}"),
+        }
+    }
+}
+
+/// Regression test for the unbudgeted id-term head scan: the
+/// `IdTerm::Func` branch of `walk_path` enumerates every id-term
+/// object in the database when the head is not fully bound, and that
+/// scan must be subject to `max_binding_set` exactly like the var-head
+/// branch. A view materializing one object per employee makes the scan
+/// large; a small budget must trip it instead of silently enumerating.
+#[test]
+fn partially_unbound_func_head_scan_is_budgeted() {
+    let mut s = Session::new(figure1_scaled(&Figure1Params::default()));
+    let out = s
+        .run(
+            "CREATE VIEW EmpSal AS SUBCLASS OF Object \
+             SIGNATURE Salary => Numeral \
+             SELECT Salary = W.Salary FROM Employee W OID FUNCTION OF W",
+        )
+        .unwrap();
+    let xsql::Outcome::ViewCreated { count, .. } = out else {
+        panic!("expected view creation, got {out:?}")
+    };
+    assert!(count > 100, "scaled db should give a large view extent");
+
+    // `V` is bound by nothing but the id-term head itself, so the
+    // evaluator must take the candidate-scan branch over every id-term
+    // object. With the default (huge) budget the scan succeeds: every
+    // employee's own salary appears in their view object.
+    let full = s
+        .query("SELECT W FROM Employee W WHERE EmpSal(V).Salary = W.Salary")
+        .unwrap();
+    assert_eq!(full.len(), count);
+
+    // ...and with a budget smaller than the id-term object population
+    // it must degrade into a clean Budget error, not an unbounded scan.
+    s.set_options(EvalOptions {
+        budget: EvalBudget {
+            max_binding_set: 50,
+            ..EvalBudget::default()
+        },
+        ..EvalOptions::default()
+    });
+    match s.query("SELECT W FROM Employee W WHERE EmpSal(V).Salary = W.Salary") {
+        Err(XsqlError::Budget { resource, limit }) => {
+            assert_eq!(resource, "binding set size");
+            assert_eq!(limit, 50);
+        }
+        other => panic!("expected binding-set Budget error, got {other:?}"),
     }
 }

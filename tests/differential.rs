@@ -2,11 +2,10 @@
 //! nested-loop engine must agree exactly with the naive §3.4
 //! specification semantics — on hand-written queries over the Figure 1
 //! instance and on property-generated queries over random databases.
-//! Every query additionally runs with the method index disabled, with
-//! parallel evaluation (4 workers), through the cost-based planner
-//! (with and without index probes), and through a session's plan cache
-//! (a cold miss and a warm hit), which must all produce the same
-//! relation bit-for-bit.
+//! Every query additionally runs with the method index disabled,
+//! through the cost-based planner (with and without index probes), and
+//! through a session's plan cache (a cold miss and a warm hit), which
+//! must all produce the same relation bit-for-bit.
 //!
 //! The literal-pair leg attacks the plan cache itself: statement pairs
 //! that differ only in literal content, whitespace inside a literal,
@@ -23,8 +22,8 @@ use xsql::{eval_select, parse, resolve_stmt, EvalOptions, Outcome, Session};
 /// Evaluates `src` under every engine configuration that must agree:
 /// the pipelined engine with the planner disabled, the naive §3.4
 /// reference, the method index disabled (forcing active-domain
-/// enumeration), parallel evaluation with and without the index, and
-/// the cost-based planner with and without index probes. The planner
+/// enumeration), and the cost-based planner with and without index
+/// probes. The planner
 /// switch is pinned explicitly on every leg so the crossing does not
 /// depend on the `XSQL_PLANNER` environment. Returns labelled
 /// relations.
@@ -43,21 +42,6 @@ fn engines(db: &mut Database, src: &str) -> Vec<(&'static str, relalg::Relation)
         (
             "no-method-index",
             EvalOptions {
-                use_method_index: false,
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel(4)",
-            EvalOptions {
-                parallelism: 4,
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel(4),no-method-index",
-            EvalOptions {
-                parallelism: 4,
                 use_method_index: false,
                 ..base.clone()
             },
@@ -229,6 +213,44 @@ fn assert_all_agree(db: &mut Database, src: &str) {
     }
 }
 
+/// A value overwritten under one argument tuple must stay indexed
+/// while another tuple of the same receiver and method still holds
+/// it: `a.(Tag@2)` keeps `'red'` after `a.(Tag@1)` moves to `'blue'`,
+/// and `b.(Tag@2)` keeps `3` after `b.(Tag@1)` moves to `4` (probed
+/// with the Real spelling `3.0`).
+#[test]
+fn value_anchor_survives_overwrite_of_another_argument_tuple() {
+    let mut s = Session::new(Database::new());
+    for stmt in [
+        "CREATE CLASS Thing",
+        "CREATE OBJECT a CLASS Thing",
+        "CREATE OBJECT b CLASS Thing",
+        "UPDATE CLASS Thing SET a.(Tag@1) = 'red'",
+        "UPDATE CLASS Thing SET a.(Tag@2) = 'red'",
+        "UPDATE CLASS Thing SET a.(Tag@1) = 'blue'",
+        "UPDATE CLASS Thing SET b.(Tag@1) = 3",
+        "UPDATE CLASS Thing SET b.(Tag@2) = 3",
+        "UPDATE CLASS Thing SET b.(Tag@1) = 4",
+    ] {
+        s.run(stmt).unwrap();
+    }
+    let mut db = s.db().clone();
+    for src in [
+        "SELECT X WHERE X.(Tag@2)['red']",
+        "SELECT X WHERE X.(Tag@2)[3.0]",
+    ] {
+        let results = engines(&mut db, src);
+        let (_, naive) = results
+            .iter()
+            .find(|(label, _)| *label == "naive")
+            .expect("naive leg");
+        assert_eq!(naive.len(), 1, "naive answer for {src}");
+        for (label, rel) in &results {
+            assert_eq!(rel, naive, "{label} disagrees with naive on {src}");
+        }
+    }
+}
+
 #[test]
 fn figure1_engine_agreement() {
     let mut db = figure1_db();
@@ -284,9 +306,8 @@ fn random_db(edges: &[(u8, u8)], labels: &[(u8, bool)], ages: &[(u8, u8)]) -> Da
     for &(x, a) in ages {
         // Alternate the numeral spelling: even ages are stored as Ints,
         // odd ages as Reals. `X.Age[n]` must match either spelling, so
-        // an anchored (method, value) index lookup keyed on the Int
-        // literal would be unsound — this is the corner that forces
-        // `head_candidates` onto the unanchored method-index fallback.
+        // the value-anchored head lookup must be numeral-insensitive —
+        // an index keyed on the literal's exact OID would be unsound.
         let node = nodes[(x % 6) as usize];
         let age = a % 40;
         if age % 2 == 0 {
@@ -393,7 +414,7 @@ proptest! {
             format!("SELECT X FROM Node X WHERE count(X.Next) >= 2 and X.Age <= {t}"),
             // Ground numeral selectors, in both the Int and the Real
             // spelling: ages are stored under mixed spellings, so the
-            // indexed engine must take the unanchored fallback to agree
+            // value-anchored head lookup must collapse them to agree
             // with the naive and index-free engines.
             format!("SELECT X FROM Node X WHERE X.Age[{t}]"),
             format!("SELECT X FROM Node X WHERE X.Age[{t}.0] and X.Next"),

@@ -1,9 +1,9 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` integration tests: the span-error
 //! regression for non-SELECT operands, execution profiles on the
 //! paper's numbered queries with exact tick/row counts, deterministic
-//! golden stability, and the engine-invariance differential (naive,
-//! pipelined, parallel all report identical row counts, and telemetry
-//! being attached never changes a result).
+//! golden stability, and the engine-invariance differential (naive and
+//! pipelined report identical row counts, and telemetry being attached
+//! never changes a result).
 
 use datagen::figure1_db;
 use std::sync::Arc;
@@ -51,24 +51,15 @@ const QUERIES: &[(&str, &str, usize)] = &[
 /// changes.
 const PIPELINED_TICKS: &[u64] = &[35, 75, 37, 40, 96, 47];
 
-/// A session with explicitly pinned evaluation options (never the
-/// `XSQL_PARALLELISM` environment default) and a deterministic
-/// telemetry registry, so `EXPLAIN ANALYZE` output is byte-stable.
-fn det_session(strategy: Strategy, parallelism: usize) -> Session {
+/// A session with an explicitly pinned strategy and a default telemetry
+/// registry (never the `XSQL_TELEMETRY` environment setting).
+fn det_session(strategy: Strategy) -> Session {
     let opts = EvalOptions {
         strategy,
-        parallelism,
-        // The Figure 1 extents are tiny; pin the parallel gate low so
-        // partition reporting stays observable (and not subject to the
-        // production small-extent fallback, tested in parallel_eval.rs).
-        parallel_min_candidates: 2,
         ..EvalOptions::default()
     };
     let mut s = Session::with_options(figure1_db(), opts);
-    s.set_registry(Arc::new(Registry::with_config(TelemetryConfig {
-        deterministic: true,
-        ..TelemetryConfig::default()
-    })));
+    s.set_registry(Arc::new(Registry::with_config(TelemetryConfig::default())));
     s
 }
 
@@ -98,7 +89,7 @@ fn metric(report: &str, prefix: &str) -> u64 {
 
 #[test]
 fn explain_non_select_is_error_with_span() {
-    let mut s = det_session(Strategy::Pipelined, 1);
+    let mut s = det_session(Strategy::Pipelined);
     let err = s.run("EXPLAIN COMMIT WORK").unwrap_err();
     assert!(
         matches!(err, XsqlError::Parse { line: 1, .. }),
@@ -148,16 +139,9 @@ fn explain_non_select_is_error_with_span() {
 fn explain_analyze_paper_query_profiles() {
     let mut ticks = Vec::new();
     for (label, sql, rows) in QUERIES {
-        let mut s = det_session(Strategy::Pipelined, 1);
+        let mut s = det_session(Strategy::Pipelined);
         let report = analyze(&mut s, sql);
-        assert!(
-            report.contains("strategy: pipelined, parallelism 1"),
-            "{label}:\n{report}"
-        );
-        assert!(
-            report.contains("partition: none (sequential)"),
-            "{label}:\n{report}"
-        );
+        assert!(report.contains("strategy: pipelined"), "{label}:\n{report}");
         assert_eq!(
             metric(&report, "rows out: ") as usize,
             *rows,
@@ -173,37 +157,11 @@ fn explain_analyze_paper_query_profiles() {
 }
 
 #[test]
-fn explain_analyze_parallel_partition_is_reported() {
-    let mut s = det_session(Strategy::Pipelined, 4);
-    let report = analyze(
-        &mut s,
-        "SELECT Y FROM Person X WHERE X.Residence[Y].City['newyork']",
-    );
-    eprintln!("{report}");
-    assert!(
-        report.contains("strategy: pipelined, parallelism 4"),
-        "{report}"
-    );
-    // The driver split the outer candidate domain and says where the
-    // candidates came from.
-    assert!(report.contains("partition: "), "{report}");
-    assert!(report.contains(" via "), "{report}");
-    assert!(report.contains("workers)"), "{report}");
-    assert!(report.contains("worker 0:"), "{report}");
-    assert_eq!(metric(&report, "rows out: "), 1, "{report}");
-}
-
-#[test]
 fn explain_analyze_goldens_are_byte_stable() {
-    for parallelism in [1, 4] {
-        for (label, sql, _) in QUERIES {
-            let a = analyze(&mut det_session(Strategy::Pipelined, parallelism), sql);
-            let b = analyze(&mut det_session(Strategy::Pipelined, parallelism), sql);
-            assert_eq!(
-                a, b,
-                "{label} at parallelism {parallelism} is not byte-stable"
-            );
-        }
+    for (label, sql, _) in QUERIES {
+        let a = analyze(&mut det_session(Strategy::Pipelined), sql);
+        let b = analyze(&mut det_session(Strategy::Pipelined), sql);
+        assert_eq!(a, b, "{label} is not byte-stable");
     }
 }
 
@@ -215,12 +173,11 @@ fn explain_analyze_goldens_are_byte_stable() {
 fn row_counts_invariant_across_engines() {
     for (label, sql, rows) in QUERIES {
         let engines = [
-            ("naive", Strategy::Naive, 1),
-            ("pipelined", Strategy::Pipelined, 1),
-            ("parallel(4)", Strategy::Pipelined, 4),
+            ("naive", Strategy::Naive),
+            ("pipelined", Strategy::Pipelined),
         ];
-        for (engine, strategy, parallelism) in engines {
-            let mut s = det_session(strategy, parallelism);
+        for (engine, strategy) in engines {
+            let mut s = det_session(strategy);
             let report = analyze(&mut s, sql);
             assert_eq!(
                 metric(&report, "rows out: ") as usize,
@@ -236,17 +193,10 @@ fn row_counts_invariant_across_engines() {
 #[test]
 fn telemetry_leaves_results_bit_identical() {
     for (label, sql, _) in QUERIES {
-        let mut plain = Session::with_options(
-            figure1_db(),
-            EvalOptions {
-                parallelism: 1,
-                ..EvalOptions::default()
-            },
-        );
-        let mut instrumented = det_session(Strategy::Pipelined, 1);
+        let mut plain = Session::new(figure1_db());
+        let mut instrumented = det_session(Strategy::Pipelined);
         instrumented.set_registry(Arc::new(Registry::with_config(TelemetryConfig {
             enabled: true,
-            deterministic: false,
             ..TelemetryConfig::default()
         })));
 
@@ -274,7 +224,7 @@ fn telemetry_leaves_results_bit_identical() {
 fn plain_explain_includes_static_plan() {
     // A single-variable filter query is inside the cost-based planner's
     // fragment: plain EXPLAIN shows its static plan.
-    let mut s = det_session(Strategy::Pipelined, 1);
+    let mut s = det_session(Strategy::Pipelined);
     let report = match s.run("EXPLAIN SELECT X FROM Person X WHERE X.Residence.City['austin']") {
         Ok(Outcome::Explained { report }) => report,
         other => panic!("expected Explained, got {other:?}"),
@@ -283,31 +233,19 @@ fn plain_explain_includes_static_plan() {
     assert!(report.contains("well-typed"), "{report}");
     // …and the static plan follows it.
     assert!(report.contains("plan"), "{report}");
-    assert!(
-        report.contains("strategy: planner, parallelism 1"),
-        "{report}"
-    );
+    assert!(report.contains("strategy: planner"), "{report}");
     assert!(report.contains("cost-based plan"), "{report}");
     assert!(report.contains("scan X: Person extent"), "{report}");
     assert!(report.contains("filter X: "), "{report}");
 
     // A selector-variable path is outside the fragment: the pipelined
-    // engine keeps it, and at parallelism 4 the plan predicts the
-    // partition without running.
-    let mut s4 = det_session(Strategy::Pipelined, 4);
-    let report = match s4.run("EXPLAIN SELECT Y FROM Person X WHERE X.Residence[Y].City['austin']")
-    {
+    // engine keeps it, and the static plan says so.
+    let report = match s.run("EXPLAIN SELECT Y FROM Person X WHERE X.Residence[Y].City['austin']") {
         Ok(Outcome::Explained { report }) => report,
         other => panic!("expected Explained, got {other:?}"),
     };
-    assert!(
-        report.contains("strategy: pipelined, parallelism 4"),
-        "{report}"
-    );
-    assert!(
-        report.contains(" via ") || report.contains("partition: none"),
-        "{report}"
-    );
+    assert!(report.contains("strategy: pipelined"), "{report}");
+    assert!(!report.contains("cost-based plan"), "{report}");
 }
 
 // ---------------------------------------------------------------------
@@ -316,7 +254,7 @@ fn plain_explain_includes_static_plan() {
 
 #[test]
 fn stats_statement_renders_registry() {
-    let mut s = det_session(Strategy::Pipelined, 1);
+    let mut s = det_session(Strategy::Pipelined);
     s.query("SELECT X FROM Person X").unwrap();
     let report = match s.run("STATS") {
         Ok(Outcome::Stats { report }) => report,

@@ -123,7 +123,6 @@ fn planner_opts() -> EvalOptions {
         strategy: Strategy::Pipelined,
         use_planner: true,
         use_method_index: true,
-        parallelism: 1,
         ..EvalOptions::default()
     }
 }
@@ -131,7 +130,6 @@ fn planner_opts() -> EvalOptions {
 fn naive_opts() -> EvalOptions {
     EvalOptions {
         strategy: Strategy::Naive,
-        parallelism: 1,
         ..EvalOptions::default()
     }
 }
@@ -141,7 +139,6 @@ fn no_index_opts() -> EvalOptions {
         strategy: Strategy::Pipelined,
         use_planner: true,
         use_method_index: false,
-        parallelism: 1,
         ..EvalOptions::default()
     }
 }
@@ -235,10 +232,7 @@ fn recovered_store_has_consistent_attr_index() {
             Path::new("/db"),
             Database::new(),
             "empty",
-            EvalOptions {
-                parallelism: 1,
-                ..EvalOptions::default()
-            },
+            EvalOptions::default(),
         )
         .unwrap()
     };
