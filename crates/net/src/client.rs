@@ -144,6 +144,8 @@ pub struct Response {
 pub struct Client {
     stream: TcpStream,
     buf: FrameBuf,
+    /// 8 KiB socket read buffer, allocated once per connection.
+    chunk: Box<[u8; 8192]>,
     next_id: u64,
     session: u64,
     role: Role,
@@ -169,6 +171,7 @@ impl Client {
         let mut c = Client {
             stream,
             buf: FrameBuf::new(),
+            chunk: Box::new([0; 8192]),
             next_id: 1,
             session: 0,
             role: Role::Primary,
@@ -429,21 +432,20 @@ impl Client {
     }
 
     fn read_frame(&mut self) -> Result<Frame, NetError> {
-        let mut chunk = [0u8; 8192];
         loop {
             match self.buf.next_frame() {
                 Ok(Some(f)) => return Ok(f),
                 Ok(None) => {}
                 Err(e) => return Err(NetError::Proto(e.to_string())),
             }
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk[..]) {
                 Ok(0) => {
                     return Err(NetError::Io(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "server closed the connection",
                     )))
                 }
-                Ok(n) => self.buf.push(&chunk[..n]),
+                Ok(n) => self.buf.push(&self.chunk[..n]),
                 Err(e) => return Err(NetError::Io(e)),
             }
         }

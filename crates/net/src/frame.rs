@@ -23,6 +23,7 @@
 //! frame is *not* an error; [`decode`] reports it as "need more bytes"
 //! so torn TCP reads assemble incrementally in a [`FrameBuf`].
 
+use oodb::{Oid, OidTable};
 use std::fmt;
 use storage::wal::crc32;
 
@@ -339,36 +340,45 @@ fn put_strs(out: &mut Vec<u8>, ss: &[String]) {
 
 /// Encodes one frame to wire bytes (header + checksummed body).
 pub fn encode(f: &Frame) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
+    let mut out = Vec::with_capacity(HEADER + 32);
+    encode_into(&mut out, f);
+    out
+}
+
+/// Appends one frame's wire bytes to `out`: the body is written in
+/// place behind a reserved header, which is then patched with the
+/// body's length and checksum. Byte-identical to [`encode`].
+pub fn encode_into(out: &mut Vec<u8>, f: &Frame) {
+    let start = begin_frame(out);
     match f {
         Frame::Hello { version, token } => {
-            body.push(K_HELLO);
-            put_u32(&mut body, *version);
-            put_str(&mut body, token);
+            out.push(K_HELLO);
+            put_u32(out, *version);
+            put_str(out, token);
         }
         Frame::HelloAck {
             session,
             role,
             epoch,
         } => {
-            body.push(K_HELLO_ACK);
-            put_u64(&mut body, *session);
-            body.push(role.to_u8());
-            put_u64(&mut body, *epoch);
+            out.push(K_HELLO_ACK);
+            put_u64(out, *session);
+            out.push(role.to_u8());
+            put_u64(out, *epoch);
         }
         Frame::Execute {
             id,
             deadline_ms,
             src,
         } => {
-            body.push(K_EXECUTE);
-            put_u64(&mut body, *id);
-            put_u64(&mut body, *deadline_ms);
-            put_str(&mut body, src);
+            out.push(K_EXECUTE);
+            put_u64(out, *id);
+            put_u64(out, *deadline_ms);
+            put_str(out, src);
         }
         Frame::Cancel { id } => {
-            body.push(K_CANCEL);
-            put_u64(&mut body, *id);
+            out.push(K_CANCEL);
+            put_u64(out, *id);
         }
         Frame::Prepare {
             id,
@@ -376,11 +386,11 @@ pub fn encode(f: &Frame) -> Vec<u8> {
             name,
             src,
         } => {
-            body.push(K_PREPARE);
-            put_u64(&mut body, *id);
-            put_u64(&mut body, *deadline_ms);
-            put_str(&mut body, name);
-            put_str(&mut body, src);
+            out.push(K_PREPARE);
+            put_u64(out, *id);
+            put_u64(out, *deadline_ms);
+            put_str(out, name);
+            put_str(out, src);
         }
         Frame::ExecutePrepared {
             id,
@@ -388,46 +398,46 @@ pub fn encode(f: &Frame) -> Vec<u8> {
             name,
             args,
         } => {
-            body.push(K_EXECUTE_PREPARED);
-            put_u64(&mut body, *id);
-            put_u64(&mut body, *deadline_ms);
-            put_str(&mut body, name);
-            put_strs(&mut body, args);
+            out.push(K_EXECUTE_PREPARED);
+            put_u64(out, *id);
+            put_u64(out, *deadline_ms);
+            put_str(out, name);
+            put_strs(out, args);
         }
-        Frame::Ping => body.push(K_PING),
+        Frame::Ping => out.push(K_PING),
         Frame::Pong {
             role,
             generation,
             epoch,
             lag,
         } => {
-            body.push(K_PONG);
-            body.push(role.to_u8());
-            put_u64(&mut body, *generation);
-            put_u64(&mut body, *epoch);
-            put_u64(&mut body, *lag);
+            out.push(K_PONG);
+            out.push(role.to_u8());
+            put_u64(out, *generation);
+            put_u64(out, *epoch);
+            put_u64(out, *lag);
         }
-        Frame::Goodbye => body.push(K_GOODBYE),
-        Frame::Promote => body.push(K_PROMOTE),
+        Frame::Goodbye => out.push(K_GOODBYE),
+        Frame::Promote => out.push(K_PROMOTE),
         Frame::PromoteAck { generation } => {
-            body.push(K_PROMOTE_ACK);
-            put_u64(&mut body, *generation);
+            out.push(K_PROMOTE_ACK);
+            put_u64(out, *generation);
         }
         Frame::NotPrimary { id, leader_hint } => {
-            body.push(K_NOT_PRIMARY);
-            put_u64(&mut body, *id);
-            put_str(&mut body, leader_hint);
+            out.push(K_NOT_PRIMARY);
+            put_u64(out, *id);
+            put_str(out, leader_hint);
         }
         Frame::RowsHeader { id, epoch, columns } => {
-            body.push(K_ROWS_HEADER);
-            put_u64(&mut body, *id);
-            put_u64(&mut body, *epoch);
-            put_strs(&mut body, columns);
+            out.push(K_ROWS_HEADER);
+            put_u64(out, *id);
+            put_u64(out, *epoch);
+            put_strs(out, columns);
         }
         Frame::Row { id, cells } => {
-            body.push(K_ROW);
-            put_u64(&mut body, *id);
-            put_strs(&mut body, cells);
+            out.push(K_ROW);
+            put_u64(out, *id);
+            put_strs(out, cells);
         }
         Frame::Done {
             id,
@@ -435,11 +445,11 @@ pub fn encode(f: &Frame) -> Vec<u8> {
             rows,
             info,
         } => {
-            body.push(K_DONE);
-            put_u64(&mut body, *id);
-            put_u64(&mut body, *epoch);
-            put_u64(&mut body, *rows);
-            put_str(&mut body, info);
+            out.push(K_DONE);
+            put_u64(out, *id);
+            put_u64(out, *epoch);
+            put_u64(out, *rows);
+            put_str(out, info);
         }
         Frame::Error {
             id,
@@ -447,18 +457,58 @@ pub fn encode(f: &Frame) -> Vec<u8> {
             retry_after_ms,
             message,
         } => {
-            body.push(K_ERROR);
-            put_u64(&mut body, *id);
-            body.push(*code as u8);
-            put_u64(&mut body, *retry_after_ms);
-            put_str(&mut body, message);
+            out.push(K_ERROR);
+            put_u64(out, *id);
+            out.push(*code as u8);
+            put_u64(out, *retry_after_ms);
+            put_str(out, message);
         }
     }
-    let mut out = Vec::with_capacity(HEADER + body.len());
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(0, &body));
-    out.extend_from_slice(&body);
-    out
+    finish_frame(out, start);
+}
+
+/// Reserves a frame header at the end of `out`; returns its offset.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER]);
+    start
+}
+
+/// Patches the header reserved at `start` with the length and CRC of
+/// everything written after it.
+fn finish_frame(out: &mut [u8], start: usize) {
+    let (header, body) = out[start..].split_at_mut(HEADER);
+    header[0..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..8].copy_from_slice(&crc32(0, body).to_le_bytes());
+}
+
+/// Appends one `Row` frame to `out`, rendering each cell of `tuple`
+/// straight into the buffer. Byte-identical to encoding
+/// `Frame::Row { id, cells }` with `cells[i] = oids.render(tuple[i])`,
+/// without building the cell strings.
+pub fn encode_row_into(out: &mut Vec<u8>, id: u64, oids: &OidTable, tuple: &[Oid]) {
+    let start = begin_frame(out);
+    out.push(K_ROW);
+    put_u64(out, id);
+    put_u32(out, tuple.len() as u32);
+    for &o in tuple {
+        let at = out.len();
+        put_u32(out, 0);
+        oids.render_into(o, &mut ByteSink(out));
+        let n = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&n.to_le_bytes());
+    }
+    finish_frame(out, start);
+}
+
+/// `fmt::Write` over a byte buffer, so cells render in place.
+struct ByteSink<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for ByteSink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Strict little-endian cursor over one frame body.
@@ -623,9 +673,18 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
 
 /// Reassembly buffer for a TCP byte stream: push whatever chunk the
 /// socket produced, pop complete frames.
+///
+/// Popping only advances a read cursor; consumed bytes are reclaimed
+/// on the next [`FrameBuf::push`], and only when the cursor has passed
+/// half the buffer or the chunk would otherwise grow it. A reply of
+/// thousands of small frames therefore costs one short move per
+/// socket read, not one per frame, and the buffer's capacity stays
+/// within twice one chunk plus the largest frame.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
+    /// Start of the first unconsumed byte.
+    pos: usize,
 }
 
 impl FrameBuf {
@@ -636,14 +695,19 @@ impl FrameBuf {
 
     /// Appends raw bytes read from the socket.
     pub fn push(&mut self, chunk: &[u8]) {
+        let len = self.buf.len();
+        if self.pos > 0 && (2 * self.pos > len || len + chunk.len() > self.buf.capacity()) {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(chunk);
     }
 
     /// Pops the next complete frame, if the buffer holds one.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        match decode(&self.buf)? {
+        match decode(&self.buf[self.pos..])? {
             Some((f, consumed)) => {
-                self.buf.drain(..consumed);
+                self.pos += consumed;
                 Ok(Some(f))
             }
             None => Ok(None),
@@ -652,13 +716,14 @@ impl FrameBuf {
 
     /// True when bytes of an incomplete frame are waiting.
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        self.pos < self.buf.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oodb::OidData;
 
     fn all_frames() -> Vec<Frame> {
         vec![
@@ -811,5 +876,149 @@ mod tests {
         }
         assert_eq!(got, frames);
         assert!(!fb.has_partial());
+    }
+    #[test]
+    fn encode_into_matches_encode_for_every_frame_kind() {
+        let mut out = vec![0xEE]; // appends after existing bytes
+        for f in all_frames() {
+            let at = out.len();
+            encode_into(&mut out, &f);
+            assert_eq!(out[at..], encode(&f)[..], "{f:?}");
+        }
+    }
+
+    /// An `OidTable` holding one OID of every `OidData` kind, and a
+    /// nested id-term over them. `-0.0` and NaN cannot be interned
+    /// (`OidTable::real` normalises and rejects them), so they enter as
+    /// raw entries, as a decoded snapshot could carry them.
+    fn every_kind() -> (OidTable, Vec<Oid>) {
+        let mut t = OidTable::new();
+        let sym = t.sym("mary123");
+        let int = t.int(-42);
+        let quoted = t.str("O'Brien \"Jr\"");
+        let yes = t.bool(true);
+        let nil = t.nil();
+        let huge = t.real(1e300);
+        let f = t.sym("f");
+        let g = t.sym("g");
+        let inner = t.func(g, &[int, quoted]);
+        let nested = t.func(f, &[sym, inner, nil]);
+        let mut entries = t.entries().to_vec();
+        let neg_zero = Oid::from_index(entries.len());
+        entries.push(OidData::Real((-0.0f64).to_bits()));
+        let nan = Oid::from_index(entries.len());
+        entries.push(OidData::Real(f64::NAN.to_bits()));
+        let t = OidTable::from_entries(entries);
+        assert_eq!(t.render(neg_zero), "-0");
+        assert_eq!(t.render(nan), "NaN");
+        let oids = vec![sym, int, quoted, yes, nil, neg_zero, huge, nan, nested];
+        (t, oids)
+    }
+
+    #[test]
+    fn encode_row_into_matches_the_row_frame() {
+        let (t, oids) = every_kind();
+        let mut rows: Vec<Vec<Oid>> = oids.iter().map(|&o| vec![o]).collect();
+        rows.push(Vec::new());
+        rows.push(oids.clone());
+        for (i, tuple) in rows.iter().enumerate() {
+            let id = 0x0102_0304_0506_0708 + i as u64;
+            let mut out = Vec::new();
+            encode_row_into(&mut out, id, &t, tuple);
+            let cells = tuple.iter().map(|&o| t.render(o)).collect();
+            assert_eq!(out, encode(&Frame::Row { id, cells }), "row {i}");
+        }
+    }
+
+    #[test]
+    fn row_frame_bytes_are_pinned() {
+        // len 25, crc, kind 0x11, id 1, two cells "c0" and "41".
+        let golden = "19000000f837d6af11010000000000000002000000\
+                      020000006330020000003431";
+        let f = Frame::Row {
+            id: 1,
+            cells: vec!["c0".into(), "41".into()],
+        };
+        let hex: String = encode(&f).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
+        let mut t = OidTable::new();
+        let tuple = [t.sym("c0"), t.int(41)];
+        let mut out = Vec::new();
+        encode_row_into(&mut out, 1, &t, &tuple);
+        assert_eq!(out, encode(&f));
+    }
+
+    fn row(i: usize) -> Frame {
+        Frame::Row {
+            id: 9,
+            cells: vec![format!("emp{i}"), format!("{}", i * 37)],
+        }
+    }
+
+    #[test]
+    fn frame_buf_pops_ten_thousand_rows_in_order_with_bounded_memory() {
+        let frames: Vec<Frame> = (0..10_000).map(row).collect();
+        let mut wire = Vec::new();
+        let mut largest = 0;
+        for f in &frames {
+            let at = wire.len();
+            encode_into(&mut wire, f);
+            largest = largest.max(wire.len() - at);
+        }
+        for chunk in [8192, 1] {
+            let mut fb = FrameBuf::new();
+            let mut got = 0;
+            for piece in wire.chunks(chunk) {
+                fb.push(piece);
+                // Growth is amortised doubling, so the bound is twice
+                // one chunk plus one partial frame.
+                assert!(
+                    fb.buf.capacity() <= 2 * (chunk + largest),
+                    "capacity {} with {chunk}-byte chunks",
+                    fb.buf.capacity()
+                );
+                while let Some(f) = fb.next_frame().unwrap() {
+                    assert_eq!(f, frames[got], "frame {got}");
+                    got += 1;
+                }
+            }
+            assert_eq!(got, frames.len());
+            assert!(!fb.has_partial());
+        }
+    }
+
+    #[test]
+    fn corrupt_frame_after_a_thousand_good_ones_fails_exactly_there() {
+        let mut wire = Vec::new();
+        for i in 0..1_000 {
+            encode_into(&mut wire, &row(i));
+        }
+        let bad = wire.len();
+        encode_into(&mut wire, &row(1_000));
+        wire[bad + HEADER + 1] ^= 0x01; // a body byte: checksum mismatch
+        encode_into(&mut wire, &row(1_001));
+        for chunk in [8192, 7, 1] {
+            let mut fb = FrameBuf::new();
+            let mut good = 0;
+            let mut failed = false;
+            'feed: for piece in wire.chunks(chunk) {
+                fb.push(piece);
+                loop {
+                    match fb.next_frame() {
+                        Ok(Some(f)) => {
+                            assert_eq!(f, row(good));
+                            good += 1;
+                        }
+                        Ok(None) => break,
+                        Err(_) => {
+                            failed = true;
+                            break 'feed;
+                        }
+                    }
+                }
+            }
+            assert!(failed, "{chunk}-byte chunks never hit the corrupt frame");
+            assert_eq!(good, 1_000, "{chunk}-byte chunks");
+        }
     }
 }

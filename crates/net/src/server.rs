@@ -177,6 +177,10 @@ struct NetMetrics {
     role: Arc<telemetry::Gauge>,
     fenced_refusals: Arc<telemetry::Counter>,
     promotions: Arc<telemetry::Counter>,
+    /// Wire bytes of every statement reply.
+    reply_bytes: Arc<telemetry::Counter>,
+    /// Rendering and encoding one reply into its wire buffer.
+    encode_us: Arc<telemetry::Histogram>,
 }
 
 impl NetMetrics {
@@ -193,6 +197,8 @@ impl NetMetrics {
             role: r.gauge("net_role", &[]),
             fenced_refusals: r.counter("net_fenced_refusals_total", &[]),
             promotions: r.counter("net_promotions_total", &[]),
+            reply_bytes: r.counter("net_reply_bytes_total", &[]),
+            encode_us: r.latency("net_request_phase_us", &[("phase", "encode")]),
         }
     }
 }
@@ -902,6 +908,14 @@ fn executor_loop(
     }
 }
 
+/// What one statement produced, before it is encoded: a service
+/// result to render, or one ready-made frame (an error, a redirect, an
+/// acknowledgement).
+enum Reply {
+    Exec(ExecResult),
+    Frame(Frame),
+}
+
 /// Runs one Execute and streams its response. Returns false when the
 /// peer stopped reading (write failure) and the connection should die.
 fn execute_one(
@@ -919,9 +933,9 @@ fn execute_one(
         cancel_at_tick: None,
     };
     *cancel_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((id, ctx.cancel.clone()));
-    let frames = match conn {
+    let reply = match conn {
         ConnBackend::Primary(handle) => match handle.execute(src, &ctx) {
-            Ok(r) => result_frames(id, r, inner),
+            Ok(r) => Reply::Exec(r),
             Err(ServiceError::Fenced { .. }) => {
                 // Deposed: a newer generation owns the store. The write
                 // provably never reached an engine (the writer refused
@@ -929,12 +943,12 @@ fn execute_one(
                 let m = inner.m();
                 m.fenced_refusals.inc();
                 m.role.set(role_gauge_value(Role::Fenced));
-                vec![Frame::NotPrimary {
+                Reply::Frame(Frame::NotPrimary {
                     id,
                     leader_hint: inner.leader_hint(),
-                }]
+                })
             }
-            Err(e) => vec![error_frame(id, &e)],
+            Err(e) => Reply::Frame(error_frame(id, &e)),
         },
         ConnBackend::Replica {
             shared,
@@ -951,17 +965,24 @@ fn execute_one(
         ),
     };
     *cancel_slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    let started = Instant::now();
     let mut wire = Vec::with_capacity(1024);
-    for f in &frames {
-        wire.extend_from_slice(&frame::encode(f));
+    match reply {
+        Reply::Exec(r) => encode_result(&mut wire, id, r, inner),
+        Reply::Frame(f) => frame::encode_into(&mut wire, &f),
+    }
+    {
+        let m = inner.m();
+        m.encode_us.observe_since(started);
+        m.reply_bytes.add(wire.len() as u64);
     }
     stream.write_all(&wire).is_ok()
 }
 
-/// Frames for a successful service execution.
-fn result_frames(id: u64, r: ExecResult, inner: &Arc<ServerInner>) -> Vec<Frame> {
-    match r {
-        ExecResult::Read(read) => read_frames(id, &read),
+/// Encodes the reply to a successful execution.
+fn encode_result(out: &mut Vec<u8>, id: u64, r: ExecResult, inner: &Arc<ServerInner>) {
+    let done = match r {
+        ExecResult::Read(read) => return encode_read(out, id, &read),
         ExecResult::Write(ack) | ExecResult::TxnCommitted(ack) => {
             // Render against the epoch that exposes the write: the
             // current one is always at least as new.
@@ -975,7 +996,7 @@ fn result_frames(id: u64, r: ExecResult, inner: &Arc<ServerInner>) -> Vec<Frame>
                 .map(|o| crate::render_outcome(&db, o))
                 .collect::<Vec<_>>()
                 .join("");
-            vec![Frame::Done {
+            Frame::Done {
                 id,
                 epoch: ack.epoch,
                 rows: 0,
@@ -984,55 +1005,57 @@ fn result_frames(id: u64, r: ExecResult, inner: &Arc<ServerInner>) -> Vec<Frame>
                 } else {
                     info
                 },
-            }]
+            }
         }
         ExecResult::TxnStarted => done_info(id, "transaction started\n"),
         ExecResult::Buffered => done_info(id, "buffered\n"),
         ExecResult::TxnRolledBack => done_info(id, "transaction rolled back\n"),
-    }
+    };
+    frame::encode_into(out, &done);
 }
 
-fn done_info(id: u64, info: &str) -> Vec<Frame> {
-    vec![Frame::Done {
+fn done_info(id: u64, info: &str) -> Frame {
+    Frame::Done {
         id,
         epoch: 0,
         rows: 0,
         info: info.into(),
-    }]
+    }
 }
 
-/// Streams a read result: header, rows (rendered server-side against
-/// the read's own snapshot), terminal Done.
-fn read_frames(id: u64, r: &ReadResult) -> Vec<Frame> {
-    match &r.outcome {
+/// Encodes a read result: header, rows (rendered server-side against
+/// the read's own snapshot, straight into `out`), terminal Done. The
+/// one relational writer for primary and replica reads.
+fn encode_read(out: &mut Vec<u8>, id: u64, r: &ReadResult) {
+    let done = match &r.outcome {
         Outcome::Relation(rel) => {
-            let mut frames = Vec::with_capacity(rel.len() + 2);
-            frames.push(Frame::RowsHeader {
-                id,
-                epoch: r.epoch,
-                columns: rel.columns().to_vec(),
-            });
-            for t in rel.iter() {
-                frames.push(Frame::Row {
+            frame::encode_into(
+                out,
+                &Frame::RowsHeader {
                     id,
-                    cells: t.iter().map(|o| r.snapshot.oids().render(*o)).collect(),
-                });
+                    epoch: r.epoch,
+                    columns: rel.columns().to_vec(),
+                },
+            );
+            let oids = r.snapshot.oids();
+            for t in rel.iter() {
+                frame::encode_row_into(out, id, oids, t);
             }
-            frames.push(Frame::Done {
+            Frame::Done {
                 id,
                 epoch: r.epoch,
                 rows: rel.len() as u64,
                 info: String::new(),
-            });
-            frames
+            }
         }
-        other => vec![Frame::Done {
+        other => Frame::Done {
             id,
             epoch: r.epoch,
             rows: 0,
             info: crate::render_outcome(&r.snapshot, other),
-        }],
-    }
+        },
+    };
+    frame::encode_into(out, &done);
 }
 
 /// Executes one statement against the replica's latest published
@@ -1046,25 +1069,25 @@ fn replica_execute(
     src: &str,
     ctx: &QueryContext,
     leader_hint: &str,
-) -> Vec<Frame> {
+) -> Reply {
     let stmt = match parse(src) {
         Ok(s) => s,
         Err(e) => {
-            return vec![Frame::Error {
+            return Reply::Frame(Frame::Error {
                 id,
                 code: ErrorCode::Stmt,
                 retry_after_ms: 0,
                 message: e.to_string(),
-            }]
+            })
         }
     };
     if matches!(stmt, xsql::ast::Stmt::Stats) {
-        return vec![Frame::Done {
+        return Reply::Frame(Frame::Done {
             id,
             epoch: shared.epoch().seq,
             rows: 0,
             info: shared.registry().render(),
-        }];
+        });
     }
     // Prepared statements: a read-only body prepares locally (the name
     // is per-connection, re-installed into each epoch's session on
@@ -1073,26 +1096,26 @@ fn replica_execute(
     let prep: Option<(&str, &str)> = match &stmt {
         xsql::ast::Stmt::Prepare { name, stmt: inner } => {
             if !service::is_read_only(inner) {
-                return vec![Frame::NotPrimary {
+                return Reply::Frame(Frame::NotPrimary {
                     id,
                     leader_hint: leader_hint.into(),
-                }];
+                });
             }
             prepared.insert(name.clone(), src.to_string());
             if let Some(r) = reader.as_mut() {
                 r.installed.remove(name);
             }
-            return vec![Frame::Done {
+            return Reply::Frame(Frame::Done {
                 id,
                 epoch: shared.epoch().seq,
                 rows: 0,
                 info: format!("prepared `{name}`\n"),
-            }];
+            });
         }
         xsql::ast::Stmt::Execute { name, .. } => match prepared.get(name.as_str()) {
             Some(psrc) => Some((name.as_str(), psrc.as_str())),
             None => {
-                return vec![Frame::Error {
+                return Reply::Frame(Frame::Error {
                     id,
                     code: ErrorCode::Stmt,
                     retry_after_ms: 0,
@@ -1100,17 +1123,17 @@ fn replica_execute(
                         "unknown prepared statement `{name}` (prepared statements are \
                          per-connection; re-PREPARE after reconnect)"
                     ),
-                }]
+                })
             }
         },
         _ if !service::is_read_only(&stmt) => {
             // Provably pre-execution: the statement was never handed to
             // an engine, so the client may retry it elsewhere
             // unconditionally.
-            return vec![Frame::NotPrimary {
+            return Reply::Frame(Frame::NotPrimary {
                 id,
                 leader_hint: leader_hint.into(),
-            }];
+            });
         }
         _ => None,
     };
@@ -1135,26 +1158,23 @@ fn replica_execute(
     if let Some((name, psrc)) = prep {
         if !r.installed.contains(name) {
             if let Err(e) = r.sess.run(psrc) {
-                return vec![Frame::Error {
+                return Reply::Frame(Frame::Error {
                     id,
                     code: ErrorCode::Stmt,
                     retry_after_ms: 0,
                     message: e.to_string(),
-                }];
+                });
             }
             r.installed.insert(name.to_string());
         }
     }
     match r.sess.run(src) {
-        Ok(outcome) => read_frames(
-            id,
-            &ReadResult {
-                outcome,
-                epoch: ep.seq,
-                snapshot: ep.db,
-            },
-        ),
-        Err(e) => vec![Frame::Error {
+        Ok(outcome) => Reply::Exec(ExecResult::Read(ReadResult {
+            outcome,
+            epoch: ep.seq,
+            snapshot: ep.db,
+        })),
+        Err(e) => Reply::Frame(Frame::Error {
             id,
             code: if matches!(e, xsql::XsqlError::Cancelled { .. }) {
                 ErrorCode::Cancelled
@@ -1163,7 +1183,7 @@ fn replica_execute(
             },
             retry_after_ms: 0,
             message: e.to_string(),
-        }],
+        }),
     }
 }
 

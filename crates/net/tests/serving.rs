@@ -343,3 +343,39 @@ fn statement_errors_are_typed_and_do_not_kill_the_connection() {
     server.shutdown();
     drop(svc);
 }
+
+/// The value of the exposition sample named exactly `key`.
+fn sample(stats: &str, key: &str) -> u64 {
+    stats
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample `{key}` in:\n{stats}"))
+}
+
+#[test]
+fn every_reply_records_its_bytes_and_encode_phase_in_stats() {
+    let svc = primary(ServiceConfig::default());
+    let server = serve(&svc, tight());
+    let addr = server.local_addr().to_string();
+
+    let mut c = Client::connect(&addr, "").expect("connect");
+    c.execute("CREATE CLASS Person").expect("ddl");
+    c.execute("CREATE OBJECT mary CLASS Person")
+        .expect("insert");
+    const READS: u64 = 7;
+    for _ in 0..READS {
+        let r = c.execute("SELECT X FROM Person X").expect("select");
+        assert_eq!(r.rows, vec![vec!["mary".to_string()]]);
+    }
+    // STATS renders before its own reply is encoded, so it counts the
+    // two writes and the reads.
+    let stats = c.execute("STATS").expect("stats").info;
+    assert_eq!(
+        sample(&stats, "net_request_phase_us_count{phase=\"encode\"}"),
+        2 + READS
+    );
+    assert!(sample(&stats, "net_reply_bytes_total") > 0);
+    c.goodbye();
+    server.shutdown();
+    drop(svc);
+}

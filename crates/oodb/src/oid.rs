@@ -270,35 +270,29 @@ impl OidTable {
         s
     }
 
-    fn render_into(&self, o: Oid, out: &mut String) {
-        use fmt::Write;
-        match self.get(o) {
-            OidData::Sym(n) => out.push_str(n),
-            OidData::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            OidData::Real(b) => {
-                let _ = write!(out, "{}", f64::from_bits(*b));
-            }
-            OidData::Str(s) => {
-                let _ = write!(out, "'{s}'");
-            }
-            OidData::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            OidData::Nil => out.push_str("nil"),
+    /// Appends [`OidTable::render`]'s text for `o` to `out`, with no
+    /// intermediate `String`.
+    pub fn render_into<W: fmt::Write>(&self, o: Oid, out: &mut W) {
+        // Writes to a `String` or a byte buffer cannot fail.
+        let _ = match self.get(o) {
+            OidData::Sym(n) => out.write_str(n),
+            OidData::Int(v) => write!(out, "{v}"),
+            OidData::Real(b) => write!(out, "{}", f64::from_bits(*b)),
+            OidData::Str(s) => write!(out, "'{s}'"),
+            OidData::Bool(v) => write!(out, "{v}"),
+            OidData::Nil => out.write_str("nil"),
             OidData::Func(f, args) => {
                 self.render_into(*f, out);
-                out.push('(');
+                let _ = out.write_char('(');
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(", ");
+                        let _ = out.write_str(", ");
                     }
                     self.render_into(*a, out);
                 }
-                out.push(')');
+                out.write_char(')')
             }
-        }
+        };
     }
 }
 

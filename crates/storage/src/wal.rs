@@ -46,18 +46,63 @@ pub fn segment_header(generation: u64) -> Vec<u8> {
     out
 }
 
-/// CRC32 (IEEE 802.3, reflected) of `bytes`, continuing from `crc`.
-/// Pass `0` to start; no external crc crate is used.
-pub fn crc32(mut crc: u32, bytes: &[u8]) -> u32 {
-    crc = !crc;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `t[0]` is the classic byte table; `t[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table
+/// lookups advance the CRC over eight input bytes at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (CRC_POLY & (c & 1).wrapping_neg());
+            k += 1;
         }
+        t[0][i] = c;
+        i += 1;
     }
-    !crc
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// CRC32 (IEEE 802.3, reflected) of `bytes`, continuing from `crc`.
+/// Pass `0` to start; no external crc crate is used. Table-driven
+/// (slice-by-8), bit-identical to the one-bit-at-a-time definition.
+pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !c
 }
 
 /// Frames one record: header plus payload, ready to append.
@@ -147,6 +192,68 @@ mod tests {
     fn crc32_matches_known_vector() {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The one-bit-at-a-time definition the tables are derived from.
+    fn crc32_bitwise(mut crc: u32, bytes: &[u8]) -> u32 {
+        crc = !crc;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic filler bytes (splitmix64), so failures replay.
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_tables_match_bitwise_reference() {
+        // Every length 0..=64 at every start offset 0..8 covers each
+        // split between the 8-byte loop and the byte-wise tail.
+        let buf = seeded_bytes(1, 72);
+        for off in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(0, s), crc32_bitwise(0, s), "off {off} len {len}");
+            }
+        }
+        for seed in 0..16 {
+            let s = seeded_bytes(seed, 4096);
+            assert_eq!(crc32(0, &s), crc32_bitwise(0, &s), "seed {seed}");
+            for start in [1, 0xDEAD_BEEF, u32::MAX] {
+                assert_eq!(
+                    crc32(start, &s),
+                    crc32_bitwise(start, &s),
+                    "seed {seed} crc {start:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_continues_across_splits() {
+        // `frame` chains the seq bytes and then the payload.
+        let bytes = seeded_bytes(7, 300);
+        let whole = crc32(0, &bytes);
+        for cut in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(crc32(crc32(0, a), b), whole, "cut {cut}");
+        }
     }
 
     #[test]
