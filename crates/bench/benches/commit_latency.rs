@@ -8,15 +8,19 @@
 //! * `wal_fsync`    — the durable default: append + fsync per commit.
 //!
 //! The spread between the three is the price of logging vs the price of
-//! the fsync barrier. Results are written to `BENCH_storage.json` at
+//! the fsync barrier. A `publish_sweep` section then times what one
+//! epoch publication costs the in-memory database at three sizes (see
+//! [`publish_sweep`]). Results are written to `BENCH_storage.json` at
 //! the repo root (hand-rendered JSON; the offline criterion shim has no
 //! reporting). Uses wall-clock timing directly — commit latency is
 //! I/O-bound, so the statistical machinery criterion adds for
 //! nanosecond-scale kernels buys nothing here.
 
+use datagen::{figure1_scaled, Figure1Params};
 use oodb::Database;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 use storage::{RealFs, Store};
 use xsql::Session;
@@ -73,6 +77,66 @@ fn summarize(name: &'static str, mut lat: Vec<u128>) -> Summary {
         mean_ns: mean,
         p50_ns: lat[lat.len() / 2],
         p95_ns: lat[lat.len() * 95 / 100],
+    }
+}
+
+/// `with_total_objects` arguments of the sweep: about 1.6k, 16k and
+/// 100k objects.
+const SWEEP_SIZES: [usize; 3] = [500, 5_000, 30_000];
+/// Publications timed per size; the sweep reports their medians.
+const SWEEP_ROUNDS: usize = 15;
+
+struct PublishCost {
+    total_objects: usize,
+    objects: usize,
+    clone_us: f64,
+    first_write_after_clone_us: f64,
+    drop_us: f64,
+}
+
+fn median_us(mut v: Vec<f64>) -> f64 {
+    v.sort_by(|a, b| a.total_cmp(b));
+    v[v.len() / 2]
+}
+
+/// One epoch publication as the service performs it, against the
+/// database alone: the writer copies its database (`clone_us`), the copy
+/// replaces the published epoch while the epoch before it stays alive
+/// (a reader may still hold it), the epoch two publications back is
+/// dropped (`drop_us`), and the writer's next statement stores a fresh
+/// salary literal into the database it shares with the new epoch
+/// (`first_write_after_clone_us`).
+fn publish_sweep(total_objects: usize) -> PublishCost {
+    let mut w = figure1_scaled(&Figure1Params::with_total_objects(total_objects));
+    let objects = w.individual_count();
+    let salary = w.oids().find_sym("Salary").expect("Salary attribute");
+    let emp = w.oids().find_sym("emp0_0_0").expect("first employee");
+    let mut live = Arc::new(w.clone());
+    let mut superseded = Arc::new(w.clone());
+    let (mut clone_us, mut write_us, mut drop_us) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..SWEEP_ROUNDS {
+        let t = Instant::now();
+        let snap = w.clone();
+        clone_us.push(t.elapsed().as_secs_f64() * 1e6);
+        let dead = std::mem::replace(
+            &mut superseded,
+            std::mem::replace(&mut live, Arc::new(snap)),
+        );
+        let t = Instant::now();
+        drop(dead);
+        drop_us.push(t.elapsed().as_secs_f64() * 1e6);
+        let t = Instant::now();
+        let v = w.oids_mut().int(1_000_000 + round as i64);
+        w.set_scalar(emp, salary, &[], v).unwrap();
+        write_us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    drop((live, superseded));
+    PublishCost {
+        total_objects,
+        objects,
+        clone_us: median_us(clone_us),
+        first_write_after_clone_us: median_us(write_us),
+        drop_us: median_us(drop_us),
     }
 }
 
@@ -134,6 +198,8 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&base);
 
+    let sweep: Vec<PublishCost> = SWEEP_SIZES.iter().map(|&n| publish_sweep(n)).collect();
+
     let mut json = String::from("{\n  \"experiment\": \"E9_commit_latency\",\n");
     let _ = writeln!(json, "  \"statements_per_config\": {STATEMENTS},");
     json.push_str("  \"unit\": \"ns_per_statement\",\n  \"configs\": [\n");
@@ -155,7 +221,18 @@ fn main() {
         "    \"full_over_delta\": {}",
         full_bytes / delta_bytes.max(1)
     );
-    json.push_str("  }\n}\n");
+    json.push_str("  },\n  \"publish_sweep\": {\n");
+    let _ = writeln!(json, "    \"rounds\": {SWEEP_ROUNDS},");
+    json.push_str("    \"statistic\": \"median_us\",\n    \"sizes\": [\n");
+    for (i, c) in sweep.iter().enumerate() {
+        let _ = write!(
+            json,
+            "      {{\"total_objects_param\": {}, \"objects\": {}, \"clone_us\": {:.1}, \"first_write_after_clone_us\": {:.1}, \"drop_us\": {:.1}}}",
+            c.total_objects, c.objects, c.clone_us, c.first_write_after_clone_us, c.drop_us
+        );
+        json.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("    ]\n  }\n}\n");
 
     let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_storage.json");
     std::fs::write(&out, &json).expect("write BENCH_storage.json");
@@ -170,4 +247,10 @@ fn main() {
         "checkpoint   full {full_bytes} B   delta {delta_bytes} B   ({}x)",
         full_bytes / delta_bytes.max(1)
     );
+    for c in &sweep {
+        println!(
+            "publish      {:>6} objects   clone {:>9.1} us   first write {:>8.1} us   drop {:>9.1} us",
+            c.objects, c.clone_us, c.first_write_after_clone_us, c.drop_us
+        );
+    }
 }

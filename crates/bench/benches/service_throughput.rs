@@ -443,11 +443,11 @@ fn main() {
          {} commits ({cps:.0}/s) mean {} µs p95 {} µs",
         m.read.reads, m.read.mean_us, m.read.p95_us, m.commits, m.commit_mean_us, m.commit_p95_us
     );
-    let _ = write!(
+    let _ = writeln!(
         json,
         "  \"mixed_4r_1w_durable\": {{\"reads\": {}, \"reads_per_sec\": {rqps:.1}, \
          \"read_mean_us\": {}, \"read_p95_us\": {}, \"commits\": {}, \
-         \"commits_per_sec\": {cps:.1}, \"commit_mean_us\": {}, \"commit_p95_us\": {}}},\n",
+         \"commits_per_sec\": {cps:.1}, \"commit_mean_us\": {}, \"commit_p95_us\": {}}},",
         m.read.reads, m.read.mean_us, m.read.p95_us, m.commits, m.commit_mean_us, m.commit_p95_us
     );
 
@@ -497,11 +497,11 @@ fn main() {
          {} commits ({cps:.0}/s) mean {} µs p95 {} µs",
         m.read.reads, m.read.mean_us, m.read.p95_us, m.commits, m.commit_mean_us, m.commit_p95_us
     );
-    let _ = write!(
+    let _ = writeln!(
         json,
         "  \"tcp_mixed_4r_1w_durable\": {{\"reads\": {}, \"reads_per_sec\": {rqps:.1}, \
          \"read_mean_us\": {}, \"read_p95_us\": {}, \"commits\": {}, \
-         \"commits_per_sec\": {cps:.1}, \"commit_mean_us\": {}, \"commit_p95_us\": {}}}\n",
+         \"commits_per_sec\": {cps:.1}, \"commit_mean_us\": {}, \"commit_p95_us\": {}}}",
         m.read.reads, m.read.mean_us, m.read.p95_us, m.commits, m.commit_mean_us, m.commit_p95_us
     );
     json.push_str("}\n");

@@ -903,7 +903,7 @@ mod tests {
         let g = t.sym("g");
         let inner = t.func(g, &[int, quoted]);
         let nested = t.func(f, &[sym, inner, nil]);
-        let mut entries = t.entries().to_vec();
+        let mut entries: Vec<OidData> = t.entries().cloned().collect();
         let neg_zero = Oid::from_index(entries.len());
         entries.push(OidData::Real((-0.0f64).to_bits()));
         let nan = Oid::from_index(entries.len());

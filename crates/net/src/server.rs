@@ -33,6 +33,7 @@
 
 use crate::frame::{self, ErrorCode, Frame, FrameBuf, Role, PROTO_VERSION};
 use crate::replica::ReplicaShared;
+use oodb::Database;
 use service::{
     ExecResult, QueryContext, ReadResult, RetryJitter, Service, ServiceError, SessionHandle,
 };
@@ -726,6 +727,9 @@ enum ConnBackend {
 /// The replica's per-epoch reader session.
 struct ReplicaReader {
     seq: u64,
+    /// The snapshot returned with each read (see
+    /// [`service::renderable_snapshot`]).
+    snapshot: Arc<Database>,
     sess: Session,
     /// Prepared names already installed into this epoch's session.
     installed: BTreeSet<String>,
@@ -1145,6 +1149,7 @@ fn replica_execute(
     if stale {
         *reader = Some(ReplicaReader {
             seq: ep.seq,
+            snapshot: Arc::clone(&ep.db),
             sess: Session::with_options((*ep.db).clone(), shared.base_opts().clone()),
             installed: BTreeSet::new(),
         });
@@ -1169,11 +1174,14 @@ fn replica_execute(
         }
     }
     match r.sess.run(src) {
-        Ok(outcome) => Reply::Exec(ExecResult::Read(ReadResult {
-            outcome,
-            epoch: ep.seq,
-            snapshot: ep.db,
-        })),
+        Ok(outcome) => {
+            r.snapshot = service::renderable_snapshot(&r.snapshot, r.sess.db());
+            Reply::Exec(ExecResult::Read(ReadResult {
+                outcome,
+                epoch: ep.seq,
+                snapshot: Arc::clone(&r.snapshot),
+            }))
+        }
         Err(e) => Reply::Frame(Frame::Error {
             id,
             code: if matches!(e, xsql::XsqlError::Cancelled { .. }) {

@@ -205,10 +205,10 @@ fn run_seed(seed: u64) {
         old.run(&format!("UPDATE CLASS Counter SET c0.Val = {j}"))
             .expect("write");
         acked = j;
-        if rng.next() % 4 == 0 {
+        if rng.next().is_multiple_of(4) {
             old.run("CHECKPOINT").expect("checkpoint");
         }
-        if rng.next() % 2 == 0 {
+        if rng.next().is_multiple_of(2) {
             let _ = replica.step();
         }
     }
@@ -278,7 +278,7 @@ fn run_seed(seed: u64) {
         promoted
             .run(&format!("UPDATE CLASS Counter SET c1.Val = {k}"))
             .expect("new-timeline write");
-        if rng.next() % 4 == 0 {
+        if rng.next().is_multiple_of(4) {
             promoted
                 .run("CHECKPOINT")
                 .expect("post-promotion checkpoint");

@@ -360,13 +360,13 @@ fn chaos_round(seed: u64) {
             .iter()
             .filter(|(_, f)| *f == Fate::Acked)
             .map(|(j, _)| *j)
-            .last()
+            .next_back()
             .unwrap_or(0);
         let last_submitted = fates[i]
             .iter()
             .filter(|(_, f)| *f != Fate::Refused)
             .map(|(j, _)| *j)
-            .last()
+            .next_back()
             .unwrap_or(0);
         let got = match recovered
             .run(&format!("SELECT W FROM Numeral W WHERE {name}.Val[W]"))

@@ -9,7 +9,10 @@
 //! (OID table positions legitimately differ between primary and
 //! replica; names and values must not).
 
-use net::{ChaosSource, DirSource, ReplicaConfig, ReplicaCore, ShipSource};
+use net::{
+    Backend, ChaosSource, Client, DirSource, ReplicaConfig, ReplicaCore, Server, ServerConfig,
+    ShipSource,
+};
 use oodb::Database;
 use std::path::Path;
 use std::time::Duration;
@@ -317,4 +320,51 @@ fn spawned_replica_tails_in_the_background() {
         fingerprint(&mut primary),
         fingerprint(&mut replica_reader(&core))
     );
+}
+
+/// A replica read whose result holds an OID interned only while
+/// evaluating it (the computed numeral `1031` is in no shipped state)
+/// renders over the wire, and the connection stays usable afterwards.
+#[test]
+fn replica_read_interned_oids_render_and_keep_the_connection() {
+    let fs = FaultFs::new();
+    let mut primary = open_primary(&fs).expect("primary store");
+    for stmt in [
+        "CREATE CLASS Person",
+        "ALTER CLASS Person ADD SIGNATURE Age => Numeral",
+        "CREATE OBJECT mary CLASS Person SET Age = 31",
+    ] {
+        primary.run(stmt).expect("prologue");
+    }
+    let mut core = replica_over(dir_source(&fs));
+    let frontier = primary_last_seq(&fs);
+    for _ in 0..100 {
+        if core.shared().applied_seq() >= frontier {
+            break;
+        }
+        let _ = core.step();
+    }
+    assert_eq!(core.shared().applied_seq(), frontier, "replica caught up");
+    let server = Server::start(
+        Backend::Replica(core.shared()),
+        ServerConfig {
+            poll_interval: Duration::from_millis(2),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind replica");
+    let mut c = Client::connect(&server.local_addr().to_string(), "").expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    for _ in 0..2 {
+        let rows = c
+            .execute("SELECT X.Age + 1000 FROM Person X")
+            .expect("computed read");
+        let cells: Vec<&str> = rows.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(cells, ["1031"]);
+    }
+    let rows = c.execute("SELECT X FROM Person X").expect("follow-up read");
+    assert_eq!(rows.rows, vec![vec!["mary".to_string()]]);
+    c.goodbye();
+    server.shutdown();
 }

@@ -62,6 +62,36 @@ fn handshake_writes_and_streamed_rows() {
     drop(svc);
 }
 
+/// A read whose result holds an OID interned only while evaluating it
+/// (the computed numeral `1031` exists in no published state) renders
+/// over the wire, and the connection stays usable afterwards.
+#[test]
+fn read_interned_oids_render_and_keep_the_connection() {
+    let svc = primary(ServiceConfig::default());
+    let server = serve(&svc, tight());
+    let addr = server.local_addr().to_string();
+
+    let mut c = Client::connect(&addr, "").expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    c.execute("CREATE CLASS Person").expect("ddl");
+    c.execute("ALTER CLASS Person ADD SIGNATURE Age => Numeral")
+        .expect("signature");
+    c.execute("CREATE OBJECT mary CLASS Person SET Age = 31")
+        .expect("insert mary");
+    for _ in 0..2 {
+        let rows = c
+            .execute("SELECT X.Age + 1000 FROM Person X")
+            .expect("computed read");
+        let cells: Vec<&str> = rows.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(cells, ["1031"]);
+    }
+    let rows = c.execute("SELECT X FROM Person X").expect("follow-up read");
+    assert_eq!(rows.rows, vec![vec!["mary".to_string()]]);
+    c.goodbye();
+    server.shutdown();
+    drop(svc);
+}
+
 #[test]
 fn transactions_commit_atomically_over_the_wire() {
     let svc = primary(ServiceConfig::default());

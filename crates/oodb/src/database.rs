@@ -15,14 +15,15 @@
 //!   sub-universes of objects).
 
 use crate::attr_index::{AttrIndex, AttrStats, ValueKey};
+use crate::cow::{ShardMap, ShardSet};
 use crate::error::{DbError, DbResult};
 use crate::oid::{Oid, OidData, OidTable};
 use crate::redo::RedoOp;
-use crate::schema::{Builtins, ClassInfo, Signature};
+use crate::schema::{Builtins, ClassInfo, Schema, Signature};
 use crate::snapshot::{ClassEntry, DbSnapshot};
 use crate::undo::{Savepoint, UndoLog, UndoOp};
 use crate::value::Val;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Maximum depth of nested computed-method invocation; guards against
@@ -62,43 +63,53 @@ pub trait MethodImpl: Send + Sync {
 
 type StateKey = (Oid, Oid, Vec<Oid>);
 
+/// Adds `v` to the set under `k`, unsharing that one set only when `v`
+/// is new. Returns whether it was.
+fn shared_set_insert(map: &mut HashMap<Oid, Arc<BTreeSet<Oid>>>, k: Oid, v: Oid) -> bool {
+    let set = map.entry(k).or_default();
+    !set.contains(&v) && Arc::make_mut(set).insert(v)
+}
+
+/// Removes `v` from the set under `k`, unsharing that one set only when
+/// `v` is there. Returns whether it was.
+fn shared_set_remove(map: &mut HashMap<Oid, Arc<BTreeSet<Oid>>>, k: Oid, v: Oid) -> bool {
+    match map.get_mut(&k) {
+        Some(s) if s.contains(&v) => Arc::make_mut(s).remove(&v),
+        _ => false,
+    }
+}
+
 /// An in-memory object-oriented database.
+///
+/// Cloning is cheap and the clones are independent: every large part is
+/// shared copy-on-write (see the `cow` module), so a clone costs one `Arc`
+/// bump per shard, and a later write copies only what it touches — one
+/// state shard, one extent or index set, the schema on a definitional
+/// change.
 #[derive(Clone)]
 pub struct Database {
     oids: OidTable,
-    builtins: Builtins,
-    classes: HashMap<Oid, ClassInfo>,
-    /// Deterministic class enumeration order (definition order).
-    class_order: Vec<Oid>,
-    /// Reflexive-transitive IS-A closure, recomputed on schema edits.
-    ancestors: HashMap<Oid, BTreeSet<Oid>>,
+    schema: Arc<Schema>,
     /// Direct classes of each registered object.
-    instance_of: HashMap<Oid, BTreeSet<Oid>>,
+    instance_of: ShardMap<Oid, BTreeSet<Oid>>,
     /// Direct extent of each class.
-    extent: HashMap<Oid, BTreeSet<Oid>>,
+    extent: HashMap<Oid, Arc<BTreeSet<Oid>>>,
     /// Active domain of individual objects (registered individuals plus
     /// every literal that has appeared in stored state).
-    individuals: BTreeSet<Oid>,
-    /// All method-objects (every name that appears in a signature or in
-    /// stored state). These are the instances of the catalogue class
-    /// `Method`, which method variables range over.
-    method_objects: BTreeSet<Oid>,
-    /// Explicit tuple-object state: (receiver, method, args) -> value.
-    state: BTreeMap<StateKey, Val>,
+    individuals: ShardSet<Oid>,
+    /// Explicit tuple-object state: (receiver, method, args) -> value,
+    /// sharded by receiver.
+    state: ShardMap<StateKey, Val>,
     /// Inverted index: method -> receivers with any stored entry for it
     /// (class-objects included — their instances inherit the default).
     /// The paper's own reference point is \[BERT89\], "Indexing
     /// Techniques for Queries on Nested Objects".
-    by_method: HashMap<Oid, BTreeSet<Oid>>,
+    by_method: HashMap<Oid, Arc<BTreeSet<Oid>>>,
     /// Ordered secondary index: method -> typed value key -> receivers
     /// (see [`crate::attr_index`]). Numeral members collapse onto one
     /// numeric key, so equality probes are numeral-insensitive and
     /// range predicates scan a contiguous key run.
-    by_method_key: HashMap<Oid, AttrIndex>,
-    /// Computed methods: (defining class, method, arity) -> impl.
-    computed: HashMap<(Oid, Oid, usize), Arc<dyn MethodImpl>>,
-    /// Deterministic enumeration order of computed-method keys.
-    computed_order: Vec<(Oid, Oid, usize)>,
+    by_method_key: HashMap<Oid, Arc<AttrIndex>>,
     /// Active undo log; `Some` while a transaction is open, in which
     /// case every mutating entry point records its inverse here.
     undo: Option<UndoLog>,
@@ -121,10 +132,10 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
             .field("oids", &self.oids.len())
-            .field("classes", &self.class_order.len())
+            .field("classes", &self.schema.class_order.len())
             .field("individuals", &self.individuals.len())
             .field("state_entries", &self.state.len())
-            .field("computed_methods", &self.computed_order.len())
+            .field("computed_methods", &self.schema.computed_order.len())
             .finish()
     }
 }
@@ -149,7 +160,7 @@ impl Database {
         let string = oids.sym("String");
         let boolean = oids.sym("Boolean");
         let nil = oids.nil();
-        let builtins = Builtins {
+        let mut schema = Schema::new(Builtins {
             object,
             class,
             method,
@@ -157,26 +168,7 @@ impl Database {
             string,
             boolean,
             nil,
-        };
-        let mut db = Database {
-            oids,
-            builtins,
-            classes: HashMap::new(),
-            class_order: Vec::new(),
-            ancestors: HashMap::new(),
-            instance_of: HashMap::new(),
-            extent: HashMap::new(),
-            individuals: BTreeSet::new(),
-            method_objects: BTreeSet::new(),
-            state: BTreeMap::new(),
-            by_method: HashMap::new(),
-            by_method_key: HashMap::new(),
-            computed: HashMap::new(),
-            computed_order: Vec::new(),
-            undo: None,
-            redo: None,
-            schema_epoch: 0,
-        };
+        });
         for (c, supers) in [
             (object, vec![]),
             (class, vec![]),
@@ -185,22 +177,44 @@ impl Database {
             (string, vec![object]),
             (boolean, vec![object]),
         ] {
-            db.classes.insert(
+            schema.classes.insert(
                 c,
                 ClassInfo {
                     supers,
                     ..ClassInfo::default()
                 },
             );
-            db.class_order.push(c);
+            schema.class_order.push(c);
         }
         for (c, sups) in [(object, vec![numeral, string, boolean])] {
             for s in sups {
-                db.classes.get_mut(&c).unwrap().subs.push(s);
+                schema.classes.get_mut(&c).unwrap().subs.push(s);
             }
         }
-        db.recompute_closure();
-        db
+        schema.recompute_closure();
+        Database::with_parts(oids, schema)
+    }
+
+    /// A database with the given interner and schema and nothing else.
+    fn with_parts(oids: OidTable, schema: Schema) -> Database {
+        Database {
+            oids,
+            schema: Arc::new(schema),
+            instance_of: ShardMap::default(),
+            extent: HashMap::new(),
+            individuals: ShardSet::default(),
+            state: ShardMap::default(),
+            by_method: HashMap::new(),
+            by_method_key: HashMap::new(),
+            undo: None,
+            redo: None,
+            schema_epoch: 0,
+        }
+    }
+
+    /// The schema, unshared for a definitional change.
+    fn schema_mut(&mut self) -> &mut Schema {
+        Arc::make_mut(&mut self.schema)
     }
 
     // ------------------------------------------------------------------
@@ -220,7 +234,7 @@ impl Database {
 
     /// The builtin catalogue classes.
     pub fn builtins(&self) -> Builtins {
-        self.builtins
+        self.schema.builtins
     }
 
     /// Renders an OID for messages/results.
@@ -393,37 +407,39 @@ impl Database {
         }
         match op {
             RedoOp::DefineClass { class, supers } => {
-                if self.classes.contains_key(class) {
+                if self.schema.classes.contains_key(class) {
                     return Ok(());
                 }
                 for s in supers {
-                    if !self.classes.contains_key(s) {
+                    if !self.schema.classes.contains_key(s) {
                         return Err(DbError::UnknownClass(self.render(*s)));
                     }
                 }
-                self.classes.insert(
+                let schema = self.schema_mut();
+                schema.classes.insert(
                     *class,
                     ClassInfo {
                         supers: supers.clone(),
                         ..ClassInfo::default()
                     },
                 );
-                self.class_order.push(*class);
+                schema.class_order.push(*class);
                 for s in supers {
-                    self.classes.get_mut(s).unwrap().subs.push(*class);
+                    schema.classes.get_mut(s).unwrap().subs.push(*class);
                 }
-                self.recompute_closure();
+                schema.recompute_closure();
             }
             RedoOp::AddIsA { sub, sup } => {
                 for c in [sub, sup] {
-                    if !self.classes.contains_key(c) {
+                    if !self.schema.classes.contains_key(c) {
                         return Err(DbError::UnknownClass(self.render(*c)));
                     }
                 }
-                if !self.classes[sub].supers.contains(sup) {
-                    self.classes.get_mut(sub).unwrap().supers.push(*sup);
-                    self.classes.get_mut(sup).unwrap().subs.push(*sub);
-                    self.recompute_closure();
+                if !self.schema.classes[sub].supers.contains(sup) {
+                    let schema = self.schema_mut();
+                    schema.classes.get_mut(sub).unwrap().supers.push(*sup);
+                    schema.classes.get_mut(sup).unwrap().subs.push(*sub);
+                    schema.recompute_closure();
                 }
             }
             RedoOp::PutState { key, val } => {
@@ -445,22 +461,17 @@ impl Database {
                 self.individuals.remove(o);
             }
             RedoOp::AddMembership { o, class } => {
-                self.instance_of.entry(*o).or_default().insert(*class);
-                self.extent.entry(*class).or_default().insert(*o);
+                self.add_membership(*o, *class);
             }
             RedoOp::RemoveMembership { o, class } => {
-                if let Some(s) = self.instance_of.get_mut(o) {
-                    s.remove(class);
-                }
-                if let Some(s) = self.extent.get_mut(class) {
-                    s.remove(o);
-                }
+                self.remove_membership(*o, *class);
             }
             RedoOp::AddMethodObject(m) => {
-                self.method_objects.insert(*m);
+                self.schema_mut().method_objects.insert(*m);
             }
             RedoOp::AddSignature { class, sig } => {
                 let info = self
+                    .schema_mut()
                     .classes
                     .get_mut(class)
                     .ok_or_else(|| DbError::UnknownClass(format!("{class:?}")))?;
@@ -474,6 +485,7 @@ impl Database {
                 from,
             } => {
                 let info = self
+                    .schema_mut()
                     .classes
                     .get_mut(class)
                     .ok_or_else(|| DbError::UnknownClass(format!("{class:?}")))?;
@@ -491,10 +503,11 @@ impl Database {
     /// methods are not included (see [`DbSnapshot`]); neither log is.
     pub fn export_snapshot(&self) -> DbSnapshot {
         let classes = self
+            .schema
             .class_order
             .iter()
             .map(|&c| {
-                let info = &self.classes[&c];
+                let info = &self.schema.classes[&c];
                 let mut resolutions: Vec<(Oid, Oid)> =
                     info.resolutions.iter().map(|(&m, &f)| (m, f)).collect();
                 resolutions.sort();
@@ -514,11 +527,11 @@ impl Database {
             .collect();
         instance_of.sort_by_key(|e| e.0);
         DbSnapshot {
-            oids: self.oids.entries().to_vec(),
+            oids: self.oids.entries().cloned().collect(),
             classes,
             instance_of,
             individuals: self.individuals.iter().copied().collect(),
-            method_objects: self.method_objects.iter().copied().collect(),
+            method_objects: self.schema.method_objects.iter().copied().collect(),
             state: self
                 .state
                 .iter()
@@ -533,7 +546,7 @@ impl Database {
     /// callers replay definitional statements afterwards.
     pub fn import_snapshot(snap: DbSnapshot) -> DbResult<Database> {
         let mut oids = OidTable::from_entries(snap.oids);
-        let builtins = Builtins {
+        let mut schema = Schema::new(Builtins {
             object: oids.sym("Object"),
             class: oids.sym("Class"),
             method: oids.sym("Method"),
@@ -541,28 +554,10 @@ impl Database {
             string: oids.sym("String"),
             boolean: oids.sym("Boolean"),
             nil: oids.nil(),
-        };
-        let mut db = Database {
-            oids,
-            builtins,
-            classes: HashMap::new(),
-            class_order: Vec::new(),
-            ancestors: HashMap::new(),
-            instance_of: HashMap::new(),
-            extent: HashMap::new(),
-            individuals: snap.individuals.into_iter().collect(),
-            method_objects: snap.method_objects.into_iter().collect(),
-            state: BTreeMap::new(),
-            by_method: HashMap::new(),
-            by_method_key: HashMap::new(),
-            computed: HashMap::new(),
-            computed_order: Vec::new(),
-            undo: None,
-            redo: None,
-            schema_epoch: 0,
-        };
+        });
+        schema.method_objects = snap.method_objects.into_iter().collect();
         for ce in snap.classes {
-            db.classes.insert(
+            schema.classes.insert(
                 ce.class,
                 ClassInfo {
                     supers: ce.supers,
@@ -571,29 +566,31 @@ impl Database {
                     resolutions: ce.resolutions.into_iter().collect(),
                 },
             );
-            db.class_order.push(ce.class);
+            schema.class_order.push(ce.class);
         }
         // Rebuild direct-subclass lists from the supers edges, then the
         // IS-A closure. Iterating class_order keeps the order
         // deterministic.
-        let order = db.class_order.clone();
+        let order = schema.class_order.clone();
         for &c in &order {
-            for s in db.classes[&c].supers.clone() {
-                db.classes
+            for s in schema.classes[&c].supers.clone() {
+                schema
+                    .classes
                     .get_mut(&s)
                     .ok_or_else(|| DbError::UnknownClass(format!("{s:?}")))?
                     .subs
                     .push(c);
             }
         }
-        db.recompute_closure();
+        schema.recompute_closure();
+        let mut db = Database::with_parts(oids, schema);
+        db.individuals = snap.individuals.into_iter().collect();
         for (o, classes) in snap.instance_of {
             for c in classes {
-                if !db.classes.contains_key(&c) {
+                if !db.schema.classes.contains_key(&c) {
                     return Err(DbError::UnknownClass(db.render(c)));
                 }
-                db.instance_of.entry(o).or_default().insert(c);
-                db.extent.entry(c).or_default().insert(o);
+                db.add_membership(o, c);
             }
         }
         for (key, val) in snap.state {
@@ -609,24 +606,26 @@ impl Database {
     fn apply_undo(&mut self, op: UndoOp) {
         match op {
             UndoOp::UndefineClass(c) => {
-                if let Some(info) = self.classes.remove(&c) {
-                    self.class_order.retain(|&x| x != c);
+                let schema = self.schema_mut();
+                if let Some(info) = schema.classes.remove(&c) {
+                    schema.class_order.retain(|&x| x != c);
                     for s in info.supers {
-                        if let Some(si) = self.classes.get_mut(&s) {
+                        if let Some(si) = schema.classes.get_mut(&s) {
                             si.subs.retain(|&x| x != c);
                         }
                     }
-                    self.recompute_closure();
+                    schema.recompute_closure();
                 }
             }
             UndoOp::RemoveIsA { sub, sup } => {
-                if let Some(i) = self.classes.get_mut(&sub) {
+                let schema = self.schema_mut();
+                if let Some(i) = schema.classes.get_mut(&sub) {
                     i.supers.retain(|&x| x != sup);
                 }
-                if let Some(i) = self.classes.get_mut(&sup) {
+                if let Some(i) = schema.classes.get_mut(&sup) {
                     i.subs.retain(|&x| x != sub);
                 }
-                self.recompute_closure();
+                schema.recompute_closure();
             }
             UndoOp::RestoreState { key, old } => {
                 let (recv, method) = (key.0, key.1);
@@ -647,33 +646,28 @@ impl Database {
             }
             UndoOp::RestoreMembership { o, class, present } => {
                 if present {
-                    self.instance_of.entry(o).or_default().insert(class);
-                    self.extent.entry(class).or_default().insert(o);
+                    self.add_membership(o, class);
                 } else {
-                    if let Some(s) = self.instance_of.get_mut(&o) {
-                        s.remove(&class);
-                    }
-                    if let Some(s) = self.extent.get_mut(&class) {
-                        s.remove(&o);
-                    }
+                    self.remove_membership(o, class);
                 }
             }
             UndoOp::RestoreMethodObject { m, present } => {
+                let objects = &mut self.schema_mut().method_objects;
                 if present {
-                    self.method_objects.insert(m);
+                    objects.insert(m);
                 } else {
-                    self.method_objects.remove(&m);
+                    objects.remove(&m);
                 }
             }
             UndoOp::RemoveSignature { class, sig } => {
-                if let Some(i) = self.classes.get_mut(&class) {
+                if let Some(i) = self.schema_mut().classes.get_mut(&class) {
                     if let Some(pos) = i.sigs.iter().rposition(|s| *s == sig) {
                         i.sigs.remove(pos);
                     }
                 }
             }
             UndoOp::RestoreResolution { class, method, old } => {
-                if let Some(i) = self.classes.get_mut(&class) {
+                if let Some(i) = self.schema_mut().classes.get_mut(&class) {
                     match old {
                         Some(from) => {
                             i.resolutions.insert(method, from);
@@ -684,17 +678,20 @@ impl Database {
                     }
                 }
             }
-            UndoOp::RestoreComputed { key, old } => match old {
-                Some(imp) => {
-                    self.computed.insert(key, imp);
-                }
-                None => {
-                    self.computed.remove(&key);
-                    if let Some(pos) = self.computed_order.iter().rposition(|k| *k == key) {
-                        self.computed_order.remove(pos);
+            UndoOp::RestoreComputed { key, old } => {
+                let schema = self.schema_mut();
+                match old {
+                    Some(imp) => {
+                        schema.computed.insert(key, imp);
+                    }
+                    None => {
+                        schema.computed.remove(&key);
+                        if let Some(pos) = schema.computed_order.iter().rposition(|k| *k == key) {
+                            schema.computed_order.remove(pos);
+                        }
                     }
                 }
-            },
+            }
         }
     }
 
@@ -707,31 +704,32 @@ impl Database {
     /// (the paper's `Object` "contains all individual objects").
     pub fn define_class(&mut self, name: &str, supers: &[Oid]) -> DbResult<Oid> {
         let c = self.oids.sym(name);
-        if self.classes.contains_key(&c) {
+        if self.schema.classes.contains_key(&c) {
             return Err(DbError::DuplicateClass(name.to_string()));
         }
         let supers = if supers.is_empty() {
-            vec![self.builtins.object]
+            vec![self.schema.builtins.object]
         } else {
             supers.to_vec()
         };
         for s in &supers {
-            if !self.classes.contains_key(s) {
+            if !self.schema.classes.contains_key(s) {
                 return Err(DbError::UnknownClass(self.render(*s)));
             }
         }
-        self.classes.insert(
+        let schema = self.schema_mut();
+        schema.classes.insert(
             c,
             ClassInfo {
                 supers: supers.clone(),
                 ..ClassInfo::default()
             },
         );
-        self.class_order.push(c);
+        schema.class_order.push(c);
         for &s in &supers {
-            self.classes.get_mut(&s).unwrap().subs.push(c);
+            schema.classes.get_mut(&s).unwrap().subs.push(c);
         }
-        self.recompute_closure();
+        schema.recompute_closure();
         self.record(UndoOp::UndefineClass(c));
         self.emit(RedoOp::DefineClass { class: c, supers });
         self.bump_schema_epoch();
@@ -742,7 +740,7 @@ impl Database {
     /// acyclic).
     pub fn add_is_a(&mut self, sub: Oid, sup: Oid) -> DbResult<()> {
         for c in [sub, sup] {
-            if !self.classes.contains_key(&c) {
+            if !self.schema.classes.contains_key(&c) {
                 return Err(DbError::UnknownClass(self.render(c)));
             }
         }
@@ -752,10 +750,11 @@ impl Database {
                 sup: self.render(sup),
             });
         }
-        if !self.classes[&sub].supers.contains(&sup) {
-            self.classes.get_mut(&sub).unwrap().supers.push(sup);
-            self.classes.get_mut(&sup).unwrap().subs.push(sub);
-            self.recompute_closure();
+        if !self.schema.classes[&sub].supers.contains(&sup) {
+            let schema = self.schema_mut();
+            schema.classes.get_mut(&sub).unwrap().supers.push(sup);
+            schema.classes.get_mut(&sup).unwrap().subs.push(sub);
+            schema.recompute_closure();
             self.record(UndoOp::RemoveIsA { sub, sup });
             self.emit(RedoOp::AddIsA { sub, sup });
             self.bump_schema_epoch();
@@ -763,43 +762,23 @@ impl Database {
         Ok(())
     }
 
-    fn recompute_closure(&mut self) {
-        self.ancestors.clear();
-        // Iterative DFS with memoization over the acyclic IS-A graph.
-        let order = self.class_order.clone();
-        for c in order {
-            self.closure_of(c);
-        }
-    }
-
-    fn closure_of(&mut self, c: Oid) -> BTreeSet<Oid> {
-        if let Some(s) = self.ancestors.get(&c) {
-            return s.clone();
-        }
-        let mut acc = BTreeSet::new();
-        acc.insert(c);
-        let supers = self.classes[&c].supers.clone();
-        for s in supers {
-            acc.extend(self.closure_of(s));
-        }
-        self.ancestors.insert(c, acc.clone());
-        acc
-    }
-
     /// True if `o` is a class-object.
     pub fn is_class(&self, o: Oid) -> bool {
-        self.classes.contains_key(&o)
+        self.schema.classes.contains_key(&o)
     }
 
     /// True if `o` is a method-object (appears as a method/attribute
     /// name anywhere in the schema or state).
     pub fn is_method_object(&self, o: Oid) -> bool {
-        self.method_objects.contains(&o)
+        self.schema.method_objects.contains(&o)
     }
 
     /// Reflexive subclass test: `sub` ⊑ `sup`.
     pub fn is_subclass(&self, sub: Oid, sup: Oid) -> bool {
-        self.ancestors.get(&sub).is_some_and(|a| a.contains(&sup))
+        self.schema
+            .ancestors
+            .get(&sub)
+            .is_some_and(|a| a.contains(&sup))
     }
 
     /// The *strict* `subclassOf` relation of query (4): `Cl subclassOf
@@ -810,13 +789,14 @@ impl Database {
 
     /// All (non-strict) ancestors of a class, including itself.
     pub fn ancestors_of(&self, c: Oid) -> impl Iterator<Item = Oid> + '_ {
-        self.ancestors.get(&c).into_iter().flatten().copied()
+        self.schema.ancestors.get(&c).into_iter().flatten().copied()
     }
 
     /// All strict descendants of a class (excluding itself), in
     /// deterministic order.
     pub fn strict_descendants(&self, c: Oid) -> Vec<Oid> {
-        self.class_order
+        self.schema
+            .class_order
             .iter()
             .copied()
             .filter(|&d| self.is_strict_subclass(d, c))
@@ -826,18 +806,19 @@ impl Database {
     /// Deterministic enumeration of all class-objects (the range of
     /// class variables, §3.1 query (4)).
     pub fn classes(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.class_order.iter().copied()
+        self.schema.class_order.iter().copied()
     }
 
     /// Deterministic enumeration of all method-objects (the range of
     /// method variables, §3.1 query (3)).
     pub fn method_objects(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.method_objects.iter().copied()
+        self.schema.method_objects.iter().copied()
     }
 
     /// Direct superclasses of a class.
     pub fn direct_supers(&self, c: Oid) -> &[Oid] {
-        self.classes
+        self.schema
+            .classes
             .get(&c)
             .map(|i| i.supers.as_slice())
             .unwrap_or(&[])
@@ -857,11 +838,11 @@ impl Database {
         result: Oid,
         set_valued: bool,
     ) -> DbResult<Oid> {
-        if !self.classes.contains_key(&class) {
+        if !self.schema.classes.contains_key(&class) {
             return Err(DbError::UnknownClass(self.render(class)));
         }
         for a in args.iter().chain(std::iter::once(&result)) {
-            if !self.classes.contains_key(a) {
+            if !self.schema.classes.contains_key(a) {
                 return Err(DbError::UnknownClass(self.render(*a)));
             }
         }
@@ -872,8 +853,8 @@ impl Database {
             result,
             set_valued,
         };
-        let info = self.classes.get_mut(&class).unwrap();
-        if !info.sigs.contains(&sig) {
+        if !self.schema.classes[&class].sigs.contains(&sig) {
+            let info = self.schema_mut().classes.get_mut(&class).unwrap();
             info.sigs.push(sig.clone());
             self.emit(RedoOp::AddSignature {
                 class,
@@ -881,17 +862,15 @@ impl Database {
             });
             self.record(UndoOp::RemoveSignature { class, sig });
         }
-        if self.method_objects.insert(m) {
-            self.record(UndoOp::RestoreMethodObject { m, present: false });
-            self.emit(RedoOp::AddMethodObject(m));
-        }
+        self.note_method_object(m);
         self.bump_schema_epoch();
         Ok(m)
     }
 
     /// Signatures declared *directly* in `class`.
     pub fn direct_signatures(&self, class: Oid) -> &[Signature] {
-        self.classes
+        self.schema
+            .classes
             .get(&class)
             .map(|i| i.sigs.as_slice())
             .unwrap_or(&[])
@@ -902,11 +881,11 @@ impl Database {
     /// ancestors — types are always inherited and never overwritten.
     pub fn all_signatures(&self, class: Oid) -> Vec<(Oid, Signature)> {
         let mut out = Vec::new();
-        if let Some(anc) = self.ancestors.get(&class) {
+        if let Some(anc) = self.schema.ancestors.get(&class) {
             // Iterate in class_order for determinism.
-            for c in &self.class_order {
+            for c in &self.schema.class_order {
                 if anc.contains(c) {
-                    for s in &self.classes[c].sigs {
+                    for s in &self.schema.classes[c].sigs {
                         out.push((*c, s.clone()));
                     }
                 }
@@ -920,8 +899,8 @@ impl Database {
     /// expressions for a type assignment (§6.2).
     pub fn signatures_of_method(&self, method: Oid, arity: usize) -> Vec<(Oid, Signature)> {
         let mut out = Vec::new();
-        for c in &self.class_order {
-            for s in &self.classes[c].sigs {
+        for c in &self.schema.class_order {
+            for s in &self.schema.classes[c].sigs {
                 if s.method == method && s.arity() == arity {
                     out.push((*c, s.clone()));
                 }
@@ -939,7 +918,7 @@ impl Database {
         method: Oid,
         from_super: Oid,
     ) -> DbResult<()> {
-        if !self.classes.contains_key(&class) {
+        if !self.schema.classes.contains_key(&class) {
             return Err(DbError::UnknownClass(self.render(class)));
         }
         if !self.is_subclass(class, from_super) {
@@ -949,6 +928,7 @@ impl Database {
             });
         }
         let old = self
+            .schema_mut()
             .classes
             .get_mut(&class)
             .unwrap()
@@ -980,7 +960,7 @@ impl Database {
     /// id-function, §4.1) as an individual instance of the given classes.
     pub fn register_individual(&mut self, o: Oid, classes: &[Oid]) -> DbResult<()> {
         for c in classes {
-            if !self.classes.contains_key(c) {
+            if !self.schema.classes.contains_key(c) {
                 return Err(DbError::UnknownClass(self.render(*c)));
             }
         }
@@ -989,9 +969,7 @@ impl Database {
             self.emit(RedoOp::AddIndividual(o));
         }
         for &c in classes {
-            let fresh = self.instance_of.entry(o).or_default().insert(c);
-            self.extent.entry(c).or_default().insert(o);
-            if fresh {
+            if self.add_membership(o, c) {
                 self.record(UndoOp::RestoreMembership {
                     o,
                     class: c,
@@ -1012,14 +990,7 @@ impl Database {
     /// [`Database::add_instance`]; the paper's model lets class
     /// membership change over time, §2 "Classes").
     pub fn remove_instance(&mut self, obj: Oid, class: Oid) {
-        let mut held = false;
-        if let Some(s) = self.instance_of.get_mut(&obj) {
-            held |= s.remove(&class);
-        }
-        if let Some(s) = self.extent.get_mut(&class) {
-            held |= s.remove(&obj);
-        }
-        if held {
+        if self.remove_membership(obj, class) {
             self.record(UndoOp::RestoreMembership {
                 o: obj,
                 class,
@@ -1027,6 +998,29 @@ impl Database {
             });
             self.emit(RedoOp::RemoveMembership { o: obj, class });
         }
+    }
+
+    /// Enters `o` into the direct extent of `class` (both directions of
+    /// the relation). True if `o` was not yet a direct instance.
+    fn add_membership(&mut self, o: Oid, class: Oid) -> bool {
+        let fresh = !self.instance_of.get(&o).is_some_and(|s| s.contains(&class));
+        if fresh {
+            self.instance_of.entry(o).or_default().insert(class);
+        }
+        shared_set_insert(&mut self.extent, class, o);
+        fresh
+    }
+
+    /// Drops `o` from the direct extent of `class` (both directions).
+    /// True if either direction held it.
+    fn remove_membership(&mut self, o: Oid, class: Oid) -> bool {
+        let held = self.instance_of.get(&o).is_some_and(|s| s.contains(&class));
+        if held {
+            if let Some(s) = self.instance_of.get_mut(&o) {
+                s.remove(&class);
+            }
+        }
+        shared_set_remove(&mut self.extent, class, o) || held
     }
 
     /// Direct classes of an object, including the implied builtin class
@@ -1040,9 +1034,9 @@ impl Database {
             .copied()
             .collect();
         match self.oids.get(o) {
-            OidData::Int(_) | OidData::Real(_) => out.push(self.builtins.numeral),
-            OidData::Str(_) => out.push(self.builtins.string),
-            OidData::Bool(_) => out.push(self.builtins.boolean),
+            OidData::Int(_) | OidData::Real(_) => out.push(self.schema.builtins.numeral),
+            OidData::Str(_) => out.push(self.schema.builtins.string),
+            OidData::Bool(_) => out.push(self.schema.builtins.boolean),
             _ => {}
         }
         out
@@ -1053,13 +1047,15 @@ impl Database {
     /// are instances of the catalogue class `Class`; method-objects of
     /// `Method`; `nil` only of `Object`.
     pub fn is_instance_of(&self, o: Oid, class: Oid) -> bool {
-        if class == self.builtins.class {
+        if class == self.schema.builtins.class {
             return self.is_class(o);
         }
-        if class == self.builtins.method {
+        if class == self.schema.builtins.method {
             return self.is_method_object(o);
         }
-        if class == self.builtins.object && (self.oids.is_nil(o) || self.individuals.contains(&o)) {
+        if class == self.schema.builtins.object
+            && (self.oids.is_nil(o) || self.individuals.contains(&o))
+        {
             return true;
         }
         self.direct_classes(o)
@@ -1072,14 +1068,14 @@ impl Database {
     /// builtin value classes this enumerates the literals in the active
     /// domain.
     pub fn instances_of(&self, class: Oid) -> Vec<Oid> {
-        if class == self.builtins.object {
+        if class == self.schema.builtins.object {
             return self.individuals.iter().copied().collect();
         }
-        if class == self.builtins.class {
-            return self.class_order.clone();
+        if class == self.schema.builtins.class {
+            return self.schema.class_order.clone();
         }
-        if class == self.builtins.method {
-            return self.method_objects.iter().copied().collect();
+        if class == self.schema.builtins.method {
+            return self.schema.method_objects.iter().copied().collect();
         }
         let mut out = BTreeSet::new();
         for (&c, ext) in &self.extent {
@@ -1087,11 +1083,11 @@ impl Database {
                 out.extend(ext.iter().copied());
             }
         }
-        if self.is_subclass(self.builtins.numeral, class)
-            || self.is_subclass(self.builtins.string, class)
-            || self.is_subclass(self.builtins.boolean, class)
+        if self.is_subclass(self.schema.builtins.numeral, class)
+            || self.is_subclass(self.schema.builtins.string, class)
+            || self.is_subclass(self.schema.builtins.boolean, class)
         {
-            for &o in &self.individuals {
+            for &o in self.individuals.iter() {
                 if self.is_instance_of(o, class) {
                     out.insert(o);
                 }
@@ -1129,9 +1125,11 @@ impl Database {
         }
     }
 
-    /// Catalogues `m` as a method-object, recording the inverse.
+    /// Catalogues `m` as a method-object, recording the inverse. A known
+    /// method-object leaves the shared schema untouched.
     fn note_method_object(&mut self, m: Oid) {
-        if self.method_objects.insert(m) {
+        if !self.schema.method_objects.contains(&m) {
+            self.schema_mut().method_objects.insert(m);
             self.record(UndoOp::RestoreMethodObject { m, present: false });
             self.emit(RedoOp::AddMethodObject(m));
         }
@@ -1150,15 +1148,13 @@ impl Database {
     }
 
     fn index_insert(&mut self, recv: Oid, method: Oid, val: &Val) {
-        self.by_method.entry(method).or_default().insert(recv);
+        shared_set_insert(&mut self.by_method, method, recv);
         for m in val.members() {
             let key = ValueKey::of(&self.oids, m);
-            self.by_method_key
-                .entry(method)
-                .or_default()
-                .entry(key)
-                .or_default()
-                .insert(recv);
+            let idx = self.by_method_key.entry(method).or_default();
+            if !idx.get(&key).is_some_and(|s| s.contains(&recv)) {
+                Arc::make_mut(idx).entry(key).or_default().insert(recv);
+            }
         }
     }
 
@@ -1185,7 +1181,7 @@ impl Database {
             }
         }
         if !dead.is_empty() {
-            if let Some(map) = self.by_method_key.get_mut(&method) {
+            if let Some(map) = self.by_method_key.get_mut(&method).map(Arc::make_mut) {
                 for key in dead {
                     if let Some(set) = map.get_mut(&key) {
                         set.remove(&recv);
@@ -1203,9 +1199,7 @@ impl Database {
         // remains (a different argument tuple).
         let still = self.stored_entries_for(recv, method).next().is_some();
         if !still {
-            if let Some(set) = self.by_method.get_mut(&method) {
-                set.remove(&recv);
-            }
+            shared_set_remove(&mut self.by_method, method, recv);
         }
     }
 
@@ -1332,7 +1326,7 @@ impl Database {
     /// uses it to avoid scanning the whole domain for head-unbound path
     /// expressions (cf. \[BERT89\]).
     pub fn candidates_with_method(&self, method: Oid) -> BTreeSet<Oid> {
-        self.expand_receivers(method, self.by_method.get(&method))
+        self.expand_receivers(method, self.by_method.get(&method).map(|s| &**s))
     }
 
     /// As [`Database::candidates_with_method`], further anchored on a
@@ -1360,7 +1354,7 @@ impl Database {
             }
             out.insert(r);
         }
-        for &(c, m, _) in &self.computed_order {
+        for &(c, m, _) in &self.schema.computed_order {
             if m == method {
                 out.extend(self.instances_of(c));
             }
@@ -1376,7 +1370,7 @@ impl Database {
     /// candidate set additionally needs
     /// [`Database::attr_index_complete`].
     pub fn attr_index(&self, method: Oid) -> Option<&AttrIndex> {
-        self.by_method_key.get(&method)
+        self.by_method_key.get(&method).map(|m| &**m)
     }
 
     /// Receivers whose stored value for `method` contains a member with
@@ -1424,7 +1418,12 @@ impl Database {
     /// entry (or undefined), so an index probe plus an extent
     /// intersection is a sound candidate set for attribute predicates.
     pub fn attr_index_complete(&self, method: Oid) -> bool {
-        if self.computed_order.iter().any(|&(_, m, _)| m == method) {
+        if self
+            .schema
+            .computed_order
+            .iter()
+            .any(|&(_, m, _)| m == method)
+        {
             return false;
         }
         match self.by_method.get(&method) {
@@ -1438,7 +1437,7 @@ impl Database {
     /// compares the live structure against.
     pub fn rebuilt_attr_index(&self) -> HashMap<Oid, AttrIndex> {
         let mut out: HashMap<Oid, AttrIndex> = HashMap::new();
-        for ((recv, method, _args), val) in &self.state {
+        for ((recv, method, _args), val) in self.state.iter() {
             for m in val.members() {
                 out.entry(*method)
                     .or_default()
@@ -1461,7 +1460,7 @@ impl Database {
         let mut methods: BTreeSet<Oid> = self.by_method_key.keys().copied().collect();
         methods.extend(rebuilt.keys().copied());
         for m in methods {
-            let live = self.by_method_key.get(&m);
+            let live = self.attr_index(m);
             let want = rebuilt.get(&m);
             if live != want {
                 let name = self.render(m);
@@ -1495,7 +1494,7 @@ impl Database {
     pub fn purge_object(&mut self, o: Oid) {
         let keys: Vec<(Oid, Vec<Oid>)> = self
             .state
-            .range((o, Oid::MIN, Vec::new())..)
+            .range_from((o, Oid::MIN, Vec::new()))
             .take_while(|((r, _, _), _)| *r == o)
             .map(|((_, m, a), _)| (*m, a.clone()))
             .collect();
@@ -1504,9 +1503,7 @@ impl Database {
         }
         if let Some(classes) = self.instance_of.remove(&o) {
             for c in classes {
-                if let Some(ext) = self.extent.get_mut(&c) {
-                    ext.remove(&o);
-                }
+                shared_set_remove(&mut self.extent, c, o);
                 self.record(UndoOp::RestoreMembership {
                     o,
                     class: c,
@@ -1543,7 +1540,7 @@ impl Database {
         method: Oid,
     ) -> impl Iterator<Item = (&[Oid], &Val)> + '_ {
         self.state
-            .range((recv, method, Vec::new())..)
+            .range_from((recv, method, Vec::new()))
             .take_while(move |((r, m, _), _)| *r == recv && *m == method)
             .map(|((_, _, a), v)| (a.as_slice(), v))
     }
@@ -1562,15 +1559,15 @@ impl Database {
         arity: usize,
         imp: Arc<dyn MethodImpl>,
     ) -> DbResult<()> {
-        if !self.classes.contains_key(&class) {
+        if !self.schema.classes.contains_key(&class) {
             return Err(DbError::UnknownClass(self.render(class)));
         }
         self.note_method_object(method);
         let key = (class, method, arity);
-        if !self.computed.contains_key(&key) {
-            self.computed_order.push(key);
+        if !self.schema.computed.contains_key(&key) {
+            self.schema_mut().computed_order.push(key);
         }
-        let old = self.computed.insert(key, imp);
+        let old = self.schema_mut().computed.insert(key, imp);
         self.record(UndoOp::RestoreComputed { key, old });
         self.bump_schema_epoch();
         Ok(())
@@ -1579,7 +1576,7 @@ impl Database {
     /// True if a computed method exists for exactly `(class, method,
     /// arity)`.
     pub fn has_computed(&self, class: Oid, method: Oid, arity: usize) -> bool {
-        self.computed.contains_key(&(class, method, arity))
+        self.schema.computed.contains_key(&(class, method, arity))
     }
 
     /// Finds the computed-method implementation inherited by `recv` for
@@ -1595,7 +1592,7 @@ impl Database {
         arity: usize,
     ) -> DbResult<Option<&Arc<dyn MethodImpl>>> {
         let mut defining: Vec<Oid> = Vec::new();
-        for &(c, m, k) in &self.computed_order {
+        for &(c, m, k) in &self.schema.computed_order {
             if m == method && k == arity && self.is_instance_of(recv, c) {
                 defining.push(c);
             }
@@ -1619,7 +1616,7 @@ impl Database {
             // Look for an explicit resolution on a direct class of recv.
             let mut pick = None;
             for dc in self.direct_classes(recv) {
-                if let Some(info) = self.classes.get(&dc) {
+                if let Some(info) = self.schema.classes.get(&dc) {
                     if let Some(&from) = info.resolutions.get(&method) {
                         if minimal.contains(&from) {
                             pick = Some(from);
@@ -1639,7 +1636,7 @@ impl Database {
                 }
             }
         };
-        Ok(self.computed.get(&(chosen, method, arity)))
+        Ok(self.schema.computed.get(&(chosen, method, arity)))
     }
 
     // ------------------------------------------------------------------
@@ -1736,7 +1733,7 @@ impl Database {
             return Ok(Some(vals[0].clone()));
         }
         for dc in self.direct_classes(recv) {
-            if let Some(info) = self.classes.get(&dc) {
+            if let Some(info) = self.schema.classes.get(&dc) {
                 if let Some(&from) = info.resolutions.get(&method) {
                     if let Some(c) = minimal.iter().copied().find(|&c| c == from) {
                         return Ok(self.stored_value(c, method, args).cloned());
@@ -1770,11 +1767,11 @@ impl Database {
     /// and whose argument classes contain the respective `args`. Used by
     /// the typing system; inapplicability is the paper's type error.
     pub fn is_applicable(&self, recv: Oid, method: Oid, args: &[Oid]) -> bool {
-        for c in &self.class_order {
+        for c in &self.schema.class_order {
             if !self.is_instance_of(recv, *c) {
                 continue;
             }
-            for s in &self.classes[c].sigs {
+            for s in &self.schema.classes[c].sigs {
                 if s.method == method
                     && s.arity() == args.len()
                     && args
@@ -1801,11 +1798,11 @@ impl Database {
         for (recv, m, args, v) in self.state_entries() {
             let mut covered = false;
             let mut kind_ok = false;
-            'sigs: for c in &self.class_order {
+            'sigs: for c in &self.schema.class_order {
                 if !self.is_instance_of(recv, *c) {
                     continue;
                 }
-                for s in &self.classes[c].sigs {
+                for s in &self.schema.classes[c].sigs {
                     if s.method != m
                         || s.arity() != args.len()
                         || !args
@@ -1848,7 +1845,7 @@ impl Database {
     /// methods it inherits.
     pub fn methods_defined_on(&self, recv: Oid, arity: usize) -> BTreeSet<Oid> {
         let mut out = BTreeSet::new();
-        for ((r, m, a), _) in self.state.range((recv, Oid::MIN, Vec::new())..) {
+        for ((r, m, a), _) in self.state.range_from((recv, Oid::MIN, Vec::new())) {
             if *r != recv {
                 break;
             }
@@ -1867,7 +1864,7 @@ impl Database {
             cs
         };
         for &c in &classes {
-            for ((r, m, a), _) in self.state.range((c, Oid::MIN, Vec::new())..) {
+            for ((r, m, a), _) in self.state.range_from((c, Oid::MIN, Vec::new())) {
                 if *r != c {
                     break;
                 }
@@ -1876,7 +1873,7 @@ impl Database {
                 }
             }
         }
-        for &(c, m, k) in &self.computed_order {
+        for &(c, m, k) in &self.schema.computed_order {
             if k == arity && self.is_instance_of(recv, c) {
                 out.insert(m);
             }

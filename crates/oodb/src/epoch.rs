@@ -5,9 +5,15 @@
 //! [`Database`] and, after each durable commit, publishes a frozen copy
 //! behind an [`Arc`]. Readers grab the current [`EpochDb`] with one
 //! cheap lock acquisition and then evaluate against it without any
-//! further coordination — the writer never mutates a published copy
-//! (copy-on-write at publication time), so readers observe a
-//! consistent, committed state for as long as they hold the `Arc`.
+//! further coordination — the writer never mutates a published copy,
+//! so readers observe a consistent, committed state for as long as
+//! they hold the `Arc`.
+//!
+//! Publishing does not copy the database: `Database::clone` shares
+//! every shard of state, index and schema with the writer's database
+//! (see the `cow` module), so it costs one `Arc` bump per shard. The
+//! writer's next mutation unshares only the shards it touches, leaving
+//! the published copy as it was.
 //!
 //! The epoch sequence number increases by one per publication and lets
 //! clients reason about recency ("was this read before or after that

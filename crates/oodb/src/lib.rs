@@ -34,6 +34,7 @@
 
 mod attr_index;
 mod builder;
+mod cow;
 mod database;
 mod epoch;
 mod error;

@@ -16,6 +16,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Interned handle to a logical object id. Copyable, order is the
 /// (deterministic) interning order.
@@ -64,11 +66,81 @@ pub enum OidData {
     Func(Oid, Box<[Oid]>),
 }
 
+/// Entries per chunk of the interned data. Chunks are shared between
+/// copies of a table; appending copies at most the partial tail.
+const CHUNK: usize = 256;
+/// Hash shards of the datum-to-OID index. A fixed count: a clone bumps
+/// this many `Arc`s, and a new datum copies one shard.
+const INDEX_SHARDS: usize = 256;
+
 /// Interner for logical OIDs. Owned by [`crate::Database`].
-#[derive(Debug, Default, Clone)]
+///
+/// Interning is never undone, so the table only grows. Copies of a
+/// table share its storage: the data is a list of fixed-size [`Arc`]
+/// chunks, and the lookup index is split into [`Arc`] shards by hash.
+/// A clone costs one `Arc` bump per chunk and shard; interning a new
+/// datum copies the last chunk and one index shard if another copy
+/// still shares them, and interning a known datum copies nothing.
+#[derive(Clone)]
 pub struct OidTable {
-    data: Vec<OidData>,
-    index: HashMap<OidData, Oid>,
+    /// Entry `i` is `chunks[i / CHUNK][i % CHUNK]`. Chunks are arrays,
+    /// so a lookup follows one pointer and checks one bound; slots at
+    /// and past `len` hold `Nil` and are never handed out.
+    chunks: Vec<Arc<[OidData; CHUNK]>>,
+    len: usize,
+    index: Vec<Arc<HashMap<OidData, Oid>>>,
+}
+
+impl Default for OidTable {
+    fn default() -> Self {
+        OidTable {
+            chunks: Vec::new(),
+            len: 0,
+            // One shared empty map; each shard unshares on its first
+            // insert.
+            index: vec![Arc::default(); INDEX_SHARDS],
+        }
+    }
+}
+
+impl fmt::Debug for OidTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.entries()).finish()
+    }
+}
+
+/// The index shard of a datum. Only the spread of data over shards
+/// depends on this hash, so it is a fast unkeyed multiply-rotate one;
+/// lookups inside a shard use the map's own keyed hasher.
+fn index_shard(d: &OidData) -> usize {
+    let mut h = ShardHasher(0);
+    d.hash(&mut h);
+    (h.0 >> 56) as usize % INDEX_SHARDS
+}
+
+struct ShardHasher(u64);
+
+fn number(d: &OidData) -> Option<f64> {
+    match d {
+        OidData::Int(v) => Some(*v as f64),
+        OidData::Real(b) => Some(f64::from_bits(*b)),
+        _ => None,
+    }
+}
+
+impl Hasher for ShardHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
 }
 
 impl OidTable {
@@ -79,29 +151,43 @@ impl OidTable {
 
     /// Number of distinct OIDs interned so far.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// True if no OID has been interned.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
+    }
+
+    fn find(&self, d: &OidData) -> Option<Oid> {
+        self.index[index_shard(d)].get(d).copied()
     }
 
     fn intern(&mut self, d: OidData) -> Oid {
-        if let Some(&o) = self.index.get(&d) {
+        // The lookup goes through `&self`: a hit must not unshare
+        // anything.
+        if let Some(o) = self.find(&d) {
             return o;
         }
-        let o = Oid(u32::try_from(self.data.len()).expect("OID space exhausted"));
-        self.data.push(d.clone());
-        self.index.insert(d, o);
+        let o = Oid(u32::try_from(self.len()).expect("OID space exhausted"));
+        self.push(o, d);
         o
+    }
+
+    /// Appends `d` as the datum of `o`, the next position.
+    fn push(&mut self, o: Oid, d: OidData) {
+        Arc::make_mut(&mut self.index[index_shard(&d)]).insert(d.clone(), o);
+        let (c, slot) = (self.len / CHUNK, self.len % CHUNK);
+        if c == self.chunks.len() {
+            self.chunks
+                .push(Arc::new(std::array::from_fn(|_| OidData::Nil)));
+        }
+        Arc::make_mut(&mut self.chunks[c])[slot] = d;
+        self.len += 1;
     }
 
     /// Interns a symbolic id.
     pub fn sym(&mut self, name: &str) -> Oid {
-        if let Some(&o) = self.index.get(&OidData::Sym(name.into())) {
-            return o;
-        }
         self.intern(OidData::Sym(name.into()))
     }
 
@@ -121,9 +207,6 @@ impl OidTable {
 
     /// Interns a string object.
     pub fn str(&mut self, v: &str) -> Oid {
-        if let Some(&o) = self.index.get(&OidData::Str(v.into())) {
-            return o;
-        }
         self.intern(OidData::Str(v.into()))
     }
 
@@ -146,10 +229,10 @@ impl OidTable {
         self.intern(OidData::Func(functor, args.into()))
     }
 
-    /// The raw interned entries in interning order — `entries()[o.index()]`
-    /// is the datum of `o`. For persistence codecs.
-    pub fn entries(&self) -> &[OidData] {
-        &self.data
+    /// The raw interned entries in interning order — the `i`-th item is
+    /// the datum of `Oid::from_index(i)`. For persistence codecs.
+    pub fn entries(&self) -> impl Iterator<Item = &OidData> + '_ {
+        self.chunks.iter().flat_map(|c| c.iter()).take(self.len)
     }
 
     /// Rebuilds a table from raw entries (the inverse of
@@ -157,43 +240,36 @@ impl OidTable {
     /// [`OidData::Func`] arguments must point at earlier positions, as
     /// produced by interning.
     pub fn from_entries(entries: Vec<OidData>) -> OidTable {
-        let mut index = HashMap::with_capacity(entries.len());
-        for (i, d) in entries.iter().enumerate() {
-            index.insert(d.clone(), Oid::from_index(i));
+        let mut t = OidTable::new();
+        for (i, d) in entries.into_iter().enumerate() {
+            t.push(Oid::from_index(i), d);
         }
-        OidTable {
-            data: entries,
-            index,
-        }
+        t
     }
 
     /// Looks up an already-interned symbol without interning.
     pub fn find_sym(&self, name: &str) -> Option<Oid> {
-        self.index.get(&OidData::Sym(name.into())).copied()
+        self.find(&OidData::Sym(name.into()))
     }
 
     /// Looks up an already-interned id-term `functor(args…)` without
     /// interning. Used by read-only evaluation: an id-term that was
     /// never created denotes no object, so the path simply fails (§3.1).
     pub fn find_func(&self, functor: Oid, args: &[Oid]) -> Option<Oid> {
-        self.index
-            .get(&OidData::Func(functor, args.into()))
-            .copied()
+        self.find(&OidData::Func(functor, args.into()))
     }
 
     /// The datum behind a handle.
     #[inline]
     pub fn get(&self, o: Oid) -> &OidData {
-        &self.data[o.index()]
+        let i = o.index();
+        assert!(i < self.len, "OID {i} is not in this table of {}", self.len);
+        &self.chunks[i / CHUNK][i % CHUNK]
     }
 
     /// Numeric value if `o` is a numeral object.
     pub fn as_number(&self, o: Oid) -> Option<f64> {
-        match self.get(o) {
-            OidData::Int(v) => Some(*v as f64),
-            OidData::Real(b) => Some(f64::from_bits(*b)),
-            _ => None,
-        }
+        number(self.get(o))
     }
 
     /// String value if `o` is a string object.
@@ -256,7 +332,7 @@ impl OidTable {
             }
             _ => {
                 // Both numerals (possibly mixed int/real).
-                let (x, y) = (self.as_number(a).unwrap(), self.as_number(b).unwrap());
+                let (x, y) = (number(da).unwrap(), number(db).unwrap());
                 x.partial_cmp(&y).unwrap_or(Ordering::Equal).then(a.cmp(&b))
             }
         }

@@ -6,8 +6,10 @@
 //! signatures, and the explicit multiple-inheritance resolutions required
 //! by the paper's adoption of Meyer's rule (§6.1).
 
+use crate::database::MethodImpl;
 use crate::oid::Oid;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A method signature `M : A1,…,Ak ~> R` declared in the scope of a class
 /// (§2 "Types"). Attributes are 0-ary methods (`args` empty). `set_valued`
@@ -71,6 +73,65 @@ pub struct Builtins {
     pub boolean: Oid,
     /// The object `nil`.
     pub nil: Oid,
+}
+
+/// The rarely edited part of a database: the class hierarchy, the
+/// method catalogue and the computed methods. Copies of a
+/// [`Database`](crate::Database) share one `Schema` behind an `Arc`; definitional
+/// operations unshare it.
+#[derive(Clone)]
+pub(crate) struct Schema {
+    pub(crate) builtins: Builtins,
+    pub(crate) classes: HashMap<Oid, ClassInfo>,
+    /// Deterministic class enumeration order (definition order).
+    pub(crate) class_order: Vec<Oid>,
+    /// Reflexive-transitive IS-A closure, recomputed on schema edits.
+    pub(crate) ancestors: HashMap<Oid, BTreeSet<Oid>>,
+    /// All method-objects (every name that appears in a signature or in
+    /// stored state). These are the instances of the catalogue class
+    /// `Method`, which method variables range over.
+    pub(crate) method_objects: BTreeSet<Oid>,
+    /// Computed methods: (defining class, method, arity) -> impl.
+    pub(crate) computed: HashMap<(Oid, Oid, usize), Arc<dyn MethodImpl>>,
+    /// Deterministic enumeration order of computed-method keys.
+    pub(crate) computed_order: Vec<(Oid, Oid, usize)>,
+}
+
+impl Schema {
+    pub(crate) fn new(builtins: Builtins) -> Schema {
+        Schema {
+            builtins,
+            classes: HashMap::new(),
+            class_order: Vec::new(),
+            ancestors: HashMap::new(),
+            method_objects: BTreeSet::new(),
+            computed: HashMap::new(),
+            computed_order: Vec::new(),
+        }
+    }
+
+    pub(crate) fn recompute_closure(&mut self) {
+        self.ancestors.clear();
+        // Iterative DFS with memoization over the acyclic IS-A graph.
+        let order = self.class_order.clone();
+        for c in order {
+            self.closure_of(c);
+        }
+    }
+
+    fn closure_of(&mut self, c: Oid) -> BTreeSet<Oid> {
+        if let Some(s) = self.ancestors.get(&c) {
+            return s.clone();
+        }
+        let mut acc = BTreeSet::new();
+        acc.insert(c);
+        let supers = self.classes[&c].supers.clone();
+        for s in supers {
+            acc.extend(self.closure_of(s));
+        }
+        self.ancestors.insert(c, acc.clone());
+        acc
+    }
 }
 
 #[cfg(test)]

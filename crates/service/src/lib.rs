@@ -253,6 +253,20 @@ pub struct ReadResult {
     pub snapshot: Arc<Database>,
 }
 
+/// The snapshot a read result must carry so that every OID of its
+/// outcome renders: `published`, unless evaluation interned OIDs (a
+/// computed numeral, a literal new to the database) into the reader's
+/// private database `read_db`, which then stands in for it. Reads never
+/// change stored state, so the two differ only in those interned OIDs,
+/// and the copy shares all other storage with `published`.
+pub fn renderable_snapshot(published: &Arc<Database>, read_db: &Database) -> Arc<Database> {
+    if read_db.oids().len() > published.oids().len() {
+        Arc::new(read_db.clone())
+    } else {
+        Arc::clone(published)
+    }
+}
+
 /// Acknowledgement of a durably committed write unit.
 #[derive(Debug, Clone)]
 pub struct WriteAck {
@@ -651,7 +665,9 @@ pub struct SessionHandle {
 struct CachedReader {
     /// Epoch the session was built from.
     seq: u64,
-    /// The published snapshot of that epoch (returned with each read).
+    /// The snapshot returned with each read: the published one of that
+    /// epoch, or a copy of `sess`'s database once a read interned an
+    /// OID the published one lacks.
     snapshot: Arc<Database>,
     /// Private session over a clone of the snapshot.
     sess: Session,
@@ -937,6 +953,7 @@ impl SessionHandle {
             }
         }
         let outcome = reader.sess.run(src)?;
+        reader.snapshot = renderable_snapshot(&reader.snapshot, reader.sess.db());
         Ok(ReadResult {
             outcome,
             epoch: reader.seq,

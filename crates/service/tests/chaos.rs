@@ -295,7 +295,7 @@ fn chaos_round(seed: u64) {
                     let mode = if rng.gen_bool(0.6) {
                         0
                     } else {
-                        rng.gen_range(1..=4u8) as u8
+                        rng.gen_range(1..=4u8)
                     };
                     (q, mode)
                 })
@@ -515,7 +515,7 @@ fn chaos_round(seed: u64) {
     );
 
     // Invariant 3b: shutdown completes under a watchdog (no deadlock).
-    let svc = Arc::try_unwrap(svc).ok().expect("all clients joined");
+    let svc = Arc::try_unwrap(svc).unwrap_or_else(|_| panic!("all clients joined"));
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = done_tx.send(svc.shutdown());

@@ -13,9 +13,11 @@ fn big_session() -> Session {
     // ~500 objects; a triple cross product over Employee is tens of
     // millions of combinations — far beyond any deadline used here.
     let db = figure1_scaled(&Figure1Params::with_total_objects(500));
-    let mut opts = EvalOptions::default();
     // Leave only the deadline/cancel as the effective limit.
-    opts.work_limit = u64::MAX;
+    let mut opts = EvalOptions {
+        work_limit: u64::MAX,
+        ..EvalOptions::default()
+    };
     opts.budget.max_tuples = usize::MAX;
     opts.budget.max_binding_set = usize::MAX;
     Session::with_options(db, opts)
@@ -186,7 +188,7 @@ fn readers_see_a_consistent_epoch_while_writers_commit() {
     let reads: u32 = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(writes > 0 && reads > 0);
 
-    let svc = Arc::try_unwrap(svc).ok().expect("all handles dropped");
+    let svc = Arc::try_unwrap(svc).unwrap_or_else(|_| panic!("all handles dropped"));
     let stats = svc.stats();
     assert_eq!(stats.sessions, 0, "no leaked sessions");
     assert_eq!(stats.active_readers, 0, "no leaked reader slots");
