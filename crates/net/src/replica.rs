@@ -67,6 +67,11 @@ impl ReplicaShared {
         self.epoch.load()
     }
 
+    /// The cell the replica publishes its epochs into.
+    pub(crate) fn epoch_cell(&self) -> &EpochCell {
+        &self.epoch
+    }
+
     /// Highest primary WAL sequence number applied here.
     pub fn applied_seq(&self) -> u64 {
         self.applied_seq.load(Ordering::Acquire)

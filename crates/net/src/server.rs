@@ -33,11 +33,10 @@
 
 use crate::frame::{self, ErrorCode, Frame, FrameBuf, Role, PROTO_VERSION};
 use crate::replica::ReplicaShared;
-use oodb::Database;
 use service::{
-    ExecResult, QueryContext, ReadResult, RetryJitter, Service, ServiceError, SessionHandle,
+    EpochReader, ExecResult, QueryContext, ReadResult, RetryJitter, Service, ServiceError,
+    SessionHandle,
 };
-use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,8 +44,9 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use xsql::ast::Stmt;
 use xsql::eval::CancelFlag;
-use xsql::{parse, Outcome, Session};
+use xsql::{parse, Outcome};
 
 /// Network-tier knobs. Defaults suit an interactive deployment; tests
 /// shrink the timeouts to force the reaping paths.
@@ -535,9 +535,8 @@ fn serve_conn(mut stream: TcpStream, inner: &Arc<ServerInner>) {
             }
         },
         Err(r) => ConnBackend::Replica {
+            reader: EpochReader::new(r.epoch(), r.base_opts().clone(), Arc::clone(r.registry())),
             shared: r,
-            reader: None,
-            prepared: BTreeMap::new(),
         },
     };
     let session = inner.next_session.fetch_add(1, Ordering::Relaxed);
@@ -713,26 +712,10 @@ enum ConnBackend {
     Primary(SessionHandle),
     Replica {
         shared: Arc<ReplicaShared>,
-        /// Cached reader session, valid for one published epoch (same
-        /// rationale as the service's `SessionHandle`: resolution
-        /// interns symbols, so reads run on a private snapshot copy).
-        reader: Option<ReplicaReader>,
-        /// Prepared statements registered on this connection
-        /// (name → full `PREPARE …` source). Read-only bodies only;
-        /// lazily re-installed into each epoch's reader session.
-        prepared: BTreeMap<String, String>,
+        /// The connection's reader; it also holds the connection's
+        /// prepared statements (read-only bodies only).
+        reader: EpochReader,
     },
-}
-
-/// The replica's per-epoch reader session.
-struct ReplicaReader {
-    seq: u64,
-    /// The snapshot returned with each read (see
-    /// [`service::renderable_snapshot`]).
-    snapshot: Arc<Database>,
-    sess: Session,
-    /// Prepared names already installed into this epoch's session.
-    installed: BTreeSet<String>,
 }
 
 fn executor_loop(
@@ -783,8 +766,7 @@ fn executor_loop(
             // server rebuilds the statement text and runs it through
             // the same path, so deadlines, cancel, draining, and error
             // mapping behave identically. Prepared names live in the
-            // connection's engine session (primary) or per-epoch reader
-            // (replica, via the same lazy re-install the service uses).
+            // connection's reader session, on primary and replica alike.
             Event::Frame(Frame::Prepare {
                 id,
                 deadline_ms,
@@ -954,19 +936,9 @@ fn execute_one(
             }
             Err(e) => Reply::Frame(error_frame(id, &e)),
         },
-        ConnBackend::Replica {
-            shared,
-            reader,
-            prepared,
-        } => replica_execute(
-            shared,
-            reader,
-            prepared,
-            id,
-            src,
-            &ctx,
-            &inner.leader_hint(),
-        ),
+        ConnBackend::Replica { shared, reader } => {
+            replica_execute(shared, reader, id, src, &ctx, &inner.leader_hint())
+        }
     };
     *cancel_slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
     let started = Instant::now();
@@ -1066,9 +1038,8 @@ fn encode_read(out: &mut Vec<u8>, id: u64, r: &ReadResult) {
 /// epoch. Writes (and transaction control) are refused with a
 /// `NotPrimary` redirect carrying the configured leader hint.
 fn replica_execute(
-    shared: &Arc<ReplicaShared>,
-    reader: &mut Option<ReplicaReader>,
-    prepared: &mut BTreeMap<String, String>,
+    shared: &ReplicaShared,
+    reader: &mut EpochReader,
     id: u64,
     src: &str,
     ctx: &QueryContext,
@@ -1076,122 +1047,34 @@ fn replica_execute(
 ) -> Reply {
     let stmt = match parse(src) {
         Ok(s) => s,
-        Err(e) => {
-            return Reply::Frame(Frame::Error {
-                id,
-                code: ErrorCode::Stmt,
-                retry_after_ms: 0,
-                message: e.to_string(),
-            })
-        }
+        Err(e) => return Reply::Frame(error_frame(id, &ServiceError::Xsql(e))),
     };
-    if matches!(stmt, xsql::ast::Stmt::Stats) {
-        return Reply::Frame(Frame::Done {
-            id,
-            epoch: shared.epoch().seq,
-            rows: 0,
-            info: shared.registry().render(),
-        });
-    }
-    // Prepared statements: a read-only body prepares locally (the name
-    // is per-connection, re-installed into each epoch's session on
-    // first EXECUTE); a write body redirects to the primary before
-    // touching any engine.
-    let prep: Option<(&str, &str)> = match &stmt {
-        xsql::ast::Stmt::Prepare { name, stmt: inner } => {
-            if !service::is_read_only(inner) {
-                return Reply::Frame(Frame::NotPrimary {
-                    id,
-                    leader_hint: leader_hint.into(),
-                });
-            }
-            prepared.insert(name.clone(), src.to_string());
-            if let Some(r) = reader.as_mut() {
-                r.installed.remove(name);
-            }
+    let writes = match &stmt {
+        Stmt::Stats => {
             return Reply::Frame(Frame::Done {
                 id,
                 epoch: shared.epoch().seq,
                 rows: 0,
-                info: format!("prepared `{name}`\n"),
-            });
+                info: shared.registry().render(),
+            })
         }
-        xsql::ast::Stmt::Execute { name, .. } => match prepared.get(name.as_str()) {
-            Some(psrc) => Some((name.as_str(), psrc.as_str())),
-            None => {
-                return Reply::Frame(Frame::Error {
-                    id,
-                    code: ErrorCode::Stmt,
-                    retry_after_ms: 0,
-                    message: format!(
-                        "unknown prepared statement `{name}` (prepared statements are \
-                         per-connection; re-PREPARE after reconnect)"
-                    ),
-                })
-            }
-        },
-        _ if !service::is_read_only(&stmt) => {
-            // Provably pre-execution: the statement was never handed to
-            // an engine, so the client may retry it elsewhere
-            // unconditionally.
-            return Reply::Frame(Frame::NotPrimary {
-                id,
-                leader_hint: leader_hint.into(),
-            });
-        }
-        _ => None,
+        // Only read-only bodies are ever prepared here, so every
+        // EXECUTE reads (an unknown name is the reader's error).
+        Stmt::Prepare { stmt: body, .. } => !service::is_read_only(body),
+        Stmt::Execute { .. } => false,
+        s => !service::is_read_only(s),
     };
-    let ep = shared.epoch();
-    let stale = match reader {
-        Some(r) => r.seq != ep.seq,
-        None => true,
-    };
-    if stale {
-        *reader = Some(ReplicaReader {
-            seq: ep.seq,
-            snapshot: Arc::clone(&ep.db),
-            sess: Session::with_options((*ep.db).clone(), shared.base_opts().clone()),
-            installed: BTreeSet::new(),
+    if writes {
+        // Provably pre-execution: the statement was never handed to an
+        // engine, so the client may retry it elsewhere unconditionally.
+        return Reply::Frame(Frame::NotPrimary {
+            id,
+            leader_hint: leader_hint.into(),
         });
     }
-    let r = reader.as_mut().expect("just cached");
-    let mut opts = shared.base_opts().clone();
-    opts.cancel = ctx.cancel.clone();
-    opts.budget.deadline = ctx.deadline;
-    opts.budget.cancel_at_tick = ctx.cancel_at_tick;
-    r.sess.set_options(opts);
-    if let Some((name, psrc)) = prep {
-        if !r.installed.contains(name) {
-            if let Err(e) = r.sess.run(psrc) {
-                return Reply::Frame(Frame::Error {
-                    id,
-                    code: ErrorCode::Stmt,
-                    retry_after_ms: 0,
-                    message: e.to_string(),
-                });
-            }
-            r.installed.insert(name.to_string());
-        }
-    }
-    match r.sess.run(src) {
-        Ok(outcome) => {
-            r.snapshot = service::renderable_snapshot(&r.snapshot, r.sess.db());
-            Reply::Exec(ExecResult::Read(ReadResult {
-                outcome,
-                epoch: ep.seq,
-                snapshot: Arc::clone(&r.snapshot),
-            }))
-        }
-        Err(e) => Reply::Frame(Frame::Error {
-            id,
-            code: if matches!(e, xsql::XsqlError::Cancelled { .. }) {
-                ErrorCode::Cancelled
-            } else {
-                ErrorCode::Stmt
-            },
-            retry_after_ms: 0,
-            message: e.to_string(),
-        }),
+    match reader.read(shared.epoch_cell(), &stmt, src, ctx) {
+        Ok(r) => Reply::Exec(ExecResult::Read(r)),
+        Err(e) => Reply::Frame(error_frame(id, &ServiceError::Xsql(e))),
     }
 }
 
@@ -1307,4 +1190,60 @@ fn error_frame(id: u64, e: &ServiceError) -> Frame {
 /// Writes one frame; false when the peer is unreachable.
 fn send(stream: &mut TcpStream, f: &Frame) -> bool {
     stream.write_all(&frame::encode(f)).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replica::{ReplicaConfig, ReplicaCore};
+    use crate::ship::ShipSource;
+
+    /// A ship source with nothing shipped: the replica serves its base.
+    struct Nothing;
+
+    impl ShipSource for Nothing {
+        fn fetch(&mut self, _name: &str) -> std::io::Result<Option<Vec<u8>>> {
+            Ok(None)
+        }
+    }
+
+    /// Every request on the replica read path is parsed exactly once:
+    /// plain queries (cold and cached), PREPARE and EXECUTE alike.
+    #[test]
+    fn replica_requests_are_parsed_once() {
+        let mut s = xsql::Session::new(oodb::Database::new());
+        s.run_script(
+            "CREATE CLASS Person;
+             ALTER CLASS Person ADD SIGNATURE Age => Numeral;
+             CREATE OBJECT mary CLASS Person SET Age = 31;",
+        )
+        .unwrap();
+        let opts = xsql::EvalOptions::default();
+        let core = ReplicaCore::new(
+            Box::new(Nothing),
+            s.into_db(),
+            ReplicaConfig {
+                base_tag: "test".into(),
+                opts: opts.clone(),
+            },
+        );
+        let shared = core.shared();
+        let mut reader = EpochReader::new(shared.epoch(), opts, Arc::clone(shared.registry()));
+        let requests = [
+            "SELECT X FROM Person X WHERE X.Age > 30",
+            "SELECT X FROM Person X WHERE X.Age > 30",
+            "PREPARE q AS SELECT X FROM Person X WHERE X.Age > ?1",
+            "EXECUTE q (30)",
+            "EXECUTE q (40)",
+        ];
+        let parses = xsql::parses_on_this_thread();
+        for src in requests {
+            let reply = replica_execute(&shared, &mut reader, 1, src, &QueryContext::default(), "");
+            assert!(matches!(reply, Reply::Exec(ExecResult::Read(_))), "{src}");
+        }
+        assert_eq!(
+            xsql::parses_on_this_thread() - parses,
+            requests.len() as u64
+        );
+    }
 }

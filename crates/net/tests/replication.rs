@@ -10,8 +10,8 @@
 //! replica; names and values must not).
 
 use net::{
-    Backend, ChaosSource, Client, DirSource, ReplicaConfig, ReplicaCore, Server, ServerConfig,
-    ShipSource,
+    Backend, ChaosSource, Client, DirSource, NetError, ReplicaConfig, ReplicaCore, Server,
+    ServerConfig, ShipSource,
 };
 use oodb::Database;
 use std::path::Path;
@@ -365,6 +365,167 @@ fn replica_read_interned_oids_render_and_keep_the_connection() {
     }
     let rows = c.execute("SELECT X FROM Person X").expect("follow-up read");
     assert_eq!(rows.rows, vec![vec!["mary".to_string()]]);
+    c.goodbye();
+    server.shutdown();
+}
+
+/// Steps the replica until it reaches the primary's frontier; true
+/// when one of the rounds re-bootstrapped from the checkpoint image.
+fn catch_up(core: &mut ReplicaCore, fs: &FaultFs) -> bool {
+    let frontier = primary_last_seq(fs);
+    let mut resynced = false;
+    for _ in 0..100 {
+        if core.shared().applied_seq() >= frontier {
+            return resynced;
+        }
+        resynced |= core.step().expect("sync").resynced;
+    }
+    panic!("replica did not reach seq {frontier}");
+}
+
+fn serve_replica(core: &ReplicaCore) -> (Server, Client) {
+    let server = Server::start(
+        Backend::Replica(core.shared()),
+        ServerConfig {
+            poll_interval: Duration::from_millis(2),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind replica");
+    let mut c = Client::connect(&server.local_addr().to_string(), "").expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    (server, c)
+}
+
+/// Rendered, sorted rows of `src` on a cold session over `db`.
+fn cold_rows(db: &Database, src: &str, opts: EvalOptions) -> Vec<Vec<String>> {
+    let mut s = Session::with_options(db.clone(), opts);
+    let rel = s.query(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let mut rows: Vec<Vec<String>> = rel
+        .iter()
+        .map(|t| t.iter().map(|&o| s.db().oids().render(o)).collect())
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// One name re-PREPAREd on a replica connection with different text
+/// across epochs, with primary writes shipped in between and one
+/// checkpoint gap that forces the replica to re-bootstrap (a rebuilt
+/// OID table): every EXECUTE answers what a cold session over the
+/// replica's published state answers, and what the naive engine
+/// answers. A write body is redirected before it reaches the reader.
+#[test]
+fn replica_re_prepared_name_matches_cold_and_naive_sessions_across_a_resync() {
+    const BODIES: &[&str] = &[
+        "SELECT X FROM Counter X WHERE X.Val > ?1",
+        "SELECT X.Val FROM Counter X WHERE X.Val < ?1",
+        "SELECT X, Y FROM Counter X, Counter Y WHERE X.Val > Y.Val and Y.Val >= ?1",
+    ];
+    let fs = FaultFs::new();
+    let mut primary = open_primary(&fs).expect("primary store");
+    for stmt in PROLOGUE {
+        primary.run(stmt).expect("prologue");
+    }
+    let mut core = replica_over(dir_source(&fs));
+    catch_up(&mut core, &fs);
+    let (server, mut c) = serve_replica(&core);
+    let naive = EvalOptions {
+        use_vm: false,
+        ..EvalOptions::naive()
+    };
+    let mut resyncs = 0;
+    for round in 0..6usize {
+        let body = BODIES[round % BODIES.len()];
+        let r = c.prepare("q", body).expect("prepare");
+        assert_eq!(r.info, "prepared `q`\n");
+        for step in 0..2 {
+            if step == 1 {
+                primary
+                    .run(&format!(
+                        "CREATE OBJECT k{round} CLASS Counter SET Val = {}",
+                        3 + 11 * round
+                    ))
+                    .expect("insert");
+                if round == 3 {
+                    // Retire the segments the replica still needs.
+                    primary.run("CHECKPOINT").expect("checkpoint");
+                }
+                primary
+                    .run(&format!(
+                        "UPDATE CLASS Counter SET c0.Val = {}",
+                        7 + 5 * round
+                    ))
+                    .expect("update");
+                if catch_up(&mut core, &fs) {
+                    resyncs += 1;
+                }
+            }
+            let arg = (4 + 6 * round).to_string();
+            let got = c.execute_prepared("q", &[&arg]).expect("execute");
+            let mut got_rows = got.rows.clone();
+            got_rows.sort();
+            let ep = core.shared().epoch();
+            assert_eq!(got.epoch, ep.seq);
+            let direct = body.replace("?1", &arg);
+            let want = cold_rows(&ep.db, &direct, EvalOptions::default());
+            assert_eq!(got_rows, want, "round {round} step {step}: `{direct}`");
+            assert_eq!(
+                cold_rows(&ep.db, &direct, naive.clone()),
+                want,
+                "round {round} step {step}: naive oracle"
+            );
+        }
+    }
+    assert_eq!(resyncs, 1, "the checkpoint gap forces exactly one resync");
+    match c.prepare("w", "UPDATE CLASS Counter SET c0.Val = ?1") {
+        Err(NetError::NotPrimary { .. }) => {}
+        other => panic!("a write body must redirect, got {other:?}"),
+    }
+    assert_eq!(
+        core.shared()
+            .registry()
+            .counter_total("xsql_plan_cache_stale_executions_total"),
+        0
+    );
+    c.goodbye();
+    server.shutdown();
+}
+
+/// The value of the exposition sample named exactly `key`.
+fn sample(stats: &str, key: &str) -> u64 {
+    stats
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample `{key}` in:\n{stats}"))
+}
+
+/// Replica reads record into the replica's registry: N reads on a
+/// connection raise `xsql_stmt_latency_us_count` in its STATS by N.
+#[test]
+fn replica_reads_reach_the_replica_stats() {
+    let fs = FaultFs::new();
+    let mut primary = open_primary(&fs).expect("primary store");
+    for stmt in PROLOGUE {
+        primary.run(stmt).expect("prologue");
+    }
+    let mut core = replica_over(dir_source(&fs));
+    catch_up(&mut core, &fs);
+    let (server, mut c) = serve_replica(&core);
+    let count = |c: &mut Client| {
+        sample(
+            &c.execute("STATS").expect("stats").info,
+            "xsql_stmt_latency_us_count",
+        )
+    };
+    let before = count(&mut c);
+    const READS: u64 = 5;
+    for i in 0..READS {
+        let q = QUERIES[i as usize % QUERIES.len()];
+        c.execute(q).expect("read");
+    }
+    assert_eq!(count(&mut c) - before, READS);
     c.goodbye();
     server.shutdown();
 }

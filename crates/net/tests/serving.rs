@@ -409,3 +409,92 @@ fn every_reply_records_its_bytes_and_encode_phase_in_stats() {
     server.shutdown();
     drop(svc);
 }
+
+/// Rendered, sorted rows of `src` on a cold session over `db`.
+fn cold_rows(db: &Database, src: &str, opts: EvalOptions) -> Vec<Vec<String>> {
+    let mut s = Session::with_options(db.clone(), opts);
+    let rel = s.query(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let mut rows: Vec<Vec<String>> = rel
+        .iter()
+        .map(|t| t.iter().map(|&o| s.db().oids().render(o)).collect())
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Bodies one prepared name is re-PREPAREd with, in turn.
+const BODIES: &[&str] = &[
+    "SELECT X FROM Person X WHERE X.Age > ?1",
+    "SELECT X.Age FROM Person X WHERE X.Age < ?1",
+    "SELECT X, Y FROM Person X, Person Y WHERE X.Age > Y.Age and Y.Age >= ?1",
+];
+
+/// One name re-PREPAREd over the wire with different text across
+/// epochs, with writes (new objects, new literals) in between: every
+/// EXECUTE, in the PREPARE's own epoch and after the writes moved the
+/// epoch on, answers what a cold session over the published state
+/// answers, and what the naive engine answers.
+#[test]
+fn re_prepared_name_matches_cold_and_naive_sessions_across_epochs() {
+    let svc = primary(ServiceConfig::default());
+    let server = serve(&svc, tight());
+    let mut c = Client::connect(&server.local_addr().to_string(), "").expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    c.execute("CREATE CLASS Person").expect("ddl");
+    c.execute("ALTER CLASS Person ADD SIGNATURE Age => Numeral")
+        .expect("signature");
+    c.execute("CREATE OBJECT mary CLASS Person SET Age = 31")
+        .expect("insert mary");
+    let naive = EvalOptions {
+        use_vm: false,
+        ..EvalOptions::naive()
+    };
+    for round in 0..6usize {
+        let body = BODIES[round % BODIES.len()];
+        let r = c.prepare("q", body).expect("prepare");
+        assert_eq!(r.info, "prepared `q`\n");
+        for step in 0..2 {
+            if step == 1 {
+                c.execute(&format!(
+                    "CREATE OBJECT p{round} CLASS Person SET Age = {}",
+                    17 + 9 * round
+                ))
+                .expect("insert");
+                c.execute(&format!(
+                    "UPDATE CLASS Person SET mary.Age = {}",
+                    29 + 5 * round
+                ))
+                .expect("update");
+            }
+            let arg = (20 + 7 * round).to_string();
+            let got = c.execute_prepared("q", &[&arg]).expect("execute");
+            let mut got_rows = got.rows.clone();
+            got_rows.sort();
+            let db = svc.epoch().db;
+            assert_eq!(got.epoch, svc.epoch().seq, "no write raced the read");
+            let direct = body.replace("?1", &arg);
+            let want = cold_rows(&db, &direct, EvalOptions::default());
+            assert_eq!(got_rows, want, "round {round} step {step}: `{direct}`");
+            assert_eq!(
+                cold_rows(&db, &direct, naive.clone()),
+                want,
+                "round {round} step {step}: naive oracle"
+            );
+        }
+    }
+    // Unknown names are the reader's error; the connection survives.
+    let err = c.execute_prepared("nope", &[]).expect_err("unknown name");
+    assert!(
+        matches!(&err, NetError::Server { code: ErrorCode::Stmt, message, .. }
+            if message.contains("unknown prepared statement")),
+        "{err:?}"
+    );
+    assert_eq!(
+        svc.registry()
+            .counter_total("xsql_plan_cache_stale_executions_total"),
+        0
+    );
+    c.goodbye();
+    server.shutdown();
+    drop(svc);
+}

@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xsql::ast::Stmt;
 use xsql::eval::CancelFlag;
-use xsql::{parse, EvalOptions, Outcome, Session, XsqlError};
+use xsql::{parse, unparse_stmt, EvalOptions, Outcome, Session, XsqlError};
 
 /// Admission-control and group-commit knobs. The defaults suit an
 /// interactive workload; the chaos harness shrinks them to force
@@ -253,17 +253,93 @@ pub struct ReadResult {
     pub snapshot: Arc<Database>,
 }
 
-/// The snapshot a read result must carry so that every OID of its
-/// outcome renders: `published`, unless evaluation interned OIDs (a
-/// computed numeral, a literal new to the database) into the reader's
-/// private database `read_db`, which then stands in for it. Reads never
-/// change stored state, so the two differ only in those interned OIDs,
-/// and the copy shares all other storage with `published`.
-pub fn renderable_snapshot(published: &Arc<Database>, read_db: &Database) -> Arc<Database> {
-    if read_db.oids().len() > published.oids().len() {
-        Arc::new(read_db.clone())
-    } else {
-        Arc::clone(published)
+/// One client's reader: a [`Session`] kept for the life of a
+/// [`SessionHandle`] or a replica connection, rebased onto each newer
+/// published epoch it reads.
+///
+/// Resolving a statement interns symbols (a mutation), so reads run on
+/// the session's private copy of the published database, never on the
+/// shared one. The copy is cheap (an epoch's storage is structurally
+/// shared), and the rebase ([`Session::rebase`]) drops everything
+/// resolved against the previous epoch: a new epoch starts with an
+/// empty plan cache, and prepared statements re-resolve from their
+/// stored bodies at their next EXECUTE. The session records into the
+/// serving registry, so reads show up in `STATS`.
+pub struct EpochReader {
+    /// Epoch the session reads.
+    seq: u64,
+    /// The snapshot returned with each read: the published one of
+    /// `seq`, or a copy of the session's database once evaluation
+    /// interned OIDs (a computed numeral, a literal new to the
+    /// database) that the published one lacks. Reads never change
+    /// stored state, so the two differ only in those OIDs, and the
+    /// copy shares all other storage with the published one.
+    snapshot: Arc<Database>,
+    sess: Session,
+    /// Options each read's options derive from.
+    base_opts: EvalOptions,
+}
+
+impl EpochReader {
+    /// A reader over `epoch`, recording into `registry`.
+    pub fn new(
+        epoch: EpochDb,
+        base_opts: EvalOptions,
+        registry: Arc<telemetry::Registry>,
+    ) -> EpochReader {
+        let mut sess = Session::with_options((*epoch.db).clone(), base_opts.clone());
+        sess.set_registry(registry);
+        EpochReader {
+            seq: epoch.seq,
+            snapshot: epoch.db,
+            sess,
+            base_opts,
+        }
+    }
+
+    /// The body of the statement this reader has prepared as `name`.
+    pub fn prepared_stmt(&self, name: &str) -> Option<&Stmt> {
+        self.sess.prepared_stmt(name)
+    }
+
+    /// Runs `stmt`, parsed from `src`, against the latest epoch
+    /// published in `epochs`, rebasing first when that epoch is newer
+    /// than the session's. `stmt` must not write: a read-only query, a
+    /// PREPARE (which only resolves its body), or an EXECUTE of a
+    /// read-only body. `ctx.deadline` is taken as final.
+    pub fn read(
+        &mut self,
+        epochs: &EpochCell,
+        stmt: &Stmt,
+        src: &str,
+        ctx: &QueryContext,
+    ) -> Result<ReadResult, XsqlError> {
+        // The warm path (epoch unchanged since the last read) costs one
+        // atomic load instead of the epoch lock plus cross-core
+        // refcount traffic on the shared snapshot `Arc`. `seq()` can
+        // lag `load()` one step during a publication, never lead it.
+        if self.seq != epochs.seq() {
+            let ep = epochs.load();
+            if ep.seq != self.seq {
+                self.sess.rebase((*ep.db).clone());
+                self.seq = ep.seq;
+                self.snapshot = ep.db;
+            }
+        }
+        let mut opts = self.base_opts.clone();
+        opts.cancel = ctx.cancel.clone();
+        opts.budget.deadline = ctx.deadline;
+        opts.budget.cancel_at_tick = ctx.cancel_at_tick;
+        self.sess.set_options(opts);
+        let outcome = self.sess.run_parsed(stmt, src)?;
+        if self.sess.db().oids().len() > self.snapshot.oids().len() {
+            self.snapshot = Arc::new(self.sess.db().clone());
+        }
+        Ok(ReadResult {
+            outcome,
+            epoch: self.seq,
+            snapshot: Arc::clone(&self.snapshot),
+        })
     }
 }
 
@@ -539,11 +615,15 @@ impl Service {
                 Err(cur) => n = cur,
             }
         }
+        let reader = EpochReader::new(
+            self.inner.epoch.load(),
+            self.inner.base_opts.clone(),
+            Arc::clone(&self.inner.metrics.registry),
+        );
         Ok(SessionHandle {
             inner: Arc::clone(&self.inner),
-            reader: None,
+            reader,
             txn: None,
-            prepared: std::collections::BTreeMap::new(),
         })
     }
 
@@ -647,41 +727,11 @@ impl Drop for Service {
 /// while open and cannot block other sessions.
 pub struct SessionHandle {
     inner: Arc<Inner>,
-    /// Cached reader session, valid for exactly one epoch: resolving a
-    /// statement interns symbols (a mutation), so reads run on a
-    /// private copy of the snapshot, rebuilt when the epoch advances.
-    reader: Option<CachedReader>,
+    /// The handle's reader. It also holds the handle's prepared
+    /// statements (`PREPARE name AS …`), which are per-connection.
+    reader: EpochReader,
     /// Buffered statements of the open handle transaction.
     txn: Option<Vec<String>>,
-    /// Prepared statements registered on this handle (`PREPARE name AS
-    /// …`). Per-connection, like the engine's: the stored PREPARE
-    /// source is replayed into each epoch's private reader session on
-    /// first EXECUTE (readers are rebuilt per epoch) and bundled with
-    /// write EXECUTEs so the writer unit is self-contained.
-    prepared: std::collections::BTreeMap<String, HandlePrepared>,
-}
-
-/// Per-epoch private reader state of one handle.
-struct CachedReader {
-    /// Epoch the session was built from.
-    seq: u64,
-    /// The snapshot returned with each read: the published one of that
-    /// epoch, or a copy of `sess`'s database once a read interned an
-    /// OID the published one lacks.
-    snapshot: Arc<Database>,
-    /// Private session over a clone of the snapshot.
-    sess: Session,
-    /// Prepared-statement names already installed into `sess`.
-    prepared: std::collections::BTreeSet<String>,
-}
-
-/// One handle-registered prepared statement.
-#[derive(Debug, Clone)]
-struct HandlePrepared {
-    /// The full `PREPARE name AS …` source, replayed where needed.
-    prepare_src: String,
-    /// Whether the body is read-only (EXECUTE routes like the body).
-    read_only: bool,
 }
 
 impl std::fmt::Debug for SessionHandle {
@@ -717,7 +767,7 @@ impl SessionHandle {
     /// epoch; everything else goes through the writer.
     pub fn execute(&mut self, src: &str, ctx: &QueryContext) -> Result<ExecResult, ServiceError> {
         let stmt = parse(src)?;
-        match stmt {
+        match &stmt {
             // Diagnostics, answered before read/write classification:
             // renders the service-wide registry (never a reader's own),
             // pinned to the epoch current at the call.
@@ -775,49 +825,17 @@ impl SessionHandle {
                 self.txn.as_mut().expect("checked").push(src.to_string());
                 Ok(ExecResult::Buffered)
             }
-            // PREPARE registers on the handle without touching the
-            // database: readers get the statement lazily, and write
-            // EXECUTEs carry it to the writer themselves.
-            Stmt::Prepare {
-                ref name,
-                stmt: ref inner,
-            } => {
-                let read_only = is_read_only(inner);
-                self.prepared.insert(
-                    name.clone(),
-                    HandlePrepared {
-                        prepare_src: src.to_string(),
-                        read_only,
-                    },
-                );
-                // A re-PREPARE under the same name must displace the
-                // copy already installed in the cached reader.
-                if let Some(reader) = &mut self.reader {
-                    reader.prepared.remove(name);
-                }
-                let ep = self.inner.epoch.load();
-                Ok(ExecResult::Read(ReadResult {
-                    outcome: Outcome::Prepared { name: name.clone() },
-                    epoch: ep.seq,
-                    snapshot: ep.db,
-                }))
-            }
-            Stmt::Execute { ref name, .. } => {
-                let entry = self.prepared.get(name).cloned().ok_or_else(|| {
-                    ServiceError::Protocol(format!(
-                        "unknown prepared statement `{name}` (prepared statements are \
-                         per-connection; re-PREPARE after reconnect)"
-                    ))
-                })?;
-                if entry.read_only {
-                    self.read_prepared(src, name, &entry.prepare_src, ctx)
-                        .map(ExecResult::Read)
-                } else {
-                    // The writer session has its own prepared map;
-                    // bundle the PREPARE so the unit is self-contained
-                    // (and atomic: a failing EXECUTE drops the PREPARE
-                    // with the rest of the unit).
-                    self.submit_write(vec![entry.prepare_src, src.to_string()], true, ctx)
+            // EXECUTE routes like the body it names. The writer session
+            // has its own prepared map, so a write EXECUTE carries the
+            // PREPARE with it: the unit is self-contained, and atomic (a
+            // failing EXECUTE drops the PREPARE with the rest of it).
+            Stmt::Execute { name, .. } => match self.reader.prepared_stmt(name) {
+                Some(body) if !is_read_only(body) => {
+                    let prepare = unparse_stmt(&Stmt::Prepare {
+                        name: name.clone(),
+                        stmt: Box::new(body.clone()),
+                    });
+                    self.submit_write(vec![prepare, src.to_string()], true, ctx)
                         .map(|mut ack| {
                             // Drop the bundled PREPARE's outcome: the
                             // client executed one statement.
@@ -827,8 +845,13 @@ impl SessionHandle {
                             ExecResult::Write(ack)
                         })
                 }
-            }
-            ref s if is_read_only(s) => self.read(src, ctx).map(ExecResult::Read),
+                // A read-only body, or a name the reader reports unknown.
+                _ => self.read(&stmt, src, ctx).map(ExecResult::Read),
+            },
+            // PREPARE resolves its body in the reader, whatever the body
+            // does: nothing runs until EXECUTE.
+            Stmt::Prepare { .. } => self.read(&stmt, src, ctx).map(ExecResult::Read),
+            s if is_read_only(s) => self.read(&stmt, src, ctx).map(ExecResult::Read),
             _ => self
                 .submit_write(vec![src.to_string()], false, ctx)
                 .map(ExecResult::Write),
@@ -866,27 +889,12 @@ impl SessionHandle {
             .or_else(|| self.inner.cfg.default_deadline.map(|d| Instant::now() + d))
     }
 
-    fn read(&mut self, src: &str, ctx: &QueryContext) -> Result<ReadResult, ServiceError> {
-        self.read_gated(src, None, ctx)
-    }
-
-    /// A read-only `EXECUTE`: like [`SessionHandle::read`], but makes
-    /// sure the prepared statement is installed in this epoch's private
-    /// reader session first.
-    fn read_prepared(
+    /// Runs a parsed read on the handle's reader, through the reader
+    /// gate.
+    fn read(
         &mut self,
+        stmt: &Stmt,
         src: &str,
-        name: &str,
-        prepare_src: &str,
-        ctx: &QueryContext,
-    ) -> Result<ReadResult, ServiceError> {
-        self.read_gated(src, Some((name, prepare_src)), ctx)
-    }
-
-    fn read_gated(
-        &mut self,
-        src: &str,
-        prep: Option<(&str, &str)>,
         ctx: &QueryContext,
     ) -> Result<ReadResult, ServiceError> {
         let inner = Arc::clone(&self.inner);
@@ -900,65 +908,20 @@ impl SessionHandle {
         let r = match slot {
             Ok(()) => {
                 let exec_started = Instant::now();
-                let r = self.read_in_slot(src, prep, ctx, deadline);
+                let ctx = QueryContext {
+                    deadline,
+                    ..ctx.clone()
+                };
+                let r = self.reader.read(&inner.epoch, stmt, src, &ctx);
                 m.exec_latency_read.observe_since(exec_started);
                 self.release_read_slot();
-                r
+                r.map_err(ServiceError::from)
             }
             Err(e) => Err(e),
         };
         m.total_latency_read.observe_since(started);
         m.settle(true, &r);
         r
-    }
-
-    fn read_in_slot(
-        &mut self,
-        src: &str,
-        prep: Option<(&str, &str)>,
-        ctx: &QueryContext,
-        deadline: Option<Instant>,
-    ) -> Result<ReadResult, ServiceError> {
-        // Staleness check on the lock-free sequence mirror: the warm
-        // path (epoch unchanged since the last read) costs one atomic
-        // load instead of the epoch lock plus cross-core refcount
-        // traffic on the shared snapshot Arc. `seq()` can lag `load()`
-        // one step during a publication, never lead it, so a matching
-        // cached reader is still a committed snapshot.
-        let fresh = matches!(&self.reader, Some(r) if r.seq == self.inner.epoch.seq());
-        if !fresh {
-            let ep = self.inner.epoch.load();
-            // Private copy of the snapshot: resolution interns symbols,
-            // which must never touch the shared published state.
-            self.reader = Some(CachedReader {
-                seq: ep.seq,
-                snapshot: Arc::clone(&ep.db),
-                sess: Session::with_options((*ep.db).clone(), self.inner.base_opts.clone()),
-                prepared: std::collections::BTreeSet::new(),
-            });
-        }
-        let reader = self.reader.as_mut().expect("just cached");
-        let mut opts = self.inner.base_opts.clone();
-        opts.cancel = ctx.cancel.clone();
-        opts.budget.deadline = deadline;
-        opts.budget.cancel_at_tick = ctx.cancel_at_tick;
-        reader.sess.set_options(opts);
-        // Install the prepared statement into this epoch's session on
-        // first use (reader sessions are rebuilt per epoch, and the
-        // engine's prepared map is session-local).
-        if let Some((name, prepare_src)) = prep {
-            if !reader.prepared.contains(name) {
-                reader.sess.run(prepare_src)?;
-                reader.prepared.insert(name.to_string());
-            }
-        }
-        let outcome = reader.sess.run(src)?;
-        reader.snapshot = renderable_snapshot(&reader.snapshot, reader.sess.db());
-        Ok(ReadResult {
-            outcome,
-            epoch: reader.seq,
-            snapshot: Arc::clone(&reader.snapshot),
-        })
     }
 
     fn acquire_read_slot(&self, deadline: Option<Instant>) -> Result<(), ServiceError> {
@@ -1415,6 +1378,41 @@ mod tests {
         h.execute("UPDATE CLASS Counter SET c0.Val = 5", &ctx)
             .unwrap();
         assert_eq!(val(&mut h), 5);
+    }
+
+    /// A handle's PREPARE lives in its reader; an EXECUTE of a write
+    /// body goes to the writer with the PREPARE bundled, a read body
+    /// reads, and an unknown name is the engine's error.
+    #[test]
+    fn prepared_writes_and_reads_route_by_their_body() {
+        let svc = Service::start(mini_session(), ServiceConfig::default());
+        let mut h = svc.connect().unwrap();
+        let ctx = QueryContext::default();
+        h.execute("PREPARE bump AS UPDATE CLASS Counter SET c0.Val = ?1", &ctx)
+            .unwrap();
+        h.execute(
+            "PREPARE get AS SELECT W FROM Numeral W WHERE c0.Val[W]",
+            &ctx,
+        )
+        .unwrap();
+        let r = h.execute("EXECUTE bump (41)", &ctx).unwrap();
+        let ExecResult::Write(ack) = r else {
+            panic!("{r:?}")
+        };
+        assert!(matches!(
+            ack.outcomes[..],
+            [Outcome::Updated { entries: 1 }]
+        ));
+        assert_eq!(val(&mut h), 41);
+        assert!(matches!(
+            h.execute("EXECUTE get", &ctx).unwrap(),
+            ExecResult::Read(_)
+        ));
+        let err = h.execute("EXECUTE nope", &ctx).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown prepared statement"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -507,7 +507,10 @@ fn chaos_round(seed: u64) {
     // Invariant 5: schema-epoch fencing. Definitional statements and
     // statement-failure rollbacks bump the schema epoch mid-run; a program
     // resolved under an older epoch must be re-resolved, never executed.
-    // The engine counts the should-be-impossible case defensively.
+    // The engine counts the should-be-impossible case defensively. The
+    // counter covers the reader sessions too: each handle's reader
+    // records into the service registry, and its cached and prepared
+    // programs must survive neither an epoch fence nor a rebase.
     assert_eq!(
         registry.counter_total("xsql_plan_cache_stale_executions_total"),
         0,

@@ -3,7 +3,7 @@
 //! concurrent readers and writers, and reader-gate admission control.
 
 use datagen::{figure1_scaled, Figure1Params};
-use service::{ExecResult, QueryContext, Service, ServiceConfig, ServiceError};
+use service::{ExecResult, QueryContext, ReadResult, Service, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -300,6 +300,76 @@ fn stats_statement_and_exposition() {
     );
     assert!(text.contains("svc_active_readers "), "{text}");
 
+    drop(h);
+    svc.shutdown().unwrap();
+}
+
+/// The value of the exposition sample named exactly `key`.
+fn sample(report: &str, key: &str) -> u64 {
+    report
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample `{key}` in:\n{report}"))
+}
+
+fn stmt_latency_count(h: &mut service::SessionHandle) -> u64 {
+    match h.execute("STATS", &QueryContext::default()).unwrap() {
+        ExecResult::Read(ReadResult {
+            outcome: xsql::Outcome::Stats { report },
+            ..
+        }) => sample(&report, "xsql_stmt_latency_us_count"),
+        other => panic!("STATS answered {other:?}"),
+    }
+}
+
+/// Reads run on a reader session attached to the service's registry:
+/// each one adds exactly one `xsql_stmt_latency_us` sample to STATS,
+/// on a warm epoch and on the first epoch after a write alike. Each
+/// read request is also parsed exactly once on its way through the
+/// handle and the reader, whether it is a plain query (cached or not)
+/// or an EXECUTE.
+#[test]
+fn every_read_reaches_stats_and_is_parsed_once() {
+    let svc = Service::start(big_session(), ServiceConfig::default());
+    let mut h = svc.connect().unwrap();
+    let ctx = QueryContext::default();
+    h.execute(
+        "PREPARE rich AS SELECT X FROM Employee X WHERE X.Salary > ?1",
+        &ctx,
+    )
+    .unwrap();
+    const READS: [&str; 4] = [
+        "SELECT X FROM Company X",
+        "EXECUTE rich (30000)",
+        "SELECT X FROM Employee X WHERE X.Salary > 30000",
+        "SELECT X FROM Company X",
+    ];
+    for round in 0..2 {
+        if round == 1 {
+            h.execute("CREATE CLASS NewEpoch", &ctx).unwrap();
+        }
+        let count = stmt_latency_count(&mut h);
+        let parses = xsql::parses_on_this_thread();
+        for src in READS {
+            let r = h.execute(src, &ctx).unwrap();
+            assert!(matches!(r, ExecResult::Read(_)), "{src}: {r:?}");
+        }
+        assert_eq!(
+            xsql::parses_on_this_thread() - parses,
+            READS.len() as u64,
+            "round {round}: one parse per read request"
+        );
+        assert_eq!(
+            stmt_latency_count(&mut h) - count,
+            READS.len() as u64,
+            "round {round}: one latency sample per read"
+        );
+    }
+    assert_eq!(
+        svc.registry()
+            .counter_total("xsql_plan_cache_stale_executions_total"),
+        0
+    );
     drop(h);
     svc.shutdown().unwrap();
 }

@@ -43,7 +43,7 @@ pub use eval::{
     eval_select, eval_select_ranged, CancelFlag, EvalBudget, EvalOptions, Ranges, Strategy,
 };
 pub use lexer::lex;
-pub use parser::{parse, parse_script};
+pub use parser::{parse, parse_script, parses_on_this_thread};
 pub use resolve::resolve_stmt;
 pub use session::{Outcome, RecoveryInfo, Session};
 pub use unparse::{unparse_query, unparse_stmt};

@@ -11,10 +11,22 @@ use crate::error::{XsqlError, XsqlResult};
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 
+thread_local! {
+    static PARSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Parses one XSQL statement. Lex/parse errors carry a line/column
 /// location computed from the source.
 pub fn parse(src: &str) -> XsqlResult<Stmt> {
+    PARSES.with(|n| n.set(n.get() + 1));
     parse_inner(src).map_err(|e| e.with_location(src))
+}
+
+/// How many times [`parse`] ran on the calling thread — lets tests pin
+/// how often a request is parsed on its way through a server.
+#[doc(hidden)]
+pub fn parses_on_this_thread() -> u64 {
+    PARSES.with(|n| n.get())
 }
 
 fn parse_inner(src: &str) -> XsqlResult<Stmt> {

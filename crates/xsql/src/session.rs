@@ -167,8 +167,9 @@ pub struct Session {
     stmt_latency: std::sync::Arc<telemetry::Histogram>,
     /// Named prepared statements (`PREPARE … AS`). Session-local and
     /// never WAL-logged: a client must re-PREPARE after a crash or
-    /// reconnect. Entries resolved under an older schema epoch are
-    /// transparently re-resolved at EXECUTE.
+    /// reconnect. Entries resolved under an older schema epoch, or
+    /// before a [`Session::rebase`], are transparently re-resolved at
+    /// EXECUTE.
     prepared: BTreeMap<String, PreparedEntry>,
     /// The transparent plan cache: resolved programs keyed on the
     /// statement's token stream, fenced by schema epoch
@@ -186,7 +187,10 @@ pub struct Session {
 struct PreparedEntry {
     /// The statement as written (parameters intact, names unresolved).
     src: Stmt,
-    program: std::sync::Arc<vm::Program>,
+    /// The program resolved from `src`; `None` once a
+    /// [`Session::rebase`] replaced the database it was resolved
+    /// against, so the next EXECUTE re-resolves.
+    program: Option<std::sync::Arc<vm::Program>>,
 }
 
 /// Summary of what crash recovery did when the session opened its
@@ -278,6 +282,7 @@ impl Session {
         let registry = std::sync::Arc::new(telemetry::Registry::from_env());
         let stmt_latency = registry.latency("xsql_stmt_latency_us", &[]);
         let cache_metrics = vm::CacheMetrics::new(&registry);
+        let plan_cache = vm::PlanCache::new(&registry);
         Session {
             db,
             opts,
@@ -294,7 +299,7 @@ impl Session {
             registry,
             stmt_latency,
             prepared: BTreeMap::new(),
-            plan_cache: vm::PlanCache::new(),
+            plan_cache,
             cache_metrics,
         }
     }
@@ -488,6 +493,32 @@ impl Session {
         self.db
     }
 
+    /// Replaces the database with `db`, a newer committed state of the
+    /// one the session was serving — how a kept reader session moves to
+    /// the next published epoch. Nothing resolved against the old
+    /// database survives: the plan cache is cleared and every prepared
+    /// statement is re-resolved from its stored body at its next
+    /// EXECUTE. (`schema_epoch` alone cannot fence a rebase: two
+    /// databases may reach the same epoch over different OID tables.)
+    ///
+    /// Meant for sessions that only read: the view catalogue and the
+    /// anonymous-name counter are kept, and it must not be called
+    /// inside an open transaction.
+    pub fn rebase(&mut self, db: Database) {
+        debug_assert!(self.txn.is_none(), "rebase inside an open transaction");
+        self.db = db;
+        self.plan_cache.clear();
+        for entry in self.prepared.values_mut() {
+            entry.program = None;
+        }
+    }
+
+    /// The body of prepared statement `name` as written (parameters
+    /// intact, names unresolved), if this session knows the name.
+    pub fn prepared_stmt(&self, name: &str) -> Option<&Stmt> {
+        self.prepared.get(name).map(|e| &e.src)
+    }
+
     /// The evaluation options in force.
     pub fn options(&self) -> &EvalOptions {
         &self.opts
@@ -515,7 +546,7 @@ impl Session {
     pub fn set_registry(&mut self, registry: std::sync::Arc<telemetry::Registry>) {
         self.stmt_latency = registry.latency("xsql_stmt_latency_us", &[]);
         self.cache_metrics = vm::CacheMetrics::new(&registry);
-        self.cache_metrics.size.set(self.plan_cache.len() as i64);
+        self.plan_cache.set_registry(&registry);
         if let Some(store) = &mut self.store {
             store.attach_registry(&registry);
         }
@@ -536,32 +567,45 @@ impl Session {
     /// explicit transaction a successful statement commits immediately;
     /// inside one it stays undoable until `COMMIT WORK`.
     pub fn run(&mut self, src: &str) -> XsqlResult<Outcome> {
-        if self.opts.use_vm {
-            if let Some(key) = vm::cache_key(src) {
-                return self.run_cached(key, src);
-            }
-        }
-        let stmt = parse(src)?;
-        self.execute(&stmt)
+        self.run_src(src, None)
     }
 
-    /// [`Session::run`] through the plan cache: it is consulted on the
-    /// statement's token-stream key under the current schema epoch; a
-    /// hit skips parse and resolve entirely. On a miss, cacheable
-    /// statements (plain SELECTs) are resolved, run, and cached;
-    /// everything else takes the stock path.
-    fn run_cached(&mut self, key: String, src: &str) -> XsqlResult<Outcome> {
-        let epoch = self.db.schema_epoch();
-        if let Some(prog) = self.plan_cache.lookup(&key, epoch, &self.cache_metrics) {
-            return self.execute_program_gated(|s| s.run_program(&prog, &[]));
+    /// [`Session::run`] for a statement the caller already parsed from
+    /// `src` (a server that parsed it to classify the request). The
+    /// source is lexed for the plan-cache key but never parsed again.
+    pub fn run_parsed(&mut self, stmt: &Stmt, src: &str) -> XsqlResult<Outcome> {
+        self.run_src(src, Some(stmt))
+    }
+
+    /// The plan cache, when on, is consulted on the statement's
+    /// token-stream key under the current schema epoch; a hit skips
+    /// parse and resolve entirely. On a miss, cacheable statements
+    /// (plain SELECTs) are resolved, run, and cached; everything else
+    /// takes the stock path. `src` is parsed only when `parsed` is
+    /// `None` and the cache missed.
+    fn run_src(&mut self, src: &str, parsed: Option<&Stmt>) -> XsqlResult<Outcome> {
+        let key = self.opts.use_vm.then(|| vm::cache_key(src)).flatten();
+        if let Some(key) = &key {
+            let epoch = self.db.schema_epoch();
+            if let Some(prog) = self.plan_cache.lookup(key, epoch, &self.cache_metrics) {
+                return self.execute_program_gated(|s| s.run_program(&prog, &[]));
+            }
         }
-        let stmt = parse(src)?;
-        if !vm::cacheable(&stmt) {
-            return self.execute(&stmt);
-        }
+        let owned;
+        let stmt = match parsed {
+            Some(stmt) => stmt,
+            None => {
+                owned = parse(src)?;
+                &owned
+            }
+        };
+        let Some(key) = key.filter(|_| vm::cacheable(stmt)) else {
+            return self.execute(stmt);
+        };
+        self.cache_metrics.misses.inc();
         let mut resolved_prog: Option<std::sync::Arc<vm::Program>> = None;
         let out = self.execute_program_gated(|s| {
-            let resolved = resolve_stmt(&mut s.db, &stmt)?;
+            let resolved = resolve_stmt(&mut s.db, stmt)?;
             let prog = std::sync::Arc::new(vm::Program::new(&s.db, resolved, 0));
             let outcome = s.run_program(&prog, &[])?;
             resolved_prog = Some(prog);
@@ -1185,7 +1229,7 @@ impl Session {
                     name.clone(),
                     PreparedEntry {
                         src: (**inner).clone(),
-                        program,
+                        program: Some(program),
                     },
                 );
                 Ok(Outcome::Prepared { name: name.clone() })
@@ -1198,26 +1242,30 @@ impl Session {
                     ))
                 })?;
                 let epoch = self.db.schema_epoch();
-                let program = if entry.program.epoch == epoch {
-                    self.cache_metrics.hits.inc();
-                    entry.program
-                } else {
-                    // The schema moved since PREPARE: the resolved
-                    // program is fenced out; re-resolve the stored body
-                    // under the current epoch.
-                    self.cache_metrics.invalidations.inc();
-                    let n_params = entry.program.n_params;
-                    let resolved = resolve_stmt(&mut self.db, &entry.src)?;
-                    let program =
-                        std::sync::Arc::new(vm::Program::new(&self.db, resolved, n_params));
-                    self.prepared.insert(
-                        name.clone(),
-                        PreparedEntry {
-                            src: entry.src,
-                            program: std::sync::Arc::clone(&program),
-                        },
-                    );
-                    program
+                let program = match entry.program {
+                    Some(program) if program.epoch == epoch => {
+                        self.cache_metrics.hits.inc();
+                        program
+                    }
+                    // The schema moved since PREPARE, or the session was
+                    // rebased: the resolved program is fenced out;
+                    // re-resolve the stored body against the current
+                    // database.
+                    _ => {
+                        self.cache_metrics.invalidations.inc();
+                        let n_params = vm::max_param(&entry.src);
+                        let resolved = resolve_stmt(&mut self.db, &entry.src)?;
+                        let program =
+                            std::sync::Arc::new(vm::Program::new(&self.db, resolved, n_params));
+                        self.prepared.insert(
+                            name.clone(),
+                            PreparedEntry {
+                                src: entry.src,
+                                program: Some(std::sync::Arc::clone(&program)),
+                            },
+                        );
+                        program
+                    }
                 };
                 let oids: Vec<Oid> = args
                     .iter()

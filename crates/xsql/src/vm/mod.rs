@@ -575,13 +575,16 @@ fn subst_idterm(t: &mut IdTerm, args: &[Oid]) {
 // Plan cache
 // ---------------------------------------------------------------------
 
-/// Cached handles for the plan-cache metrics, re-derived whenever the
-/// session's registry is swapped.
+/// Cached handles for the plan-cache counters, re-derived whenever the
+/// session's registry is swapped. The size gauge lives in the
+/// [`PlanCache`] itself, which moves it by deltas.
 #[derive(Debug)]
 pub struct CacheMetrics {
-    /// `xsql_plan_cache_hits_total`.
+    /// `xsql_plan_cache_hits_total` — lookups and EXECUTEs served by an
+    /// already-resolved program.
     pub hits: std::sync::Arc<telemetry::Counter>,
-    /// `xsql_plan_cache_misses_total`.
+    /// `xsql_plan_cache_misses_total` — cacheable statements that had
+    /// to be parsed and resolved (invalidations included).
     pub misses: std::sync::Arc<telemetry::Counter>,
     /// `xsql_plan_cache_evictions_total`.
     pub evictions: std::sync::Arc<telemetry::Counter>,
@@ -592,8 +595,6 @@ pub struct CacheMetrics {
     /// epoch fence makes this structurally unreachable; the chaos
     /// harness asserts it stays 0.
     pub stale_executions: std::sync::Arc<telemetry::Counter>,
-    /// `xsql_plan_cache_size` gauge.
-    pub size: std::sync::Arc<telemetry::Gauge>,
 }
 
 impl CacheMetrics {
@@ -605,7 +606,6 @@ impl CacheMetrics {
             evictions: registry.counter("xsql_plan_cache_evictions_total", &[]),
             invalidations: registry.counter("xsql_plan_cache_invalidations_total", &[]),
             stale_executions: registry.counter("xsql_plan_cache_stale_executions_total", &[]),
-            size: registry.gauge("xsql_plan_cache_size", &[]),
         }
     }
 }
@@ -627,10 +627,15 @@ impl std::fmt::Debug for CacheEntry {
 
 /// The transparent, session-local plan cache: resolved programs keyed
 /// on [`cache_key`] token streams, fenced by schema epoch, evicted LRU.
-#[derive(Debug, Default)]
+///
+/// The cache moves its `xsql_plan_cache_size` gauge by deltas (and
+/// takes its entries back off the gauge when dropped), so with several
+/// sessions on one registry the gauge reads the sum over them.
+#[derive(Debug)]
 pub struct PlanCache {
     map: HashMap<String, CacheEntry>,
     tick: u64,
+    size: std::sync::Arc<telemetry::Gauge>,
 }
 
 impl PlanCache {
@@ -638,9 +643,23 @@ impl PlanCache {
     /// is evicted beyond this.
     pub const CAPACITY: usize = 64;
 
-    /// A fresh, empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
+    /// A fresh, empty cache counting its entries into `registry`'s
+    /// `xsql_plan_cache_size` gauge.
+    pub fn new(registry: &telemetry::Registry) -> PlanCache {
+        PlanCache {
+            map: HashMap::new(),
+            tick: 0,
+            size: registry.gauge("xsql_plan_cache_size", &[]),
+        }
+    }
+
+    /// Moves this cache's entries from its current size gauge to
+    /// `registry`'s.
+    pub fn set_registry(&mut self, registry: &telemetry::Registry) {
+        let n = self.map.len() as i64;
+        self.size.add(-n);
+        self.size = registry.gauge("xsql_plan_cache_size", &[]);
+        self.size.add(n);
     }
 
     /// Number of cached programs.
@@ -655,8 +674,9 @@ impl PlanCache {
 
     /// Looks up `key` under the current schema epoch. A hit bumps the
     /// LRU stamp and counts `hits`; an entry resolved under another
-    /// epoch is dropped (counted as `invalidations` *and* the miss it
-    /// becomes); a plain miss counts `misses`.
+    /// epoch is dropped and counted as an invalidation. Misses are the
+    /// caller's to count: only it learns whether the statement is
+    /// cacheable at all.
     pub fn lookup(
         &mut self,
         key: &str,
@@ -672,15 +692,11 @@ impl PlanCache {
             }
             Some(_) => {
                 self.map.remove(key);
+                self.size.add(-1);
                 m.invalidations.inc();
-                m.misses.inc();
-                m.size.set(self.map.len() as i64);
                 None
             }
-            None => {
-                m.misses.inc();
-                None
-            }
+            None => None,
         }
     }
 
@@ -696,24 +712,30 @@ impl PlanCache {
                 .map(|(k, _)| k.clone())
             {
                 self.map.remove(&victim);
+                self.size.add(-1);
                 m.evictions.inc();
             }
         }
-        self.map.insert(
-            key,
-            CacheEntry {
-                prog,
-                stamp: self.tick,
-            },
-        );
-        m.size.set(self.map.len() as i64);
+        let entry = CacheEntry {
+            prog,
+            stamp: self.tick,
+        };
+        if self.map.insert(key, entry).is_none() {
+            self.size.add(1);
+        }
     }
 
-    /// Drops every cached program (used when the database is replaced
-    /// wholesale, e.g. on replica catch-up resets).
-    pub fn clear(&mut self, m: &CacheMetrics) {
+    /// Drops every cached program (a reader session does this when it
+    /// is rebased onto a newer epoch).
+    pub fn clear(&mut self) {
+        self.size.add(-(self.map.len() as i64));
         self.map.clear();
-        m.size.set(0);
+    }
+}
+
+impl Drop for PlanCache {
+    fn drop(&mut self) {
+        self.clear();
     }
 }
 

@@ -92,13 +92,89 @@ fn reexecution_reuses_the_compiled_plan() {
     s.run("PREPARE q AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .unwrap();
     let hits0 = counter(&s, "xsql_plan_cache_hits_total");
+    let misses0 = counter(&s, "xsql_plan_cache_misses_total");
     let first = rows(&mut s, "EXECUTE q (30000)");
     let second = rows(&mut s, "EXECUTE q (30000)");
     assert_eq!(first, second);
     // Both EXECUTEs ran the program resolved at PREPARE (epoch
-    // unchanged), and each counts as a plan-cache hit.
+    // unchanged), and each counts as one plan-cache hit and no miss.
     assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), hits0 + 2);
+    assert_eq!(counter(&s, "xsql_plan_cache_misses_total"), misses0);
+    // Statements the cache never holds count neither.
+    s.run("UPDATE CLASS Employee SET kim1.Salary = 30001")
+        .unwrap();
+    s.run("PREPARE r AS SELECT X FROM Employee X WHERE X.Salary < ?1")
+        .unwrap();
+    assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), hits0 + 2);
+    assert_eq!(counter(&s, "xsql_plan_cache_misses_total"), misses0);
     assert_eq!(counter(&s, "xsql_plan_cache_stale_executions_total"), 0);
+}
+
+/// `Session::rebase` drops everything resolved against the old
+/// database even when the new one has the same schema epoch. Here the
+/// reader's cached and prepared programs point at a literal it interned
+/// itself; a writer over the same base interns a different value at
+/// the same table position without moving its schema epoch, and the
+/// reader's own epoch moved away (a failed statement) before the
+/// rebase brings it back to the programs' epoch.
+#[test]
+fn rebase_re_resolves_even_when_the_schema_epoch_collides() {
+    let base = figure1_db();
+    let query = "SELECT X FROM Employee X WHERE X.Salary > 31234";
+    let mut reader = vm_session(base.clone());
+    reader
+        .run("PREPARE p AS SELECT X FROM Employee X WHERE X.Salary > 31234 and X.Salary > ?1")
+        .unwrap();
+    rows(&mut reader, query);
+    let resolved_at = reader.db().schema_epoch();
+    reader
+        .run("UPDATE CLASS Employee SET kim1.Salary = 1, kim1.Salary = kim1.Name + 1")
+        .unwrap_err();
+    assert!(reader.db().schema_epoch() > resolved_at);
+
+    let mut writer = vm_session(base);
+    writer
+        .run("UPDATE CLASS Employee SET kim1.Salary = 99999")
+        .unwrap();
+    assert_eq!(writer.db().schema_epoch(), resolved_at);
+
+    reader.rebase(writer.db().clone());
+    let want = rows(&mut vm_session(writer.db().clone()), query);
+    assert!(!want.is_empty());
+    assert_eq!(rows(&mut reader, query), want);
+    assert_eq!(rows(&mut reader, "EXECUTE p (0)"), want);
+    assert_eq!(
+        counter(&reader, "xsql_plan_cache_stale_executions_total"),
+        0
+    );
+}
+
+/// Sessions sharing a registry add up in `xsql_plan_cache_size`: each
+/// moves the gauge by its own deltas, hands its entries over on
+/// `set_registry`, and takes them back off when dropped or rebased.
+#[test]
+fn plan_cache_size_gauge_sums_over_sessions_on_one_registry() {
+    let q1 = "SELECT X FROM Employee X WHERE X.Salary > 30000";
+    let q2 = "SELECT X FROM Employee X WHERE X.Salary < 30000";
+    let mut a = vm_session(figure1_db());
+    let mut b = vm_session(figure1_db());
+    rows(&mut b, q1);
+    let own = std::sync::Arc::clone(b.registry());
+    let registry = std::sync::Arc::clone(a.registry());
+    b.set_registry(std::sync::Arc::clone(&registry));
+    let size = || registry.gauge("xsql_plan_cache_size", &[]).get();
+    assert_eq!(size(), 1);
+    assert_eq!(own.gauge("xsql_plan_cache_size", &[]).get(), 0);
+    rows(&mut a, q1);
+    rows(&mut a, q2);
+    assert_eq!(size(), 3);
+    rows(&mut b, q2);
+    assert_eq!(size(), 4);
+    drop(b);
+    assert_eq!(size(), 2);
+    let db = a.db().clone();
+    a.rebase(db);
+    assert_eq!(size(), 0);
 }
 
 #[test]
