@@ -8,11 +8,13 @@
 //! * `wal_fsync`    — the durable default: append + fsync per commit.
 //!
 //! The spread between the three is the price of logging vs the price of
-//! the fsync barrier. A `publish_sweep` section then times what one
-//! epoch publication costs the in-memory database at three sizes (see
-//! [`publish_sweep`]). Results are written to `BENCH_storage.json` at
-//! the repo root (hand-rendered JSON; the offline criterion shim has no
-//! reporting). Uses wall-clock timing directly — commit latency is
+//! the fsync barrier. A `checkpoint_cost` section times `CHECKPOINT` on
+//! a durable store at three sizes (see [`checkpoint_cost`]), and a
+//! `publish_sweep` section times what one epoch publication costs the
+//! in-memory database at the same sizes (see [`publish_sweep`]).
+//! Results are written to `BENCH_storage.json` at the repo root
+//! (hand-rendered JSON; the offline criterion shim has no reporting).
+//! Uses wall-clock timing directly — commit latency is
 //! I/O-bound, so the statistical machinery criterion adds for
 //! nanosecond-scale kernels buys nothing here.
 
@@ -80,11 +82,21 @@ fn summarize(name: &'static str, mut lat: Vec<u128>) -> Summary {
     }
 }
 
-/// `with_total_objects` arguments of the sweep: about 1.6k, 16k and
-/// 100k objects.
+/// `with_total_objects` arguments of both sweeps: about 1.6k, 14k and
+/// 80k objects.
 const SWEEP_SIZES: [usize; 3] = [500, 5_000, 30_000];
-/// Publications timed per size; the sweep reports their medians.
+/// Publications (and checkpoints) timed per size; the sweeps report
+/// their medians.
 const SWEEP_ROUNDS: usize = 15;
+/// Salary UPDATEs committed before each timed checkpoint.
+const UPDATES_PER_CHECKPOINT: usize = 10;
+
+struct CheckpointCost {
+    total_objects: usize,
+    objects: usize,
+    checkpoint_ms: f64,
+    snapshot_bytes: u64,
+}
 
 struct PublishCost {
     total_objects: usize,
@@ -94,7 +106,7 @@ struct PublishCost {
     drop_us: f64,
 }
 
-fn median_us(mut v: Vec<f64>) -> f64 {
+fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.total_cmp(b));
     v[v.len() / 2]
 }
@@ -134,9 +146,49 @@ fn publish_sweep(total_objects: usize) -> PublishCost {
     PublishCost {
         total_objects,
         objects,
-        clone_us: median_us(clone_us),
-        first_write_after_clone_us: median_us(write_us),
-        drop_us: median_us(drop_us),
+        clone_us: median(clone_us),
+        first_write_after_clone_us: median(write_us),
+        drop_us: median(drop_us),
+    }
+}
+
+/// What `CHECKPOINT` costs a durable store over the scaled figure-1
+/// database: each round commits [`UPDATES_PER_CHECKPOINT`] salary
+/// UPDATEs (fsync'd) and then times one `CHECKPOINT` statement, which
+/// writes the whole image and starts a fresh WAL segment.
+fn checkpoint_cost(dir: &Path, total_objects: usize) -> CheckpointCost {
+    let _ = std::fs::remove_dir_all(dir);
+    let db = figure1_scaled(&Figure1Params::with_total_objects(total_objects));
+    let objects = db.individual_count();
+    let mut s = Session::open_dir(
+        Box::new(RealFs),
+        dir,
+        db,
+        "figure1_scaled",
+        Default::default(),
+    )
+    .expect("create store");
+    let mut ms = Vec::with_capacity(SWEEP_ROUNDS);
+    for round in 0..SWEEP_ROUNDS {
+        for k in 0..UPDATES_PER_CHECKPOINT {
+            let salary = 1_000_000 + round * UPDATES_PER_CHECKPOINT + k;
+            s.run(&format!(
+                "UPDATE CLASS Employee SET emp0_0_0.Salary = {salary}"
+            ))
+            .unwrap();
+        }
+        let t = Instant::now();
+        s.run("CHECKPOINT").unwrap();
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    let snapshot_bytes = std::fs::metadata(dir.join("snapshot.bin"))
+        .expect("checkpoint image")
+        .len();
+    CheckpointCost {
+        total_objects,
+        objects,
+        checkpoint_ms: median(ms),
+        snapshot_bytes,
     }
 }
 
@@ -159,42 +211,10 @@ fn main() {
     let mut s = fresh_store_session(&dir);
     results.push(summarize("wal_fsync", run_workload(&mut s)));
 
-    // Checkpoint cost: a full image after a bulk load, then an
-    // incremental delta after a handful of updates. The byte ratio is
-    // the point — delta cost tracks the change, not the database.
-    const BULK_OBJECTS: usize = 500;
-    const DELTA_STATEMENTS: usize = 10;
-    let dir = base.join("ckpt");
-    let mut s = fresh_store_session(&dir);
-    for i in 0..BULK_OBJECTS {
-        s.run(&format!("CREATE OBJECT ck{i} CLASS Item SET Num = {i}"))
-            .unwrap();
-    }
-    s.run("CHECKPOINT").unwrap();
-    let full_bytes = std::fs::metadata(dir.join("snapshot.bin"))
-        .expect("full checkpoint image")
-        .len();
-    for i in 0..DELTA_STATEMENTS {
-        s.run(&format!(
-            "UPDATE CLASS Object SET ck{i}.Num = {}",
-            i + 1_000
-        ))
-        .unwrap();
-    }
-    s.run("CHECKPOINT").unwrap();
-    let delta_bytes: u64 = std::fs::read_dir(&dir)
-        .expect("store dir")
-        .filter_map(|e| {
-            let e = e.ok()?;
-            let name = e.file_name().into_string().ok()?;
-            if name.starts_with("delta.") && name.ends_with(".bin") {
-                Some(e.metadata().ok()?.len())
-            } else {
-                None
-            }
-        })
-        .sum();
-    assert!(delta_bytes > 0, "second checkpoint must be incremental");
+    let checkpoints: Vec<CheckpointCost> = SWEEP_SIZES
+        .iter()
+        .map(|&n| checkpoint_cost(&base.join(format!("ckpt{n}")), n))
+        .collect();
 
     let _ = std::fs::remove_dir_all(&base);
 
@@ -212,16 +232,25 @@ fn main() {
         json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"checkpoint_cost\": {\n");
-    let _ = writeln!(json, "    \"bulk_objects\": {BULK_OBJECTS},");
-    let _ = writeln!(json, "    \"delta_statements\": {DELTA_STATEMENTS},");
-    let _ = writeln!(json, "    \"full_bytes\": {full_bytes},");
-    let _ = writeln!(json, "    \"delta_bytes\": {delta_bytes},");
+    let _ = writeln!(json, "    \"rounds\": {SWEEP_ROUNDS},");
     let _ = writeln!(
         json,
-        "    \"full_over_delta\": {}",
-        full_bytes / delta_bytes.max(1)
+        "    \"updates_per_checkpoint\": {UPDATES_PER_CHECKPOINT},"
     );
-    json.push_str("  },\n  \"publish_sweep\": {\n");
+    json.push_str("    \"statistic\": \"median_ms\",\n    \"sizes\": [\n");
+    for (i, c) in checkpoints.iter().enumerate() {
+        let _ = write!(
+            json,
+            "      {{\"total_objects_param\": {}, \"objects\": {}, \"checkpoint_ms\": {:.2}, \"snapshot_bytes\": {}}}",
+            c.total_objects, c.objects, c.checkpoint_ms, c.snapshot_bytes
+        );
+        json.push_str(if i + 1 < checkpoints.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
+    json.push_str("    ]\n  },\n  \"publish_sweep\": {\n");
     let _ = writeln!(json, "    \"rounds\": {SWEEP_ROUNDS},");
     json.push_str("    \"statistic\": \"median_us\",\n    \"sizes\": [\n");
     for (i, c) in sweep.iter().enumerate() {
@@ -243,10 +272,12 @@ fn main() {
             r.name, r.mean_ns, r.p50_ns, r.p95_ns
         );
     }
-    println!(
-        "checkpoint   full {full_bytes} B   delta {delta_bytes} B   ({}x)",
-        full_bytes / delta_bytes.max(1)
-    );
+    for c in &checkpoints {
+        println!(
+            "checkpoint   {:>6} objects   {:>8.2} ms   snapshot {:>9} B",
+            c.objects, c.checkpoint_ms, c.snapshot_bytes
+        );
+    }
     for c in &sweep {
         println!(
             "publish      {:>6} objects   clone {:>9.1} us   first write {:>8.1} us   drop {:>9.1} us",

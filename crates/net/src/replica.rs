@@ -2,7 +2,7 @@
 //!
 //! A replica is a second process holding its own in-memory database,
 //! built *only* from what the primary's store directory says: the
-//! checkpoint image (snapshot + delta chain) for bootstrap, then the
+//! checkpoint image (`snapshot.bin`) for bootstrap, then the
 //! checksummed WAL segments for the tail. It re-reads those files
 //! through a [`ShipSource`] on a poll loop and replays new commit
 //! units through [`Session::apply_commit_payload`] — the exact code
@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use storage::manifest::parse_manifest;
+use storage::manifest::{lists_delta, parse_manifest};
 use storage::snapshot::decode_snapshot;
-use storage::{delta, wal, SnapshotFile};
+use storage::{wal, SnapshotFile};
 use xsql::{EvalOptions, Session};
 
 /// Replica state shared between the tailer thread and the serving
@@ -229,41 +229,10 @@ impl ReplicaCore {
 
     /// Bootstraps the replay session from the shipped checkpoint image
     /// (or the bare fixture when the primary has never checkpointed).
-    /// `Ok(None)` when the image is mid-ship and the round should
-    /// retry.
-    fn bootstrap(&mut self, deltas: &[String]) -> Result<Option<(Session, u64)>, String> {
-        let image: Option<SnapshotFile> = match self
-            .src
-            .fetch("snapshot.bin")
-            .map_err(|e| format!("ship snapshot: {e}"))?
-        {
-            None => None,
-            Some(bytes) => match decode_snapshot(&bytes) {
-                Ok(mut snap) => {
-                    for name in deltas {
-                        let Some(dbytes) = self
-                            .src
-                            .fetch(name)
-                            .map_err(|e| format!("ship {name}: {e}"))?
-                        else {
-                            // Compaction raced the manifest read.
-                            return Ok(None);
-                        };
-                        let Ok(d) = delta::decode_delta(&dbytes) else {
-                            return Ok(None); // torn ship; retry
-                        };
-                        if delta::apply_delta(&mut snap, &d).is_err() {
-                            // Chain mismatch: stale snapshot with newer
-                            // deltas (or vice versa); retry as a unit.
-                            return Ok(None);
-                        }
-                    }
-                    Some(snap)
-                }
-                // A torn ship of the snapshot itself; retry.
-                Err(_) => None,
-            },
-        };
+    fn bootstrap(&mut self) -> Result<(Session, u64), String> {
+        // A torn image restores the bare fixture: the replica is then
+        // behind the log, and the sequence-gap check resyncs it.
+        let image = self.fetch_image()?.and_then(Result::ok);
         let start_seq = image.as_ref().map_or(0, |s| s.last_seq);
         let session = Session::restore_image(
             self.base.clone(),
@@ -272,7 +241,17 @@ impl ReplicaCore {
             self.cfg.opts.clone(),
         )
         .map_err(|e| format!("restore image: {e}"))?;
-        Ok(Some((session, start_seq)))
+        Ok((session, start_seq))
+    }
+
+    /// Fetches and decodes the shipped `snapshot.bin`; `None` when the
+    /// primary never checkpointed, `Some(Err(()))` for a torn ship.
+    fn fetch_image(&mut self) -> Result<Option<Result<SnapshotFile, ()>>, String> {
+        let bytes = self
+            .src
+            .fetch("snapshot.bin")
+            .map_err(|e| format!("ship snapshot: {e}"))?;
+        Ok(bytes.map(|b| decode_snapshot(&b).map_err(|_| ())))
     }
 
     /// Runs one sync round: fetch the manifest, bootstrap if needed,
@@ -301,12 +280,19 @@ impl ReplicaCore {
                 resynced: false,
             });
         };
-        let Ok(manifest) = parse_manifest(&mbytes) else {
+        let manifest = match parse_manifest(&mbytes) {
+            Ok(m) => m,
+            // An incremental checkpoint this version cannot read:
+            // retrying would never succeed, and skipping it would drop
+            // the units it covers.
+            Err(e) if lists_delta(&mbytes) => return Err(format!("ship manifest: {e}")),
             // Torn ship of the manifest; retry next round.
-            return Ok(SyncProgress {
-                applied: 0,
-                resynced: false,
-            });
+            Err(_) => {
+                return Ok(SyncProgress {
+                    applied: 0,
+                    resynced: false,
+                })
+            }
         };
         self.shared
             .generation
@@ -314,23 +300,13 @@ impl ReplicaCore {
         let manifest_changed = self.seen_manifest.as_deref() != Some(&mbytes[..]);
         let mut resynced = false;
         if self.session.is_none() {
-            match self.bootstrap(&manifest.deltas)? {
-                Some((session, start_seq)) => {
-                    self.shared.applied_seq.store(start_seq, Ordering::Release);
-                    self.session = Some(session);
-                    // The checkpoint image was written by the manifest's
-                    // generation; everything it contains is that term's
-                    // history.
-                    self.applied_gen = manifest.generation;
-                    resynced = true;
-                }
-                None => {
-                    return Ok(SyncProgress {
-                        applied: 0,
-                        resynced: false,
-                    })
-                }
-            }
+            let (session, start_seq) = self.bootstrap()?;
+            self.shared.applied_seq.store(start_seq, Ordering::Release);
+            self.session = Some(session);
+            // The checkpoint image was written by the manifest's
+            // generation; everything it contains is that term's history.
+            self.applied_gen = manifest.generation;
+            resynced = true;
         }
         // Fetch and scan every listed segment up front: generation-aware
         // replay needs one segment of lookahead to cut a stale-term
@@ -366,6 +342,7 @@ impl ReplicaCore {
         let mut shipped_seq = self.shared.shipped_seq.load(Ordering::Acquire);
         let mut applied = 0u64;
         let mut gap = false;
+        let mut torn_image = false;
         'segments: for (i, scan) in scans.iter().enumerate() {
             let Some(scan) = scan else {
                 // Retired (or not yet shipped); later segments decide
@@ -411,32 +388,16 @@ impl ReplicaCore {
             // frontier is past us, a checkpoint retired the records we
             // still needed — with no later records left to expose the
             // sequence gap (e.g. the primary's last act before going
-            // quiet was the checkpoint itself). Resync; a replica that
-            // trusts silence here serves stale reads at "lag 0". The
-            // frontier is the *end of the delta chain* when one exists
-            // (incremental checkpoints leave the base snapshot behind).
-            let mut frontier = None;
-            if let Some(name) = manifest.deltas.last() {
-                if let Some(bytes) = self
-                    .src
-                    .fetch(name)
-                    .map_err(|e| format!("ship {name}: {e}"))?
-                {
-                    if let Ok(d) = delta::decode_delta(&bytes) {
-                        frontier = Some(d.last_seq);
-                    }
-                }
-            } else if let Some(bytes) = self
-                .src
-                .fetch("snapshot.bin")
-                .map_err(|e| format!("ship snapshot: {e}"))?
-            {
-                if let Ok(snap) = decode_snapshot(&bytes) {
-                    frontier = Some(snap.last_seq);
-                }
-            }
-            if frontier.is_some_and(|f| f > applied_seq) {
-                gap = true;
+            // quiet was the checkpoint itself). Every checkpoint starts
+            // a fresh segment, so every checkpoint changes the manifest.
+            // Resync; a replica that trusts silence here serves stale
+            // reads at "lag 0".
+            match self.fetch_image()? {
+                Some(Ok(snap)) => gap = snap.last_seq > applied_seq,
+                // A torn image says nothing: leave the manifest unseen
+                // so the next round looks again.
+                Some(Err(())) => torn_image = true,
+                None => {}
             }
         }
         if gap && !resyncing {
@@ -448,7 +409,7 @@ impl ReplicaCore {
                 resynced: true,
             });
         }
-        self.seen_manifest = Some(mbytes);
+        self.seen_manifest = (!torn_image).then_some(mbytes);
         self.shared
             .shipped_seq
             .fetch_max(shipped_seq, Ordering::AcqRel);

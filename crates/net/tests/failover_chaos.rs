@@ -89,8 +89,7 @@ fn replica_over(src: DirSource) -> ReplicaCore {
 }
 
 /// The durable frontier: max committed unit sequence across the
-/// checkpoint image (snapshot + delta chain) and every live WAL
-/// segment.
+/// checkpoint image and every live WAL segment.
 fn primary_last_seq(fs: &FaultFs) -> u64 {
     let mut src = dir_source(fs);
     let manifest = parse_manifest(&src.fetch("manifest").unwrap().expect("manifest"))
@@ -99,15 +98,6 @@ fn primary_last_seq(fs: &FaultFs) -> u64 {
         .fetch("snapshot.bin")
         .unwrap()
         .map_or(0, |b| decode_snapshot(&b).expect("snapshot").last_seq);
-    for name in &manifest.deltas {
-        if let Some(bytes) = src.fetch(name).unwrap() {
-            last = last.max(
-                storage::delta::decode_delta(&bytes)
-                    .expect("delta")
-                    .last_seq,
-            );
-        }
-    }
     for name in &manifest.segments {
         if let Some(bytes) = src.fetch(name).unwrap() {
             for (seq, _) in wal::scan(&bytes).records {

@@ -19,7 +19,7 @@ use std::time::Duration;
 use storage::fault::FaultFs;
 use storage::manifest::parse_manifest;
 use storage::snapshot::decode_snapshot;
-use storage::{wal, StoreConfig};
+use storage::{wal, StorageFs, StoreConfig};
 use xsql::{EvalOptions, Outcome, Session, XsqlError};
 
 const DIR: &str = "/primary";
@@ -183,6 +183,114 @@ fn checkpoint_gap_forces_a_clean_resync() {
         fingerprint(&mut primary),
         fingerprint(&mut replica_reader(&replica))
     );
+}
+
+#[test]
+fn checkpoint_with_nothing_after_it_is_not_served_stale() {
+    let fs = FaultFs::new();
+    let mut primary = open_primary(&fs).expect("primary store");
+    for stmt in PROLOGUE {
+        primary.run(stmt).expect("prologue");
+    }
+    let mut replica = replica_over(dir_source(&fs));
+    replica.step().expect("bootstrap");
+
+    // The primary's last acts are one write and a checkpoint that folds
+    // it into the image; no later record exposes a sequence gap, so the
+    // replica can only learn of the write from the changed manifest.
+    for (round, value) in [(1, 5), (2, 6)] {
+        primary
+            .run(&format!("UPDATE CLASS Counter SET c0.Val = {value}"))
+            .expect("w");
+        primary.run("CHECKPOINT").expect("checkpoint");
+        let p = replica.step().expect("sync after the checkpoint");
+        assert_eq!(
+            replica.shared().applied_seq(),
+            primary_last_seq(&fs),
+            "checkpoint {round}: replica reaches the frontier ({p:?})"
+        );
+        assert!(p.resynced, "checkpoint {round}: {p:?}");
+        assert_eq!(replica.shared().lag(), 0);
+        assert_eq!(
+            fingerprint(&mut primary),
+            fingerprint(&mut replica_reader(&replica)),
+            "checkpoint {round}"
+        );
+    }
+}
+
+/// Ships like [`DirSource`], but tears the next `tears` fetches of
+/// `snapshot.bin` in half.
+struct TornImage {
+    inner: DirSource,
+    tears: std::sync::Arc<std::sync::atomic::AtomicU32>,
+}
+
+impl ShipSource for TornImage {
+    fn fetch(&mut self, name: &str) -> std::io::Result<Option<Vec<u8>>> {
+        use std::sync::atomic::Ordering;
+        let bytes = self.inner.fetch(name)?;
+        let tear = name == "snapshot.bin"
+            && self
+                .tears
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok();
+        Ok(bytes.map(|b| if tear { b[..b.len() / 2].to_vec() } else { b }))
+    }
+}
+
+#[test]
+fn torn_image_after_a_quiet_checkpoint_is_looked_at_again() {
+    let fs = FaultFs::new();
+    let mut primary = open_primary(&fs).expect("primary store");
+    for stmt in PROLOGUE {
+        primary.run(stmt).expect("prologue");
+    }
+    let tears = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let mut replica = replica_over(TornImage {
+        inner: dir_source(&fs),
+        tears: std::sync::Arc::clone(&tears),
+    });
+    replica.step().expect("bootstrap");
+    primary
+        .run("UPDATE CLASS Counter SET c0.Val = 5")
+        .expect("w");
+    primary.run("CHECKPOINT").expect("checkpoint");
+    // The round that sees the new manifest gets a torn image and cannot
+    // tell whether it is behind; a later round must look again.
+    tears.store(1, std::sync::atomic::Ordering::SeqCst);
+    replica.step().expect("round with a torn image");
+    let p = replica.step().expect("round with a whole image");
+    assert!(p.resynced, "{p:?}");
+    assert_eq!(replica.shared().applied_seq(), primary_last_seq(&fs));
+    assert_eq!(
+        fingerprint(&mut primary),
+        fingerprint(&mut replica_reader(&replica))
+    );
+}
+
+#[test]
+fn manifest_listing_a_delta_is_refused_without_bootstrapping() {
+    let fs = FaultFs::new();
+    let mut primary = open_primary(&fs).expect("primary store");
+    for stmt in PROLOGUE {
+        primary.run(stmt).expect("prologue");
+    }
+    primary.run("CHECKPOINT").expect("checkpoint");
+    let manifest = Path::new(DIR).join("manifest");
+    let mut bytes = fs.peek(&manifest).expect("manifest");
+    bytes.extend_from_slice(b"delta delta.000009.bin\n");
+    fs.write(&manifest, &bytes).expect("rewrite manifest");
+
+    let mut replica = replica_over(dir_source(&fs));
+    let err = replica
+        .step()
+        .expect_err("a delta manifest must not replay");
+    assert!(err.contains("delta.000009.bin"), "{err}");
+    assert!(err.contains("incremental checkpoint"), "{err}");
+    assert_eq!(replica.shared().last_error().as_deref(), Some(&err[..]));
+    assert_eq!(replica.shared().applied_seq(), 0, "no bootstrap");
+    assert_eq!(replica.shared().epoch().seq, 0, "nothing published");
 }
 
 #[test]

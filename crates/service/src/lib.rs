@@ -730,8 +730,18 @@ pub struct SessionHandle {
     /// The handle's reader. It also holds the handle's prepared
     /// statements (`PREPARE name AS …`), which are per-connection.
     reader: EpochReader,
-    /// Buffered statements of the open handle transaction.
-    txn: Option<Vec<String>>,
+    /// The open handle transaction, if any.
+    txn: Option<HandleTxn>,
+}
+
+/// The statements of an open handle transaction, in unit order.
+#[derive(Default)]
+struct HandleTxn {
+    /// Statement source, and whether the client sent it (a bundled
+    /// PREPARE was not, and its outcome is dropped from the ack).
+    stmts: Vec<(String, bool)>,
+    /// Names some statement of the unit PREPAREs so far.
+    prepared: std::collections::HashSet<String>,
 }
 
 impl std::fmt::Debug for SessionHandle {
@@ -761,6 +771,15 @@ pub fn is_read_only(stmt: &Stmt) -> bool {
     }
 }
 
+/// The source of `PREPARE name AS body`, for a writer unit that must
+/// carry a statement the handle's reader prepared.
+fn prepare_src(name: &str, body: &Stmt) -> String {
+    unparse_stmt(&Stmt::Prepare {
+        name: name.to_string(),
+        stmt: Box::new(body.clone()),
+    })
+}
+
 impl SessionHandle {
     /// Runs one statement under `ctx`. Classification is automatic:
     /// read-only statements evaluate on this thread against the latest
@@ -788,28 +807,36 @@ impl SessionHandle {
                         "BEGIN WORK inside an open transaction".into(),
                     ));
                 }
-                self.txn = Some(Vec::new());
+                self.txn = Some(HandleTxn::default());
                 Ok(ExecResult::TxnStarted)
             }
             Stmt::Commit => {
-                let stmts = self.txn.take().ok_or_else(|| {
+                let txn = self.txn.take().ok_or_else(|| {
                     ServiceError::Protocol("COMMIT WORK without BEGIN WORK".into())
                 })?;
-                if stmts.is_empty() {
+                if txn.stmts.is_empty() {
                     return Ok(ExecResult::TxnCommitted(WriteAck {
                         outcomes: Vec::new(),
                         epoch: self.inner.epoch.load().seq,
                     }));
                 }
-                match self.submit_write(stmts.clone(), true, ctx) {
-                    Ok(ack) => Ok(ExecResult::TxnCommitted(ack)),
+                let stmts = txn.stmts.iter().map(|(src, _)| src.clone()).collect();
+                match self.submit_write(stmts, true, ctx) {
+                    Ok(mut ack) => {
+                        ack.outcomes = std::mem::take(&mut ack.outcomes)
+                            .into_iter()
+                            .zip(&txn.stmts)
+                            .filter_map(|(outcome, &(_, sent))| sent.then_some(outcome))
+                            .collect();
+                        Ok(ExecResult::TxnCommitted(ack))
+                    }
                     // Shedding happens before the unit is enqueued
                     // (`Overloaded`) or after it rolled back cleanly
                     // without touching the log (`ReadOnly`): either way
                     // the transaction did not apply, so restore the
                     // buffer and let the client retry the COMMIT.
                     Err(e @ (ServiceError::Overloaded { .. } | ServiceError::ReadOnly { .. })) => {
-                        self.txn = Some(stmts);
+                        self.txn = Some(txn);
                         Err(e)
                     }
                     Err(e) => Err(e),
@@ -822,7 +849,24 @@ impl SessionHandle {
                 Ok(ExecResult::TxnRolledBack)
             }
             _ if self.txn.is_some() => {
-                self.txn.as_mut().expect("checked").push(src.to_string());
+                let txn = self.txn.as_mut().expect("checked");
+                match &stmt {
+                    // The writer session never saw a PREPARE made before
+                    // BEGIN WORK: bundle the reader's body ahead of the
+                    // first EXECUTE of it, unless the unit PREPAREs the
+                    // name itself, which then wins.
+                    Stmt::Execute { name, .. } if !txn.prepared.contains(name) => {
+                        if let Some(body) = self.reader.prepared_stmt(name) {
+                            txn.stmts.push((prepare_src(name, body), false));
+                            txn.prepared.insert(name.clone());
+                        }
+                    }
+                    Stmt::Prepare { name, .. } => {
+                        txn.prepared.insert(name.clone());
+                    }
+                    _ => {}
+                }
+                txn.stmts.push((src.to_string(), true));
                 Ok(ExecResult::Buffered)
             }
             // EXECUTE routes like the body it names. The writer session
@@ -831,10 +875,7 @@ impl SessionHandle {
             // failing EXECUTE drops the PREPARE with the rest of it).
             Stmt::Execute { name, .. } => match self.reader.prepared_stmt(name) {
                 Some(body) if !is_read_only(body) => {
-                    let prepare = unparse_stmt(&Stmt::Prepare {
-                        name: name.clone(),
-                        stmt: Box::new(body.clone()),
-                    });
+                    let prepare = prepare_src(name, body);
                     self.submit_write(vec![prepare, src.to_string()], true, ctx)
                         .map(|mut ack| {
                             // Drop the bundled PREPARE's outcome: the
@@ -1243,8 +1284,8 @@ fn writer_loop(mut session: Session, rx: Receiver<WriteReq>, inner: Arc<Inner>) 
                     }));
                 }
                 // The batch is durable and acknowledged; fold the WAL
-                // into an incremental checkpoint when enough segments
-                // have accumulated. A checkpoint failure is harmless
+                // into a checkpoint when enough segments have
+                // accumulated. A checkpoint failure is harmless
                 // here (the WAL still holds everything; the attempt is
                 // recorded under `result=err` in telemetry).
                 let _ = session.checkpoint_if_due();

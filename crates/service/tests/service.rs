@@ -373,3 +373,113 @@ fn every_read_reaches_stats_and_is_parsed_once() {
     drop(h);
     svc.shutdown().unwrap();
 }
+
+/// Rows of a read-only query, counted (figure1 has two Employees: kim1
+/// at Salary 30000 and john13 at 90000).
+fn count(h: &mut service::SessionHandle, src: &str) -> usize {
+    h.query(src, &QueryContext::default()).unwrap().len()
+}
+
+const LOW_PAID: &str = "SELECT X FROM Employee X WHERE X.Salary < 10";
+
+fn commit_outcomes(h: &mut service::SessionHandle, stmts: &[&str]) -> Vec<xsql::Outcome> {
+    let ctx = QueryContext::default();
+    for src in stmts {
+        let r = h.execute(src, &ctx).unwrap();
+        assert!(
+            matches!(r, ExecResult::TxnStarted | ExecResult::Buffered),
+            "{src}: {r:?}"
+        );
+    }
+    match h.execute("COMMIT WORK", &ctx).unwrap() {
+        ExecResult::TxnCommitted(ack) => ack.outcomes,
+        r => panic!("COMMIT WORK: {r:?}"),
+    }
+}
+
+#[test]
+fn execute_of_a_name_prepared_before_begin_commits_in_the_transaction() {
+    let svc = Service::start(
+        Session::new(datagen::figure1_db()),
+        ServiceConfig::default(),
+    );
+    let mut h = svc.connect().unwrap();
+    let ctx = QueryContext::default();
+    h.execute(
+        "PREPARE bump AS UPDATE CLASS Employee SET kim1.Salary = ?1",
+        &ctx,
+    )
+    .unwrap();
+    let outcomes = commit_outcomes(&mut h, &["BEGIN WORK", "EXECUTE bump (5)"]);
+    // One outcome per statement the client sent: the bundled PREPARE's
+    // is not reported.
+    assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+    assert!(matches!(outcomes[0], xsql::Outcome::Updated { .. }));
+    assert_eq!(count(&mut h, LOW_PAID), 1);
+    // Two EXECUTEs of the name in one unit bundle one PREPARE.
+    let outcomes = commit_outcomes(
+        &mut h,
+        &["BEGIN WORK", "EXECUTE bump (6)", "EXECUTE bump (40000)"],
+    );
+    assert_eq!(outcomes.len(), 2, "{outcomes:?}");
+    assert_eq!(count(&mut h, LOW_PAID), 0);
+    assert_eq!(
+        count(&mut h, "SELECT X FROM Employee X WHERE X.Salary = 40000"),
+        1
+    );
+    drop(h);
+    svc.shutdown().unwrap();
+}
+
+#[test]
+fn execute_of_a_select_prepared_before_begin_answers_in_the_transaction() {
+    let svc = Service::start(
+        Session::new(datagen::figure1_db()),
+        ServiceConfig::default(),
+    );
+    let mut h = svc.connect().unwrap();
+    h.execute(
+        "PREPARE cheap AS SELECT X FROM Employee X WHERE X.Salary < ?1",
+        &QueryContext::default(),
+    )
+    .unwrap();
+    let outcomes = commit_outcomes(&mut h, &["BEGIN WORK", "EXECUTE cheap (40000)"]);
+    assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+    match &outcomes[0] {
+        xsql::Outcome::Relation(rel) => assert_eq!(rel.len(), 1, "kim1 only"),
+        o => panic!("expected a relation, got {o:?}"),
+    }
+    drop(h);
+    svc.shutdown().unwrap();
+}
+
+#[test]
+fn re_prepare_inside_the_transaction_wins_over_the_readers_body() {
+    let svc = Service::start(
+        Session::new(datagen::figure1_db()),
+        ServiceConfig::default(),
+    );
+    let mut h = svc.connect().unwrap();
+    h.execute(
+        "PREPARE bump AS UPDATE CLASS Employee SET kim1.Salary = ?1",
+        &QueryContext::default(),
+    )
+    .unwrap();
+    let outcomes = commit_outcomes(
+        &mut h,
+        &[
+            "BEGIN WORK",
+            "PREPARE bump AS UPDATE CLASS Employee SET john13.Salary = ?1",
+            "EXECUTE bump (7)",
+        ],
+    );
+    assert_eq!(outcomes.len(), 2, "{outcomes:?}");
+    // john13 was updated; kim1 kept its salary.
+    assert_eq!(count(&mut h, LOW_PAID), 1);
+    assert_eq!(
+        count(&mut h, "SELECT X FROM Employee X WHERE X.Salary = 30000"),
+        1
+    );
+    drop(h);
+    svc.shutdown().unwrap();
+}

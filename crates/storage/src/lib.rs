@@ -5,14 +5,12 @@
 //! paths. A [`Store`] owns one directory containing:
 //!
 //! * `meta` — store identity: magic line plus the base-fixture tag;
-//! * `manifest` — the authoritative list of live WAL segments and
-//!   checkpoint deltas (see [`manifest`]);
+//! * `manifest` — the authoritative list of live WAL segments (see
+//!   [`manifest`]);
 //! * `wal.NNNNNN` — checksummed, size-bounded WAL segments of committed
 //!   *commit units* (see [`wal`]); the last listed segment is active;
-//! * `snapshot.bin` — the latest full checkpoint, written atomically via
-//!   `snapshot.tmp` + rename (see [`snapshot`]);
-//! * `delta.NNNNNN.bin` — incremental checkpoint deltas chained on top
-//!   of the full snapshot (see [`delta`]);
+//! * `snapshot.bin` — the latest checkpoint, the whole image, written
+//!   atomically via `snapshot.tmp` + rename (see [`snapshot`]);
 //! * `*.quarantined` — corrupt segments preserved (renamed, never
 //!   deleted) by recovery for forensics.
 //!
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod delta;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod fs;
@@ -54,8 +51,7 @@ pub use fault::{CrashMode, FaultFs};
 pub use fs::{classify_io, IoClass, RealFs, StorageFs};
 pub use snapshot::SnapshotFile;
 pub use store::{
-    CheckpointKind, CheckpointStats, Recovered, RetryPolicy, SalvageReport, Store, StoreConfig,
-    StoreHealth,
+    CheckpointStats, Recovered, RetryPolicy, SalvageReport, Store, StoreConfig, StoreHealth,
 };
 
 use std::fmt;

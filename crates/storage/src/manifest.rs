@@ -1,8 +1,8 @@
 //! The store manifest: the authoritative list of live log files.
 //!
 //! [`StorageFs`](crate::fs::StorageFs) deliberately has no directory
-//! listing, so the store records which WAL segments and checkpoint
-//! deltas are live in a small text file, `manifest`, rewritten
+//! listing, so the store records which WAL segments are live in a
+//! small text file, `manifest`, rewritten
 //! atomically (write `manifest.tmp`, fsync, rename, fsync dir) on every
 //! rotation, checkpoint and salvage. Anything on disk that the manifest
 //! does not mention is dead weight — an orphan from a crash mid-protocol
@@ -15,7 +15,6 @@
 //! gen 3
 //! seg wal.000001
 //! seg wal.000002
-//! delta delta.000003.bin
 //! ```
 //!
 //! `gen` is the primary generation (fencing term): the store's writer
@@ -24,9 +23,11 @@
 //! in the shipped manifest refuses to append (see `docs/SERVING.md`).
 //! A manifest without a `gen` line is generation 1 (pre-fencing
 //! stores). `seg` lines are WAL segments, oldest first; the last one is
-//! the active (appendable) segment. `delta` lines are incremental
-//! checkpoint deltas in chain order, applied on top of `snapshot.bin`.
-//! A store created before manifests (a bare `wal` file) is opened by
+//! the active (appendable) segment. Older versions of this store could
+//! also list `delta` lines (incremental checkpoint files); those
+//! versions retired the segments a delta covered, so a manifest with a
+//! `delta` line is refused, never skipped. A store created before
+//! manifests (a bare `wal` file) is opened by
 //! synthesizing a one-segment manifest in memory; the first rotation or
 //! checkpoint writes the real file.
 
@@ -35,8 +36,8 @@ use crate::{StorageError, StorageResult};
 /// First line of every manifest file.
 pub const MANIFEST_MAGIC: &str = "XSQLMANIFESTv1";
 
-/// Parsed manifest contents: the primary generation plus segment and
-/// delta names, in order.
+/// Parsed manifest contents: the primary generation plus segment
+/// names, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Primary generation (fencing term). `1` for stores whose manifest
@@ -44,8 +45,6 @@ pub struct Manifest {
     pub generation: u64,
     /// WAL segment file names, oldest first; the last is active.
     pub segments: Vec<String>,
-    /// Checkpoint delta file names, in chain order.
-    pub deltas: Vec<String>,
 }
 
 impl Default for Manifest {
@@ -53,7 +52,6 @@ impl Default for Manifest {
         Manifest {
             generation: 1,
             segments: Vec::new(),
-            deltas: Vec::new(),
         }
     }
 }
@@ -71,12 +69,16 @@ pub fn render_manifest(m: &Manifest) -> Vec<u8> {
         out.push_str(s);
         out.push('\n');
     }
-    for d in &m.deltas {
-        out.push_str("delta ");
-        out.push_str(d);
-        out.push('\n');
-    }
     out.into_bytes()
+}
+
+/// True when `bytes` hold a `delta` line. Only a manifest that lists an
+/// incremental checkpoint has one, so a torn copy of any other manifest
+/// never does: a reader that retries torn copies must refuse these.
+pub fn lists_delta(bytes: &[u8]) -> bool {
+    bytes
+        .split(|&b| b == b'\n')
+        .any(|l| l.starts_with(b"delta "))
 }
 
 fn corrupt(detail: &str) -> StorageError {
@@ -107,7 +109,13 @@ pub fn parse_manifest(bytes: &[u8]) -> StorageResult<Manifest> {
         }
         match kind {
             "seg" => m.segments.push(name.to_string()),
-            "delta" => m.deltas.push(name.to_string()),
+            "delta" => {
+                return Err(StorageError::Corrupt(format!(
+                    "manifest lists {name}, an incremental checkpoint this version \
+                     cannot read; the segments it covers are gone, so skipping it \
+                     would drop committed units"
+                )))
+            }
             _ => return Err(corrupt("unknown entry kind")),
         }
     }
@@ -123,9 +131,20 @@ mod tests {
         let m = Manifest {
             generation: 5,
             segments: vec!["wal.000001".into(), "wal.000004".into()],
-            deltas: vec!["delta.000002.bin".into(), "delta.000003.bin".into()],
         };
         assert_eq!(parse_manifest(&render_manifest(&m)).unwrap(), m);
+    }
+
+    #[test]
+    fn delta_line_is_refused_by_name() {
+        let err =
+            parse_manifest(b"XSQLMANIFESTv1\ngen 2\nseg wal.000004\ndelta delta.000003.bin\n")
+                .unwrap_err()
+                .to_string();
+        assert!(err.contains("delta.000003.bin"), "{err}");
+        assert!(err.contains("incremental checkpoint"), "{err}");
+        assert!(lists_delta(b"XSQLMANIFESTv1\ndelta delta.000003.bin"));
+        assert!(!lists_delta(b"XSQLMANIFESTv1\ngen 2\nseg wal.000004\n"));
     }
 
     #[test]

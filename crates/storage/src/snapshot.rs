@@ -14,8 +14,8 @@
 //! Checkpoints are written atomically: encode, write `snapshot.tmp`,
 //! fsync it, rename over `snapshot.bin`, fsync the directory. A crash at
 //! any point leaves either the old snapshot or the new one, never a
-//! hybrid; [`crate::Store`] only truncates the WAL after the rename is
-//! durable.
+//! hybrid; [`crate::Store`] only retires WAL segments after the rename
+//! is durable.
 
 use crate::{wal, StorageError, StorageResult};
 use oodb::{ClassEntry, DbSnapshot, Oid, OidData, Signature, Val};
@@ -42,28 +42,28 @@ pub struct SnapshotFile {
     pub db: DbSnapshot,
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_len(out: &mut Vec<u8>, n: usize) {
+fn put_len(out: &mut Vec<u8>, n: usize) {
     put_u32(out, u32::try_from(n).expect("length fits u32"));
 }
 
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_str(out: &mut Vec<u8>, s: &str) {
     put_len(out, s.len());
     out.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn put_oid(out: &mut Vec<u8>, o: Oid) {
+fn put_oid(out: &mut Vec<u8>, o: Oid) {
     put_u32(out, u32::try_from(o.index()).expect("OID fits u32"));
 }
 
-pub(crate) fn put_oids(out: &mut Vec<u8>, os: &[Oid]) {
+fn put_oids(out: &mut Vec<u8>, os: &[Oid]) {
     put_len(out, os.len());
     for &o in os {
         put_oid(out, o);
@@ -71,7 +71,7 @@ pub(crate) fn put_oids(out: &mut Vec<u8>, os: &[Oid]) {
 }
 
 /// Encodes one class entry (identity, supers, signatures, resolutions).
-pub(crate) fn put_class_entry(out: &mut Vec<u8>, ce: &ClassEntry) {
+fn put_class_entry(out: &mut Vec<u8>, ce: &ClassEntry) {
     put_oid(out, ce.class);
     put_oids(out, &ce.supers);
     put_len(out, ce.sigs.len());
@@ -89,7 +89,7 @@ pub(crate) fn put_class_entry(out: &mut Vec<u8>, ce: &ClassEntry) {
 }
 
 /// Encodes one interner entry (tag byte + payload).
-pub(crate) fn put_oid_data(out: &mut Vec<u8>, d: &OidData) {
+fn put_oid_data(out: &mut Vec<u8>, d: &OidData) {
     match d {
         OidData::Sym(s) => {
             out.push(0);
@@ -120,7 +120,7 @@ pub(crate) fn put_oid_data(out: &mut Vec<u8>, d: &OidData) {
     }
 }
 
-pub(crate) fn put_val(out: &mut Vec<u8>, v: &Val) {
+fn put_val(out: &mut Vec<u8>, v: &Val) {
     match v {
         Val::Scalar(o) => {
             out.push(0);
@@ -178,17 +178,17 @@ pub fn encode_snapshot(snap: &SnapshotFile) -> Vec<u8> {
 
 /// Byte cursor for decoding (indices are validated against the table
 /// length after the table section is read).
-pub(crate) struct R<'a> {
-    pub(crate) b: &'a [u8],
-    pub(crate) pos: usize,
+struct R<'a> {
+    b: &'a [u8],
+    pos: usize,
 }
 
-pub(crate) fn corrupt(what: &str) -> StorageError {
+fn corrupt(what: &str) -> StorageError {
     StorageError::Corrupt(format!("snapshot: truncated or malformed {what}"))
 }
 
 impl<'a> R<'a> {
-    pub(crate) fn take(&mut self, n: usize, what: &str) -> StorageResult<&'a [u8]> {
+    fn take(&mut self, n: usize, what: &str) -> StorageResult<&'a [u8]> {
         if self.b.len() - self.pos < n {
             return Err(corrupt(what));
         }
@@ -197,19 +197,19 @@ impl<'a> R<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self, what: &str) -> StorageResult<u8> {
+    fn u8(&mut self, what: &str) -> StorageResult<u8> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub(crate) fn u32(&mut self, what: &str) -> StorageResult<u32> {
+    fn u32(&mut self, what: &str) -> StorageResult<u32> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self, what: &str) -> StorageResult<u64> {
+    fn u64(&mut self, what: &str) -> StorageResult<u64> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub(crate) fn len(&mut self, what: &str) -> StorageResult<usize> {
+    fn len(&mut self, what: &str) -> StorageResult<usize> {
         let n = self.u32(what)? as usize;
         if n > self.b.len() - self.pos {
             return Err(corrupt(what));
@@ -217,18 +217,18 @@ impl<'a> R<'a> {
         Ok(n)
     }
 
-    pub(crate) fn str(&mut self, what: &str) -> StorageResult<String> {
+    fn str(&mut self, what: &str) -> StorageResult<String> {
         let n = self.len(what)?;
         String::from_utf8(self.take(n, what)?.to_vec()).map_err(|_| corrupt(what))
     }
 }
 
-pub(crate) struct OidReader {
-    pub(crate) table_len: usize,
+struct OidReader {
+    table_len: usize,
 }
 
 impl OidReader {
-    pub(crate) fn oid(&self, r: &mut R<'_>, what: &str) -> StorageResult<Oid> {
+    fn oid(&self, r: &mut R<'_>, what: &str) -> StorageResult<Oid> {
         let i = r.u32(what)? as usize;
         if i >= self.table_len {
             return Err(corrupt(what));
@@ -236,7 +236,7 @@ impl OidReader {
         Ok(Oid::from_index(i))
     }
 
-    pub(crate) fn oids(&self, r: &mut R<'_>, what: &str) -> StorageResult<Vec<Oid>> {
+    fn oids(&self, r: &mut R<'_>, what: &str) -> StorageResult<Vec<Oid>> {
         let n = r.len(what)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -245,7 +245,7 @@ impl OidReader {
         Ok(out)
     }
 
-    pub(crate) fn val(&self, r: &mut R<'_>) -> StorageResult<Val> {
+    fn val(&self, r: &mut R<'_>) -> StorageResult<Val> {
         Ok(match r.u8("value tag")? {
             0 => Val::Scalar(self.oid(r, "scalar value")?),
             1 => {
@@ -261,11 +261,10 @@ impl OidReader {
     }
 }
 
-/// Decodes one interner entry at absolute table index `i`. Id-term
-/// references must point strictly below `i` (interning order guarantees
-/// args precede their term), so a delta suffix validates against the
-/// combined base-plus-suffix table exactly like a full table does.
-pub(crate) fn read_oid_data(r: &mut R<'_>, rd: &OidReader, i: usize) -> StorageResult<OidData> {
+/// Decodes one interner entry at table index `i`. Id-term references
+/// must point strictly below `i` (interning order guarantees args
+/// precede their term).
+fn read_oid_data(r: &mut R<'_>, rd: &OidReader, i: usize) -> StorageResult<OidData> {
     Ok(match r.u8("oid tag")? {
         0 => OidData::Sym(r.str("symbol")?.into()),
         1 => OidData::Int(i64::from_le_bytes(r.take(8, "int")?.try_into().unwrap())),
@@ -286,7 +285,7 @@ pub(crate) fn read_oid_data(r: &mut R<'_>, rd: &OidReader, i: usize) -> StorageR
 }
 
 /// Decodes one class entry.
-pub(crate) fn read_class_entry(r: &mut R<'_>, rd: &OidReader) -> StorageResult<ClassEntry> {
+fn read_class_entry(r: &mut R<'_>, rd: &OidReader) -> StorageResult<ClassEntry> {
     let class = rd.oid(r, "class oid")?;
     let supers = rd.oids(r, "supers")?;
     let ns = r.len("signature count")?;

@@ -1,4 +1,4 @@
-//! The durable store: one directory, segmented WAL, incremental
+//! The durable store: one directory, segmented WAL, full-image
 //! checkpoints, a health state machine for hostile disks.
 //!
 //! Protocols:
@@ -11,20 +11,18 @@
 //!   active segment would exceed [`StoreConfig::segment_max_bytes`] the
 //!   store *rotates*: fsync the old segment, start a new one, rewrite
 //!   the manifest.
-//! * **Checkpoint.** [`Store::checkpoint`] is incremental: it diffs the
-//!   new image against the previous checkpoint image (kept in memory)
-//!   and writes a small `delta.NNNNNN.bin` chained by sequence number;
-//!   a full `snapshot.bin` is written only for the first checkpoint,
-//!   when the diff fails structurally, or to compact a chain longer
-//!   than [`StoreConfig::delta_chain_max`]. Either way the temp file is
-//!   fsync'd and renamed before the manifest is updated, fully-covered
-//!   segments are retired (removed from the manifest, then deleted —
-//!   retirement, not quarantine) and the active segment is truncated.
-//!   Every crash point leaves a recoverable image: stale deltas are
-//!   skipped by the chain check, covered records by their sequence.
-//! * **Recovery.** [`Store::open`] loads `snapshot.bin`, applies the
-//!   delta chain, scans the segments in manifest order, and salvages
-//!   the longest valid record prefix. A torn tail in the *final*
+//! * **Checkpoint.** [`Store::checkpoint`] writes the whole image to
+//!   `snapshot.tmp`, fsyncs and renames it to `snapshot.bin`, then
+//!   rotates onto a fresh active segment and rewrites the manifest to
+//!   list only that segment. Every older segment is covered by the new
+//!   image and is deleted (retirement, not quarantine). Every crash
+//!   point leaves a recoverable image: until the final manifest lands,
+//!   the old segments are still listed and their records are skipped
+//!   by sequence. Because each checkpoint changes the manifest, a
+//!   replica always notices one.
+//! * **Recovery.** [`Store::open`] loads `snapshot.bin`, scans the
+//!   segments in manifest order, and salvages the longest valid record
+//!   prefix. A torn tail in the *final*
 //!   segment is truncated in place (expected crash state); a bad record
 //!   *mid-log* (more log follows it) is hostile corruption: the valid
 //!   prefix of the offending segment is copied to a fresh segment, the
@@ -40,7 +38,6 @@
 //!   space and moves the store through `Recovering` back to `Healthy`
 //!   on the next successful durable write — no restart required.
 
-use crate::delta::{apply_delta, decode_delta, diff_snapshot, encode_delta};
 use crate::fs::{classify_io, IoClass, StorageFs};
 use crate::manifest::{parse_manifest, render_manifest, Manifest};
 use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotFile};
@@ -80,7 +77,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Tuning knobs for segment rotation, incremental checkpoints, ENOSPC
+/// Tuning knobs for segment rotation, automatic checkpoints, ENOSPC
 /// probing and transient-error retries. The defaults keep rotation and
 /// auto-checkpointing inert for small workloads (and therefore for the
 /// deterministic fault tests, which count I/O operations).
@@ -95,9 +92,6 @@ pub struct StoreConfig {
     pub checkpoint_max_wal_bytes: u64,
     /// Rate limit between automatic checkpoints.
     pub checkpoint_min_interval: Duration,
-    /// Compact the delta chain into a full snapshot after this many
-    /// links.
-    pub delta_chain_max: usize,
     /// Rate limit between ENOSPC probes while degraded.
     pub probe_min_interval: Duration,
     /// Transient-error retry policy.
@@ -111,7 +105,6 @@ impl Default for StoreConfig {
             checkpoint_segments: 4,
             checkpoint_max_wal_bytes: 16 << 20,
             checkpoint_min_interval: Duration::from_secs(2),
-            delta_chain_max: 8,
             probe_min_interval: Duration::from_millis(250),
             retry: RetryPolicy::default(),
         }
@@ -152,22 +145,11 @@ impl StoreHealth {
     }
 }
 
-/// What kind of checkpoint [`Store::checkpoint`] wrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// Whole-image `snapshot.bin` rewrite.
-    Full,
-    /// Incremental `delta.NNNNNN.bin` chained onto the previous image.
-    Delta,
-}
-
 /// Outcome of one checkpoint: what was written and how much.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointStats {
-    /// Full rewrite or incremental delta.
-    pub kind: CheckpointKind,
-    /// Payload bytes written (snapshot or delta file, excluding
-    /// manifest bookkeeping).
+    /// Payload bytes written (the snapshot file, excluding manifest
+    /// bookkeeping).
     pub bytes: u64,
     /// WAL segments retired (deleted after being fully covered).
     pub segments_retired: usize,
@@ -196,33 +178,15 @@ pub struct SalvageReport {
 #[derive(Debug, Clone)]
 struct Segment {
     name: String,
-    /// First/last record sequence in the segment; 0 when empty.
-    first_seq: u64,
-    last_seq: u64,
     /// Record bytes in the segment, *excluding* the segment header, so
     /// rotation thresholds measure payload, not framing.
     bytes: u64,
-    /// Bytes of generation header at the start of the file (0 for
-    /// legacy headerless segments).
-    header_len: u64,
 }
 
 impl Segment {
-    fn fresh(name: String, header_len: u64) -> Segment {
-        Segment {
-            name,
-            first_seq: 0,
-            last_seq: 0,
-            bytes: 0,
-            header_len,
-        }
+    fn fresh(name: String) -> Segment {
+        Segment { name, bytes: 0 }
     }
-}
-
-/// One live checkpoint delta as tracked in memory.
-#[derive(Debug, Clone)]
-struct DeltaRef {
-    name: String,
 }
 
 /// Handle to one store directory. All I/O goes through the injected
@@ -234,12 +198,8 @@ pub struct Store {
     next_seq: u64,
     sync_on_commit: bool,
     segments: Vec<Segment>,
-    deltas: Vec<DeltaRef>,
-    /// Next index for segment/delta file names (shared counter so names
-    /// never collide).
+    /// Next index for segment file names.
     next_file_idx: u64,
-    /// The previous checkpoint image, diffed against to produce deltas.
-    last_snap: Option<SnapshotFile>,
     /// Primary generation (fencing term) this writer holds. Appends,
     /// syncs and checkpoints re-validate it against the shared manifest
     /// and refuse with [`StorageError::Fenced`] once a newer writer has
@@ -269,10 +229,8 @@ struct StoreMetrics {
     wal_bytes: std::sync::Arc<telemetry::Counter>,
     io_retries: std::sync::Arc<telemetry::Counter>,
     disk_full: std::sync::Arc<telemetry::Counter>,
-    checkpoints_full: std::sync::Arc<telemetry::Counter>,
-    checkpoints_delta: std::sync::Arc<telemetry::Counter>,
-    checkpoint_bytes_full: std::sync::Arc<telemetry::Counter>,
-    checkpoint_bytes_delta: std::sync::Arc<telemetry::Counter>,
+    checkpoints: std::sync::Arc<telemetry::Counter>,
+    checkpoint_bytes: std::sync::Arc<telemetry::Counter>,
     health: std::sync::Arc<telemetry::Gauge>,
     generation: std::sync::Arc<telemetry::Gauge>,
 }
@@ -284,7 +242,6 @@ impl std::fmt::Debug for Store {
             .field("next_seq", &self.next_seq)
             .field("sync_on_commit", &self.sync_on_commit)
             .field("segments", &self.segments.len())
-            .field("deltas", &self.deltas.len())
             .field("generation", &self.generation)
             .field("fenced", &self.fenced.is_some())
             .field("health", &self.health)
@@ -297,15 +254,12 @@ impl std::fmt::Debug for Store {
 pub struct Recovered {
     /// Base-fixture tag from the `meta` file.
     pub base_tag: String,
-    /// The latest checkpoint image — the full snapshot with its delta
-    /// chain already applied — if a checkpoint was ever taken.
+    /// The latest checkpoint image, if a checkpoint was ever taken.
     pub snapshot: Option<SnapshotFile>,
     /// Valid WAL records past the snapshot (`seq > snapshot.last_seq`),
     /// as raw payloads in log order; the session decodes them against
     /// its own OID table as it replays.
     pub tail: Vec<(u64, Vec<u8>)>,
-    /// Number of checkpoint deltas applied on top of the full snapshot.
-    pub deltas_applied: usize,
     /// Present when recovery had to discard WAL bytes (torn tail or
     /// quarantined corruption).
     pub salvage: Option<SalvageReport>,
@@ -315,12 +269,8 @@ fn seg_name(idx: u64) -> String {
     format!("wal.{idx:06}")
 }
 
-fn delta_name(idx: u64) -> String {
-    format!("delta.{idx:06}.bin")
-}
-
-/// Extracts the numeric index from `wal.NNNNNN` / `delta.NNNNNN.bin`
-/// file names (0 for the legacy bare `wal`).
+/// Extracts the numeric index from `wal.NNNNNN` file names (0 for the
+/// legacy bare `wal`).
 fn file_idx(name: &str) -> u64 {
     name.split('.')
         .nth(1)
@@ -353,9 +303,7 @@ impl Store {
             next_seq: 1,
             sync_on_commit: true,
             segments: Vec::new(),
-            deltas: Vec::new(),
             next_file_idx: 1,
-            last_snap: None,
             generation: 1,
             fenced: None,
             health: StoreHealth::Healthy,
@@ -402,15 +350,12 @@ impl Store {
         let man = Manifest {
             generation: store.generation,
             segments: vec![first.clone()],
-            deltas: Vec::new(),
         };
         store
             .fs
             .write(&store.path(MANIFEST), &render_manifest(&man))?;
         store.fs.sync(&store.path(MANIFEST))?;
-        store
-            .segments
-            .push(Segment::fresh(first, wal::SEG_HEADER as u64));
+        store.segments.push(Segment::fresh(first));
         store.fs.sync_dir(&store.dir)?;
         // The store directory's own entry must also be durable, or a
         // crash right after create could lose the whole store even
@@ -464,7 +409,6 @@ impl Store {
             Manifest {
                 generation: 1,
                 segments: vec![LEGACY_WAL.to_string()],
-                deltas: Vec::new(),
             }
         } else {
             Manifest::default()
@@ -474,44 +418,14 @@ impl Store {
         // restarts after the new one took over comes back as a writer
         // of the *current* term, not a stale one.
         store.generation = man.generation;
-        store.next_file_idx = man
-            .segments
-            .iter()
-            .chain(man.deltas.iter())
-            .map(|n| file_idx(n))
-            .max()
-            .unwrap_or(0)
-            + 1;
+        store.next_file_idx = man.segments.iter().map(|n| file_idx(n)).max().unwrap_or(0) + 1;
 
-        // Base snapshot plus the delta chain. Deltas whose `prev_seq`
-        // does not continue the chain are stale leftovers of a crashed
-        // full-snapshot compaction and are dropped.
-        let mut snapshot = if store.fs.exists(&store.path(SNAPSHOT)) {
+        let snapshot = if store.fs.exists(&store.path(SNAPSHOT)) {
             Some(decode_snapshot(&store.fs.read(&store.path(SNAPSHOT))?)?)
         } else {
             None
         };
-        let mut covered = snapshot.as_ref().map_or(0, |s| s.last_seq);
-        let mut deltas_applied = 0usize;
-        let mut live_deltas: Vec<DeltaRef> = Vec::new();
-        let mut stale_deltas: Vec<String> = Vec::new();
-        for name in &man.deltas {
-            if !store.fs.exists(&store.path(name)) {
-                return Err(StorageError::Corrupt(format!(
-                    "manifest lists missing checkpoint delta {name}"
-                )));
-            }
-            let d = decode_delta(&store.fs.read(&store.path(name))?)?;
-            match (&mut snapshot, d.prev_seq == covered) {
-                (Some(snap), true) => {
-                    apply_delta(snap, &d)?;
-                    covered = d.last_seq;
-                    deltas_applied += 1;
-                    live_deltas.push(DeltaRef { name: name.clone() });
-                }
-                _ => stale_deltas.push(name.clone()),
-            }
-        }
+        let covered = snapshot.as_ref().map_or(0, |s| s.last_seq);
 
         // Scan segments in manifest order, enforcing cross-segment
         // sequence continuity, and find the first bad point.
@@ -657,7 +571,7 @@ impl Store {
                         });
                     }
                     if is_bad && offset == 0 {
-                        segments.push(Segment::fresh(name, keep));
+                        segments.push(Segment::fresh(name));
                     } else {
                         segments.push(seg_from_scan(name, keep, &scan));
                         records.extend(scan.records);
@@ -716,21 +630,15 @@ impl Store {
             }
         }
 
-        // Rewrite the manifest if recovery changed the live set (stale
-        // deltas dropped, segments salvaged/quarantined).
+        // Rewrite the manifest if recovery changed the live set
+        // (segments salvaged/quarantined).
         let final_names: Vec<String> = segments.iter().map(|s| s.name.clone()).collect();
-        if !stale_deltas.is_empty() || final_names != man.segments {
+        if final_names != man.segments {
             let new_man = Manifest {
                 generation: store.generation,
                 segments: final_names,
-                deltas: live_deltas.iter().map(|d| d.name.clone()).collect(),
             };
             store.write_manifest_raw(&new_man)?;
-            // Stale deltas are orphans now that the manifest dropped
-            // them; reclaim the space (never touches quarantined files).
-            for name in &stale_deltas {
-                let _ = store.fs.remove(&store.path(name));
-            }
         }
         let _ = quarantined_from_salvage; // names live on in the report
 
@@ -753,8 +661,6 @@ impl Store {
         }
         store.next_seq = next_seq;
         store.segments = segments;
-        store.deltas = live_deltas;
-        store.last_snap = snapshot.clone();
         let tail = records
             .into_iter()
             .filter(|&(seq, _)| seq > covered)
@@ -765,7 +671,6 @@ impl Store {
                 base_tag,
                 snapshot,
                 tail,
-                deltas_applied,
                 salvage,
             },
         ))
@@ -788,12 +693,9 @@ impl Store {
             wal_bytes: registry.counter("storage_wal_bytes_written_total", &[]),
             io_retries: registry.counter("storage_io_retries_total", &[]),
             disk_full: registry.counter("storage_disk_full_total", &[]),
-            checkpoints_full: registry.counter("storage_checkpoints_total", &[("kind", "full")]),
-            checkpoints_delta: registry.counter("storage_checkpoints_total", &[("kind", "delta")]),
-            checkpoint_bytes_full: registry
+            checkpoints: registry.counter("storage_checkpoints_total", &[("kind", "full")]),
+            checkpoint_bytes: registry
                 .counter("storage_checkpoint_bytes_total", &[("kind", "full")]),
-            checkpoint_bytes_delta: registry
-                .counter("storage_checkpoint_bytes_total", &[("kind", "delta")]),
             health: registry.gauge("store_health", &[]),
             generation: registry.gauge("store_generation", &[]),
         };
@@ -984,8 +886,7 @@ impl Store {
         man.segments.push(name.clone());
         self.write_manifest(&man)?;
         self.next_file_idx += 1;
-        self.segments
-            .push(Segment::fresh(name, wal::SEG_HEADER as u64));
+        self.segments.push(Segment::fresh(name));
         Ok(())
     }
 
@@ -994,7 +895,6 @@ impl Store {
         Manifest {
             generation: self.generation,
             segments: self.segments.iter().map(|s| s.name.clone()).collect(),
-            deltas: self.deltas.iter().map(|d| d.name.clone()).collect(),
         }
     }
 
@@ -1048,12 +948,7 @@ impl Store {
                 m.wal_fsync_latency.observe_since(t0);
             }
         }
-        let active = self.segments.last_mut().expect("active segment");
-        if active.first_seq == 0 {
-            active.first_seq = seq;
-        }
-        active.last_seq = seq;
-        active.bytes += rec.len() as u64;
+        self.segments.last_mut().expect("active segment").bytes += rec.len() as u64;
         self.next_seq += 1;
         if self.health == StoreHealth::Recovering {
             self.set_health(StoreHealth::Healthy);
@@ -1119,9 +1014,9 @@ impl Store {
         sealed >= self.cfg.checkpoint_segments || bytes >= self.cfg.checkpoint_max_wal_bytes
     }
 
-    /// Writes a checkpoint covering everything committed so far —
-    /// incrementally when possible (see the module docs) — then retires
-    /// the covered segments. `snap.last_seq` is filled in by the store.
+    /// Writes a full checkpoint covering everything committed so far,
+    /// starts a fresh active segment and retires every older one (see
+    /// the module docs). `snap.last_seq` is filled in by the store.
     pub fn checkpoint(&mut self, mut snap: SnapshotFile) -> StorageResult<CheckpointStats> {
         let started = self.metrics.as_ref().map(|_| Instant::now());
         snap.last_seq = self.last_committed_seq();
@@ -1129,16 +1024,8 @@ impl Store {
         match (&r, &self.metrics, started) {
             (Ok(stats), Some(m), Some(t0)) => {
                 m.checkpoint_latency_ok.observe_since(t0);
-                match stats.kind {
-                    CheckpointKind::Full => {
-                        m.checkpoints_full.inc();
-                        m.checkpoint_bytes_full.add(stats.bytes);
-                    }
-                    CheckpointKind::Delta => {
-                        m.checkpoints_delta.inc();
-                        m.checkpoint_bytes_delta.add(stats.bytes);
-                    }
-                }
+                m.checkpoints.inc();
+                m.checkpoint_bytes.add(stats.bytes);
             }
             // A failed checkpoint must be visible in STATS too: a
             // degraded disk would otherwise look like "no checkpoints",
@@ -1151,31 +1038,12 @@ impl Store {
 
     fn checkpoint_inner(&mut self, snap: SnapshotFile) -> StorageResult<CheckpointStats> {
         self.check_generation()?;
-        let delta = if self.deltas.len() >= self.cfg.delta_chain_max {
-            None // compact the chain into a fresh full snapshot
-        } else {
-            self.last_snap
-                .as_ref()
-                .and_then(|old| diff_snapshot(old, &snap))
-        };
+        let bytes = encode_snapshot(&snap);
 
-        let (kind, bytes, new_file) = match &delta {
-            Some(d) => (
-                CheckpointKind::Delta,
-                encode_delta(d),
-                delta_name(self.next_file_idx),
-            ),
-            None => (
-                CheckpointKind::Full,
-                encode_snapshot(&snap),
-                SNAPSHOT.to_string(),
-            ),
-        };
-
-        // 1. The new image fragment becomes durable under its final
-        //    name before anything references it.
+        // 1. The new image becomes durable under its final name before
+        //    anything references it.
         let tmp = self.path(SNAPSHOT_TMP);
-        let fin = self.path(&new_file);
+        let fin = self.path(SNAPSHOT);
         let r = self.retrying(|fs| fs.write(&tmp, &bytes));
         self.absorb(r)?;
         let r = self.retrying(|fs| fs.sync(&tmp));
@@ -1185,84 +1053,32 @@ impl Store {
         let r = self.retrying(|fs| fs.sync_dir(&self.dir));
         self.absorb(r)?;
 
-        // 2. Manifest update: retire fully-covered sealed segments,
-        //    keep the active one, record the delta chain.
-        let covered_seq = snap.last_seq;
-        let active = self.segments.last().cloned();
-        let retired: Vec<String> = self
-            .segments
-            .iter()
-            .rev()
-            .skip(1) // never retire the active segment in place
-            .filter(|s| s.bytes == 0 || s.last_seq <= covered_seq)
-            .map(|s| s.name.clone())
-            .collect();
-        let new_deltas: Vec<DeltaRef> = match kind {
-            CheckpointKind::Full => Vec::new(),
-            CheckpointKind::Delta => {
-                let mut v = self.deltas.clone();
-                v.push(DeltaRef {
-                    name: new_file.clone(),
-                });
-                v
-            }
-        };
-        let old_delta_files: Vec<String> = match kind {
-            CheckpointKind::Full => self.deltas.iter().map(|d| d.name.clone()).collect(),
-            CheckpointKind::Delta => Vec::new(),
-        };
-        let man = Manifest {
+        // 2. A fresh active segment, listed after the old ones. From
+        //    here on new commits go to it, so if the final manifest
+        //    write fails, the manifest left on disk lists it either way.
+        self.rotate()?;
+
+        // 3. The image covers every older segment: list only the fresh
+        //    one.
+        let fresh = self.segments.len() - 1;
+        self.write_manifest(&Manifest {
             generation: self.generation,
-            segments: self
-                .segments
-                .iter()
-                .filter(|s| !retired.contains(&s.name))
-                .map(|s| s.name.clone())
-                .collect(),
-            deltas: new_deltas.iter().map(|d| d.name.clone()).collect(),
-        };
-        self.write_manifest(&man)?;
-
-        // 3. The active segment's records are covered too: truncate it
-        //    back to its generation header.
-        if let Some(a) = &active {
-            let path = self.path(&a.name);
-            let keep = a.header_len;
-            let r = self.retrying(|fs| fs.truncate(&path, keep));
-            self.absorb(r)?;
-            let r = self.retrying(|fs| fs.sync(&path));
-            self.absorb(r)?;
-        }
-
-        // Commit the new in-memory state only now that every durable
-        // step succeeded; a failed checkpoint leaves memory describing
-        // the old (still recoverable) disk layout.
-        if kind == CheckpointKind::Delta {
-            self.next_file_idx += 1;
-        }
-        self.deltas = new_deltas;
-        self.segments.retain(|s| !retired.contains(&s.name));
-        if let Some(a) = self.segments.last_mut() {
-            a.first_seq = 0;
-            a.last_seq = 0;
-            a.bytes = 0;
-        }
-        self.last_snap = Some(snap);
+            segments: vec![self.segments[fresh].name.clone()],
+        })?;
+        let retired: Vec<Segment> = self.segments.drain(..fresh).collect();
         self.last_checkpoint = Some(Instant::now());
         if self.health == StoreHealth::Recovering {
             self.set_health(StoreHealth::Healthy);
         }
 
-        // 4. Retired segments and compacted deltas are unreferenced;
-        //    deleting them is pure space reclamation (failures are
-        //    harmless orphans). Retirement is deletion of *covered*
-        //    data — quarantined files are never touched.
-        for name in retired.iter().chain(old_delta_files.iter()) {
-            let _ = self.fs.remove(&self.path(name));
+        // 4. Retired segments are unreferenced; deleting them is pure
+        //    space reclamation (failures are harmless orphans).
+        //    Quarantined files are never touched.
+        for s in &retired {
+            let _ = self.fs.remove(&self.path(&s.name));
         }
 
         Ok(CheckpointStats {
-            kind,
             bytes: bytes.len() as u64,
             segments_retired: retired.len(),
         })
@@ -1275,10 +1091,7 @@ impl Store {
 fn seg_from_scan(name: String, file_len: u64, scan: &wal::WalScan) -> Segment {
     Segment {
         name,
-        first_seq: scan.records.first().map_or(0, |r| r.0),
-        last_seq: scan.records.last().map_or(0, |r| r.0),
         bytes: file_len.saturating_sub(scan.header_len),
-        header_len: scan.header_len,
     }
 }
 
@@ -1341,7 +1154,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_wal_and_survives_reopen() {
+    fn checkpoint_starts_a_fresh_segment_and_survives_reopen() {
         let dir = tmp_dir("checkpoint");
         let mut store = Store::create(Box::new(RealFs), &dir, "empty").unwrap();
         store.append_commit(b"one").unwrap();
@@ -1352,7 +1165,14 @@ mod tests {
                 ..SnapshotFile::default()
             })
             .unwrap();
-        assert_eq!(stats.kind, CheckpointKind::Full);
+        assert_eq!(stats.segments_retired, 1);
+        assert!(!dir.join("wal.000001").exists());
+        assert_eq!(
+            parse_manifest(&std::fs::read(dir.join(MANIFEST)).unwrap())
+                .unwrap()
+                .segments,
+            vec!["wal.000002".to_string()]
+        );
         store.append_commit(b"after").unwrap();
         drop(store);
         let (store, rec) = Store::open(Box::new(RealFs), &dir).unwrap();
@@ -1365,82 +1185,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A snapshot with enough unchanging bulk (a fat catalog) that the
-    /// incremental-cost property is visible: re-encoding all of it
-    /// dwarfs encoding the between-checkpoints change.
-    fn bulky_snapshot(anon_counter: u64) -> SnapshotFile {
-        SnapshotFile {
-            base_tag: "empty".into(),
-            anon_counter,
-            catalog: (0..200)
-                .map(|i| format!("create view v{i} as select {i};"))
-                .collect(),
-            ..SnapshotFile::default()
-        }
-    }
-
     #[test]
-    fn second_checkpoint_is_an_incremental_delta() {
-        let dir = tmp_dir("delta-ckpt");
+    fn every_checkpoint_rewrites_the_manifest() {
+        // A checkpoint that retires nothing but the active segment must
+        // still change the manifest bytes: that change is how a replica
+        // learns that records it needed were folded into the image.
+        let dir = tmp_dir("ckpt-manifest");
         let mut store = Store::create(Box::new(RealFs), &dir, "empty").unwrap();
-        store.append_commit(b"one").unwrap();
-        let full = store.checkpoint(bulky_snapshot(1)).unwrap();
-        assert_eq!(full.kind, CheckpointKind::Full);
-        store.append_commit(b"two").unwrap();
-        let delta = store.checkpoint(bulky_snapshot(2)).unwrap();
-        assert_eq!(delta.kind, CheckpointKind::Delta);
-        // Checkpoint cost is proportional to the change, not the image:
-        // only `anon_counter` moved, so the delta is a small fraction of
-        // the full snapshot.
-        assert!(
-            delta.bytes * 10 < full.bytes,
-            "delta ({}) should be far smaller than the full snapshot ({})",
-            delta.bytes,
-            full.bytes
-        );
-        store.append_commit(b"three").unwrap();
-        drop(store);
-        let (_, rec) = Store::open(Box::new(RealFs), &dir).unwrap();
-        assert_eq!(rec.deltas_applied, 1);
-        let snap = rec.snapshot.unwrap();
-        assert_eq!(snap.last_seq, 2);
-        assert_eq!(snap.anon_counter, 2);
-        assert_eq!(rec.tail, vec![(3, b"three".to_vec())]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn long_delta_chain_compacts_into_a_full_snapshot() {
-        let dir = tmp_dir("compact");
-        let cfg = StoreConfig {
-            delta_chain_max: 2,
-            ..StoreConfig::default()
-        };
-        let mut store = Store::create_with(Box::new(RealFs), &dir, "empty", cfg).unwrap();
-        let mut kinds = Vec::new();
-        for i in 0..4u64 {
+        let mut seen = vec![std::fs::read(dir.join(MANIFEST)).unwrap()];
+        for i in 0..3u64 {
             store.append_commit(b"x").unwrap();
-            let stats = store
+            store
                 .checkpoint(SnapshotFile {
                     base_tag: "empty".into(),
                     anon_counter: i,
                     ..SnapshotFile::default()
                 })
                 .unwrap();
-            kinds.push(stats.kind);
+            let now = std::fs::read(dir.join(MANIFEST)).unwrap();
+            assert!(
+                !seen.contains(&now),
+                "checkpoint {i} left the manifest as it was"
+            );
+            seen.push(now);
         }
-        assert_eq!(
-            kinds,
-            vec![
-                CheckpointKind::Full,
-                CheckpointKind::Delta,
-                CheckpointKind::Delta,
-                CheckpointKind::Full, // chain hit delta_chain_max
-            ]
-        );
         let (_, rec) = Store::open(Box::new(RealFs), &dir).unwrap();
-        assert_eq!(rec.deltas_applied, 0);
-        assert_eq!(rec.snapshot.unwrap().last_seq, 4);
+        let snap = rec.snapshot.unwrap();
+        assert_eq!((snap.last_seq, snap.anon_counter), (3, 2));
+        assert!(rec.tail.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1480,11 +1252,14 @@ mod tests {
                 ..SnapshotFile::default()
             })
             .unwrap();
-        assert_eq!(stats.segments_retired, 3);
+        // All four segments, the active one included, are covered.
+        assert_eq!(stats.segments_retired, 4);
         assert_eq!(store.segments.len(), 1);
-        // Retired segment files are gone; the active one remains, empty.
-        assert!(!dir.join("wal.000001").exists());
-        assert!(dir.join("wal.000004").exists());
+        // Retired segment files are gone; a fresh, empty one is active.
+        for i in 1..=4 {
+            assert!(!dir.join(seg_name(i)).exists());
+        }
+        assert!(dir.join("wal.000005").exists());
         store.append_commit(b"next").unwrap();
         drop(store);
         let (_, rec) = Store::open(Box::new(RealFs), &dir).unwrap();
@@ -1788,9 +1563,9 @@ mod fault_tests {
             })
             .unwrap();
         store.append_commit(b"two").unwrap();
-        // Second checkpoint (an incremental delta): crash with the
-        // rename not yet durable. Ops: write tmp, sync tmp, rename = 3;
-        // fail the sync_dir and everything after.
+        // Second checkpoint: crash with the rename not yet durable.
+        // Ops: write tmp, sync tmp, rename = 3; fail the sync_dir and
+        // everything after.
         fs.fail_after_ops(3);
         let err = store.checkpoint(SnapshotFile {
             base_tag: "empty".into(),
@@ -1800,12 +1575,10 @@ mod fault_tests {
         assert!(err.is_err());
         fs.crash(CrashMode::LostRename);
         let (_, rec) = Store::open(Box::new(fs), DIR).unwrap();
-        // Old snapshot (covering seq 1) survived; record 2 replays. The
-        // half-written delta is an orphan the manifest never mentioned.
+        // Old snapshot (covering seq 1) survived; record 2 replays.
         let snap = rec.snapshot.unwrap();
         assert_eq!(snap.last_seq, 1);
         assert_eq!(snap.anon_counter, 1);
-        assert_eq!(rec.deltas_applied, 0);
         assert_eq!(rec.tail, vec![(2, b"two".to_vec())]);
     }
 
@@ -1816,7 +1589,7 @@ mod fault_tests {
         store.append_commit(b"one").unwrap();
         store.append_commit(b"two").unwrap();
         // Checkpoint ops: write tmp, sync tmp, rename, sync_dir = 4;
-        // fail the manifest update (and WAL truncate) that follow.
+        // fail the rotation and manifest update that follow.
         fs.fail_after_ops(4);
         assert!(store
             .checkpoint(SnapshotFile {
@@ -1830,6 +1603,107 @@ mod fault_tests {
         // replays even though the WAL still physically holds them.
         assert_eq!(rec.snapshot.unwrap().last_seq, 2);
         assert!(rec.tail.is_empty());
+    }
+
+    #[test]
+    fn crash_after_the_fresh_segment_before_the_manifest_lists_it() {
+        let fs = FaultFs::new();
+        let mut store = Store::create(Box::new(fs.clone()), DIR, "empty").unwrap();
+        store.append_commit(b"one").unwrap();
+        store.append_commit(b"two").unwrap();
+        // Snapshot (4 ops), then the rotation's old-segment sync and
+        // fresh header write = 6; fail its manifest update and the rest.
+        fs.fail_after_ops(6);
+        assert!(store
+            .checkpoint(SnapshotFile {
+                base_tag: "empty".into(),
+                ..SnapshotFile::default()
+            })
+            .is_err());
+        assert!(fs.exists(Path::new("store/wal.000002")));
+        fs.crash(CrashMode::LostFsync);
+        let (mut store, rec) = Store::open(Box::new(fs.clone()), DIR).unwrap();
+        // The manifest still lists only the old segment; the new image
+        // covers its records, and the fresh file is an unlisted orphan.
+        assert_eq!(rec.snapshot.unwrap().last_seq, 2);
+        assert!(rec.tail.is_empty());
+        // The orphan's name is reused by the next rotation.
+        assert_eq!(store.append_commit(b"three").unwrap(), 3);
+        store
+            .checkpoint(SnapshotFile {
+                base_tag: "empty".into(),
+                ..SnapshotFile::default()
+            })
+            .unwrap();
+        assert_eq!(store.append_commit(b"four").unwrap(), 4);
+        fs.crash(CrashMode::LostFsync);
+        let (_, rec) = Store::open(Box::new(fs), DIR).unwrap();
+        assert_eq!(rec.snapshot.unwrap().last_seq, 3);
+        assert_eq!(rec.tail, vec![(4, b"four".to_vec())]);
+    }
+
+    #[test]
+    fn failed_final_manifest_write_keeps_later_commits() {
+        let fs = FaultFs::new();
+        let mut store = Store::create(Box::new(fs.clone()), DIR, "empty").unwrap();
+        store.append_commit(b"one").unwrap();
+        // Snapshot (4), rotation (sync, header, manifest 4) = 10 ops;
+        // the manifest that retires the old segment fails.
+        fs.fail_after_ops(10);
+        assert!(store
+            .checkpoint(SnapshotFile {
+                base_tag: "empty".into(),
+                ..SnapshotFile::default()
+            })
+            .is_err());
+        fs.disarm();
+        // The store keeps committing to the fresh segment, which the
+        // manifest on disk already lists.
+        assert_eq!(store.append_commit(b"two").unwrap(), 2);
+        fs.crash(CrashMode::LostFsync);
+        let (_, rec) = Store::open(Box::new(fs), DIR).unwrap();
+        assert_eq!(rec.snapshot.unwrap().last_seq, 1);
+        assert_eq!(rec.tail, vec![(2, b"two".to_vec())]);
+    }
+
+    #[test]
+    fn crash_before_old_segments_are_deleted_leaves_harmless_orphans() {
+        let fs = FaultFs::new();
+        let mut store = Store::create(Box::new(fs.clone()), DIR, "empty").unwrap();
+        store.append_commit(b"one").unwrap();
+        // Snapshot (4), rotation (6), final manifest (4) = 14 ops; the
+        // deletion that follows fails, which the checkpoint tolerates.
+        fs.fail_after_ops(14);
+        store
+            .checkpoint(SnapshotFile {
+                base_tag: "empty".into(),
+                ..SnapshotFile::default()
+            })
+            .unwrap();
+        assert!(fs.exists(Path::new("store/wal.000001")));
+        fs.crash(CrashMode::LostFsync);
+        let (mut store, rec) = Store::open(Box::new(fs.clone()), DIR).unwrap();
+        assert_eq!(rec.snapshot.unwrap().last_seq, 1);
+        assert!(rec.tail.is_empty());
+        assert_eq!(store.append_commit(b"two").unwrap(), 2);
+        let (_, rec) = Store::open(Box::new(fs), DIR).unwrap();
+        assert_eq!(rec.tail, vec![(2, b"two".to_vec())]);
+    }
+
+    #[test]
+    fn manifest_listing_a_delta_is_refused_on_open() {
+        let fs = FaultFs::new();
+        let mut store = Store::create(Box::new(fs.clone()), DIR, "empty").unwrap();
+        store.append_commit(b"one").unwrap();
+        let man = Path::new("store/manifest");
+        let mut bytes = fs.peek(man).unwrap();
+        bytes.extend_from_slice(b"delta delta.000002.bin\n");
+        fs.write(man, &bytes).unwrap();
+        let err = Store::open(Box::new(fs), DIR).unwrap_err().to_string();
+        assert!(
+            err.contains("delta.000002.bin") && err.contains("incremental checkpoint"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -200,8 +200,6 @@ pub struct RecoveryInfo {
     /// Whether a checkpoint image was loaded (vs. starting from the
     /// base fixture).
     pub snapshot_loaded: bool,
-    /// Incremental checkpoint deltas applied on top of the snapshot.
-    pub deltas_applied: usize,
     /// Definitional catalog statements re-executed.
     pub catalog_stmts: usize,
     /// WAL commit units replayed past the checkpoint.
@@ -215,13 +213,12 @@ impl RecoveryInfo {
     /// Human-readable recovery report (what the CLI prints on open).
     pub fn report(&self) -> String {
         let mut out = format!(
-            "recovery: snapshot={} deltas_applied={} catalog_stmts={} wal_units_replayed={}",
+            "recovery: snapshot={} catalog_stmts={} wal_units_replayed={}",
             if self.snapshot_loaded {
                 "loaded"
             } else {
                 "none"
             },
-            self.deltas_applied,
             self.catalog_stmts,
             self.wal_units,
         );
@@ -369,7 +366,6 @@ impl Session {
         }
         s.recovery = Some(RecoveryInfo {
             snapshot_loaded,
-            deltas_applied: recovered.deltas_applied,
             catalog_stmts,
             wal_units: recovered.tail.len(),
             salvage: recovered.salvage.clone(),
@@ -387,9 +383,9 @@ impl Session {
         Ok(s)
     }
 
-    /// Builds a session from a checkpoint *image* — the full snapshot
-    /// with its delta chain already applied, as [`Store::open`] returns
-    /// it — or from the bare fixture when no checkpoint exists yet.
+    /// Builds a session from a checkpoint *image* — the decoded
+    /// `snapshot.bin`, as [`Store::open`] returns it — or from the bare
+    /// fixture when no checkpoint exists yet.
     /// The definitional catalog is replayed definitions-only (the
     /// snapshot already holds the state those statements produced).
     ///
