@@ -1,20 +1,18 @@
-//! E16 — prepared statements, the schema-epoch plan cache, and the
-//! planned-fragment executor.
+//! E16 — prepared statements and the planned-fragment executor.
 //!
 //! Splits one statement's cost into its phases over a scaled Figure 1
-//! database: parse + resolve (what a cache hit skips), planning (what
-//! every run pays, since the planner re-plans the bound statement
-//! against current statistics), and execution (plan plus the
-//! `plan::exec` executor plus the relation build). Then measures the
-//! statement end to end through a session: cold (plan-cache miss:
-//! lex, parse, resolve, insert, execute), warm (cache hit: token-stream
-//! lookup, straight to execution), uncached (`use_vm: false`: every run
-//! parses and resolves), and through `PREPARE` / `EXECUTE`, with and
-//! without a bound parameter.
+//! database: parse + resolve (what `EXECUTE` of a prepared statement
+//! skips), planning (what every run pays, since the planner re-plans
+//! the bound statement against current statistics), and execution
+//! (plan plus the `plan::exec` executor plus the relation build). Then
+//! measures the statement end to end through a session: `Session::run`
+//! of the text (parse, resolve and execute on every run) and
+//! `PREPARE` / `EXECUTE`, with and without a bound parameter.
 //!
-//! The claims under test: a warm cached statement pays no parse or
-//! resolve cost (`warm_us` tracks `execute_us`), and re-planning per run
-//! is a small share of execution (`plan_us` ≪ `execute_us`).
+//! The claims under test: `EXECUTE` pays no parse or resolve cost
+//! (`prepared_us` tracks `execute_us`), parse + resolve is a small share
+//! of `Session::run` (`run_us` − `prepared_us`), and re-planning per
+//! run is a small share of execution (`plan_us` ≪ `execute_us`).
 //!
 //! Results go to `BENCH_vm.json` at the repo root (hand-rendered JSON;
 //! the offline criterion shim has no reporting). Wall-clock timing on
@@ -38,9 +36,8 @@ fn scaled_db() -> Database {
     figure1_scaled(&Figure1Params::with_total_objects(OBJECTS))
 }
 
-fn opts(plan_cache: bool) -> EvalOptions {
+fn opts() -> EvalOptions {
     EvalOptions {
-        use_vm: plan_cache,
         use_planner: true,
         ..EvalOptions::default()
     }
@@ -69,9 +66,7 @@ struct Phases {
     parse_resolve_us: u128,
     plan_us: u128,
     execute_us: u128,
-    cold_us: u128,
-    warm_us: u128,
-    uncached_us: u128,
+    run_us: u128,
     prepared_us: u128,
     rows: usize,
 }
@@ -88,28 +83,19 @@ fn phases(src: &'static str) -> Phases {
     let Stmt::Select(q) = resolve_stmt(&mut db, &stmt).expect("resolve") else {
         panic!("not a SELECT: {src}")
     };
-    let o = opts(true);
-    // Uncached: plan cache off — every run re-parses and re-resolves.
-    let mut uncached = Session::with_options(scaled_db(), opts(false));
-    run(&mut uncached, src); // warm the OID interner
-                             // Cold: a fresh session per repetition — the first run of the text
-                             // is always a plan-cache miss.
-    let cold_db = scaled_db();
-    let mut cold_sessions: Vec<Session> = (0..REPS)
-        .map(|_| Session::with_options(cold_db.clone(), opts(true)))
-        .collect();
-    // Warm: the same text every time — a cache hit after the first run.
-    let mut warm = Session::with_options(scaled_db(), opts(true));
-    let rows = run(&mut warm, src);
-    // PREPAREd once, EXECUTEd per repetition (no parameters).
-    let mut prepared = Session::with_options(scaled_db(), opts(true));
+    let o = opts();
+    // `Session::run` of the text: parse, resolve and execute every run.
+    let mut session = Session::with_options(scaled_db(), opts());
+    let rows = run(&mut session, src); // warm the OID interner
+                                       // PREPAREd once, EXECUTEd per repetition (no parameters).
+    let mut prepared = Session::with_options(scaled_db(), opts());
     prepared
         .run(&format!("PREPARE stmt AS {src}"))
         .expect("prepare");
     run(&mut prepared, "EXECUTE stmt");
 
-    let mut lat: [Vec<u128>; 7] = Default::default();
-    for cold in &mut cold_sessions {
+    let mut lat: [Vec<u128>; 5] = Default::default();
+    for _ in 0..REPS {
         lat[0].push(time_once(|| {
             let stmt = parse(src).expect("parse");
             std::hint::black_box(resolve_stmt(&mut pr_db, &stmt).expect("resolve"));
@@ -123,26 +109,18 @@ fn phases(src: &'static str) -> Phases {
             std::hint::black_box(eval_select(&db, &q, &o).expect("execute"));
         }));
         lat[3].push(time_once(|| {
-            run(cold, src);
+            run(&mut session, src);
         }));
         lat[4].push(time_once(|| {
-            run(&mut warm, src);
-        }));
-        lat[5].push(time_once(|| {
-            run(&mut uncached, src);
-        }));
-        lat[6].push(time_once(|| {
             run(&mut prepared, "EXECUTE stmt");
         }));
     }
-    let [pr, plan, exec, cold, warm, uncached, prepared] = lat.map(median);
+    let [pr, plan, exec, run_us, prepared] = lat.map(median);
     Phases {
         parse_resolve_us: pr,
         plan_us: plan,
         execute_us: exec,
-        cold_us: cold,
-        warm_us: warm,
-        uncached_us: uncached,
+        run_us,
         prepared_us: prepared,
         rows,
     }
@@ -165,46 +143,32 @@ fn main() {
         ),
     ];
 
-    let mut json = String::from("{\n  \"experiment\": \"E16_plan_cache_and_executor\",\n");
+    let mut json = String::from("{\n  \"experiment\": \"E16_prepared_and_executor\",\n");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"db\": \"figure1 scaled to {OBJECTS} objects\",");
     json.push_str("  \"queries\": [\n");
     for (i, (name, src)) in queries.iter().enumerate() {
         let p = phases(src);
         println!(
-            "{name}: parse+resolve {} µs, plan {} µs, execute {} µs, uncached {} µs, \
-             cold {} µs, warm {} µs, prepared {} µs ({} rows)",
-            p.parse_resolve_us,
-            p.plan_us,
-            p.execute_us,
-            p.uncached_us,
-            p.cold_us,
-            p.warm_us,
-            p.prepared_us,
-            p.rows
+            "{name}: parse+resolve {} µs, plan {} µs, execute {} µs, run {} µs, \
+             prepared {} µs ({} rows)",
+            p.parse_resolve_us, p.plan_us, p.execute_us, p.run_us, p.prepared_us, p.rows
         );
         let _ = write!(
             json,
             "    {{\"name\": \"{name}\", \"rows\": {}, \
              \"parse_resolve_us\": {}, \"plan_us\": {}, \"execute_us\": {}, \
-             \"uncached_us\": {}, \"cold_us\": {}, \"warm_us\": {}, \"prepared_us\": {}}}",
-            p.rows,
-            p.parse_resolve_us,
-            p.plan_us,
-            p.execute_us,
-            p.uncached_us,
-            p.cold_us,
-            p.warm_us,
-            p.prepared_us
+             \"run_us\": {}, \"prepared_us\": {}}}",
+            p.rows, p.parse_resolve_us, p.plan_us, p.execute_us, p.run_us, p.prepared_us
         );
         json.push_str(if i + 1 < queries.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
 
     // PREPARE / EXECUTE with a bound parameter: resolve once, bind and
-    // run per EXECUTE. Compared with the warm transparent-cache run of
-    // the equivalent constant text.
-    let mut s = Session::with_options(scaled_db(), opts(true));
+    // run per EXECUTE. Compared with `Session::run` of the equivalent
+    // constant text.
+    let mut s = Session::with_options(scaled_db(), opts());
     s.run("PREPARE rich AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .expect("prepare");
     let plain = "SELECT X FROM Employee X WHERE X.Salary > 30000";
@@ -219,12 +183,12 @@ fn main() {
             run(&mut s, plain);
         }));
     }
-    let (execute_warm_us, plain_warm_us) = (median(exec_lat), median(plain_lat));
-    println!("prepared EXECUTE warm {execute_warm_us} µs; plain text warm {plain_warm_us} µs");
+    let (execute_us, plain_run_us) = (median(exec_lat), median(plain_lat));
+    println!("prepared EXECUTE {execute_us} µs; plain text run {plain_run_us} µs");
     let _ = writeln!(
         json,
-        "  \"prepared\": {{\"execute_warm_us\": {execute_warm_us}, \
-         \"plain_warm_us\": {plain_warm_us}}}\n}}"
+        "  \"prepared\": {{\"execute_us\": {execute_us}, \
+         \"plain_run_us\": {plain_run_us}}}\n}}"
     );
 
     let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_vm.json");

@@ -737,89 +737,36 @@ fn executor_loop(
             }
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        match ev {
+        // Prepare/ExecutePrepared are sugar over Execute: the server
+        // rebuilds the statement text and runs it through the same path,
+        // so deadlines, cancel, draining, and error mapping behave
+        // identically. Prepared names live in the connection's reader
+        // session, on primary and replica alike. Every other event is
+        // handled in place.
+        let (id, deadline_ms, text) = match ev {
             Event::Frame(Frame::Execute {
                 id,
                 deadline_ms,
                 src,
-            }) => {
-                inner.m().requests.inc();
-                if inner.draining.load(Ordering::Acquire) {
-                    send(
-                        stream,
-                        &Frame::Error {
-                            id,
-                            code: ErrorCode::ShuttingDown,
-                            retry_after_ms: inner.retry_hint_ms(),
-                            message: "server is draining".into(),
-                        },
-                    );
-                    let _ = send(stream, &Frame::Goodbye);
-                    return;
-                }
-                let ok = execute_one(stream, conn, cancel_slot, inner, id, deadline_ms, &src);
-                if !ok {
-                    return; // write failure: peer is gone
-                }
-            }
-            // Prepare/ExecutePrepared are sugar over Execute: the
-            // server rebuilds the statement text and runs it through
-            // the same path, so deadlines, cancel, draining, and error
-            // mapping behave identically. Prepared names live in the
-            // connection's reader session, on primary and replica alike.
+            }) => (id, deadline_ms, src),
             Event::Frame(Frame::Prepare {
                 id,
                 deadline_ms,
                 name,
                 src,
-            }) => {
-                inner.m().requests.inc();
-                if inner.draining.load(Ordering::Acquire) {
-                    send(
-                        stream,
-                        &Frame::Error {
-                            id,
-                            code: ErrorCode::ShuttingDown,
-                            retry_after_ms: inner.retry_hint_ms(),
-                            message: "server is draining".into(),
-                        },
-                    );
-                    let _ = send(stream, &Frame::Goodbye);
-                    return;
-                }
-                let text = format!("PREPARE {name} AS {src}");
-                if !execute_one(stream, conn, cancel_slot, inner, id, deadline_ms, &text) {
-                    return;
-                }
-            }
+            }) => (id, deadline_ms, format!("PREPARE {name} AS {src}")),
             Event::Frame(Frame::ExecutePrepared {
                 id,
                 deadline_ms,
                 name,
                 args,
             }) => {
-                inner.m().requests.inc();
-                if inner.draining.load(Ordering::Acquire) {
-                    send(
-                        stream,
-                        &Frame::Error {
-                            id,
-                            code: ErrorCode::ShuttingDown,
-                            retry_after_ms: inner.retry_hint_ms(),
-                            message: "server is draining".into(),
-                        },
-                    );
-                    let _ = send(stream, &Frame::Goodbye);
-                    return;
-                }
                 let text = if args.is_empty() {
                     format!("EXECUTE {name}")
                 } else {
                     format!("EXECUTE {name} ({})", args.join(", "))
                 };
-                if !execute_one(stream, conn, cancel_slot, inner, id, deadline_ms, &text) {
-                    return;
-                }
+                (id, deadline_ms, text)
             }
             Event::Frame(Frame::Ping) => {
                 // Compute the health word before writing: holding the
@@ -837,12 +784,14 @@ fn executor_loop(
                 if !send(stream, &pong) {
                     return;
                 }
+                continue;
             }
             Event::Frame(Frame::Promote) => {
                 let reply = handle_promote(inner);
                 if !send(stream, &reply) {
                     return;
                 }
+                continue;
             }
             Event::Frame(Frame::Goodbye) => {
                 let _ = send(stream, &Frame::Goodbye);
@@ -890,6 +839,23 @@ fn executor_loop(
                 return;
             }
             Event::Disconnected => return,
+        };
+        inner.m().requests.inc();
+        if inner.draining.load(Ordering::Acquire) {
+            send(
+                stream,
+                &Frame::Error {
+                    id,
+                    code: ErrorCode::ShuttingDown,
+                    retry_after_ms: inner.retry_hint_ms(),
+                    message: "server is draining".into(),
+                },
+            );
+            let _ = send(stream, &Frame::Goodbye);
+            return;
+        }
+        if !execute_one(stream, conn, cancel_slot, inner, id, deadline_ms, &text) {
+            return; // write failure: peer is gone
         }
     }
 }
@@ -1072,7 +1038,7 @@ fn replica_execute(
             leader_hint: leader_hint.into(),
         });
     }
-    match reader.read(shared.epoch_cell(), &stmt, src, ctx) {
+    match reader.read(shared.epoch_cell(), &stmt, ctx) {
         Ok(r) => Reply::Exec(ExecResult::Read(r)),
         Err(e) => Reply::Frame(error_frame(id, &ServiceError::Xsql(e))),
     }

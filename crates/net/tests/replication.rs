@@ -539,10 +539,7 @@ fn replica_re_prepared_name_matches_cold_and_naive_sessions_across_a_resync() {
     let mut core = replica_over(dir_source(&fs));
     catch_up(&mut core, &fs);
     let (server, mut c) = serve_replica(&core);
-    let naive = EvalOptions {
-        use_vm: false,
-        ..EvalOptions::naive()
-    };
+    let naive = EvalOptions::naive();
     let mut resyncs = 0;
     for round in 0..6usize {
         let body = BODIES[round % BODIES.len()];

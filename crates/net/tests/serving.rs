@@ -233,6 +233,13 @@ fn drain_refuses_new_connections_and_closes_existing_ones() {
 
     let mut live = Client::connect(&addr, "").expect("pre-drain conn");
     live.execute("CREATE CLASS D").expect("pre-drain write");
+    // A refusal closes its connection, so each statement frame kind
+    // gets its own live connection.
+    let mut preparing = Client::connect(&addr, "").expect("pre-drain conn");
+    let mut executing = Client::connect(&addr, "").expect("pre-drain conn");
+    executing
+        .prepare("q", "SELECT X FROM D X")
+        .expect("pre-drain prepare");
 
     server.begin_drain();
 
@@ -243,6 +250,14 @@ fn drain_refuses_new_connections_and_closes_existing_ones() {
     match live.execute("SELECT X FROM D X") {
         Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::ShuttingDown),
         other => panic!("expected drain error on live conn, got {other:?}"),
+    }
+    match preparing.prepare("p", "SELECT X FROM D X") {
+        Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::ShuttingDown),
+        other => panic!("expected drain error on PREPARE, got {other:?}"),
+    }
+    match executing.execute_prepared("q", &[]) {
+        Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::ShuttingDown),
+        other => panic!("expected drain error on EXECUTE, got {other:?}"),
     }
     server.shutdown();
     drop(svc);
@@ -445,10 +460,7 @@ fn re_prepared_name_matches_cold_and_naive_sessions_across_epochs() {
         .expect("signature");
     c.execute("CREATE OBJECT mary CLASS Person SET Age = 31")
         .expect("insert mary");
-    let naive = EvalOptions {
-        use_vm: false,
-        ..EvalOptions::naive()
-    };
+    let naive = EvalOptions::naive();
     for round in 0..6usize {
         let body = BODIES[round % BODIES.len()];
         let r = c.prepare("q", body).expect("prepare");

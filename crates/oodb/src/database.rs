@@ -120,11 +120,11 @@ pub struct Database {
     /// Monotonic counter of *definitional* changes: class definitions,
     /// IS-A edges, signatures, computed-method installs, inheritance
     /// resolutions — and, conservatively, any rollback (which may have
-    /// reverted one of those). Resolved statements are cached keyed on
-    /// this value, so a schema change instantly invalidates every
-    /// statement resolved against the old schema (see `xsql::vm`). Not persisted:
-    /// a freshly opened database starts at 0 and every cache starts
-    /// cold.
+    /// reverted one of those). Prepared statements record this value
+    /// when they are resolved, so a schema change instantly invalidates
+    /// every statement resolved against the old schema (see
+    /// `docs/PREPARED.md`). Not persisted: a freshly opened database
+    /// starts at 0.
     schema_epoch: u64,
 }
 
@@ -301,8 +301,9 @@ impl Database {
 
     /// The current schema epoch: bumped by every definitional change
     /// (class/IS-A/signature/computed-method) and conservatively by
-    /// every rollback. Plan caches key resolved statements on this
-    /// value so a stale statement can never execute (see `xsql::vm`).
+    /// every rollback. Prepared statements record this value when they
+    /// are resolved, so a stale statement can never execute (see
+    /// `docs/PREPARED.md`).
     pub fn schema_epoch(&self) -> u64 {
         self.schema_epoch
     }
@@ -394,7 +395,8 @@ impl Database {
     /// because recovery feeds this from disk.
     pub fn apply_redo(&mut self, op: &RedoOp) -> DbResult<()> {
         // Definitional redo ops move the schema epoch exactly like their
-        // live counterparts, so plan caches stay sound under WAL replay.
+        // live counterparts, so prepared statements stay sound under WAL
+        // replay.
         if matches!(
             op,
             RedoOp::DefineClass { .. }

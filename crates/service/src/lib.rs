@@ -261,10 +261,9 @@ pub struct ReadResult {
 /// the session's private copy of the published database, never on the
 /// shared one. The copy is cheap (an epoch's storage is structurally
 /// shared), and the rebase ([`Session::rebase`]) drops everything
-/// resolved against the previous epoch: a new epoch starts with an
-/// empty plan cache, and prepared statements re-resolve from their
-/// stored bodies at their next EXECUTE. The session records into the
-/// serving registry, so reads show up in `STATS`.
+/// resolved against the previous epoch: prepared statements re-resolve
+/// from their stored bodies at their next EXECUTE. The session records
+/// into the serving registry, so reads show up in `STATS`.
 pub struct EpochReader {
     /// Epoch the session reads.
     seq: u64,
@@ -302,16 +301,15 @@ impl EpochReader {
         self.sess.prepared_stmt(name)
     }
 
-    /// Runs `stmt`, parsed from `src`, against the latest epoch
-    /// published in `epochs`, rebasing first when that epoch is newer
-    /// than the session's. `stmt` must not write: a read-only query, a
-    /// PREPARE (which only resolves its body), or an EXECUTE of a
-    /// read-only body. `ctx.deadline` is taken as final.
+    /// Runs `stmt` against the latest epoch published in `epochs`,
+    /// rebasing first when that epoch is newer than the session's.
+    /// `stmt` must not write: a read-only query, a PREPARE (which only
+    /// resolves its body), or an EXECUTE of a read-only body.
+    /// `ctx.deadline` is taken as final.
     pub fn read(
         &mut self,
         epochs: &EpochCell,
         stmt: &Stmt,
-        src: &str,
         ctx: &QueryContext,
     ) -> Result<ReadResult, XsqlError> {
         // The warm path (epoch unchanged since the last read) costs one
@@ -331,7 +329,7 @@ impl EpochReader {
         opts.budget.deadline = ctx.deadline;
         opts.budget.cancel_at_tick = ctx.cancel_at_tick;
         self.sess.set_options(opts);
-        let outcome = self.sess.run_parsed(stmt, src)?;
+        let outcome = self.sess.execute(stmt)?;
         if self.sess.db().oids().len() > self.snapshot.oids().len() {
             self.snapshot = Arc::new(self.sess.db().clone());
         }
@@ -887,12 +885,12 @@ impl SessionHandle {
                         })
                 }
                 // A read-only body, or a name the reader reports unknown.
-                _ => self.read(&stmt, src, ctx).map(ExecResult::Read),
+                _ => self.read(&stmt, ctx).map(ExecResult::Read),
             },
             // PREPARE resolves its body in the reader, whatever the body
             // does: nothing runs until EXECUTE.
-            Stmt::Prepare { .. } => self.read(&stmt, src, ctx).map(ExecResult::Read),
-            s if is_read_only(s) => self.read(&stmt, src, ctx).map(ExecResult::Read),
+            Stmt::Prepare { .. } => self.read(&stmt, ctx).map(ExecResult::Read),
+            s if is_read_only(s) => self.read(&stmt, ctx).map(ExecResult::Read),
             _ => self
                 .submit_write(vec![src.to_string()], false, ctx)
                 .map(ExecResult::Write),
@@ -932,12 +930,7 @@ impl SessionHandle {
 
     /// Runs a parsed read on the handle's reader, through the reader
     /// gate.
-    fn read(
-        &mut self,
-        stmt: &Stmt,
-        src: &str,
-        ctx: &QueryContext,
-    ) -> Result<ReadResult, ServiceError> {
+    fn read(&mut self, stmt: &Stmt, ctx: &QueryContext) -> Result<ReadResult, ServiceError> {
         let inner = Arc::clone(&self.inner);
         let m = &inner.metrics;
         m.admitted_read.inc();
@@ -953,7 +946,7 @@ impl SessionHandle {
                     deadline,
                     ..ctx.clone()
                 };
-                let r = self.reader.read(&inner.epoch, stmt, src, &ctx);
+                let r = self.reader.read(&inner.epoch, stmt, &ctx);
                 m.exec_latency_read.observe_since(exec_started);
                 self.release_read_slot();
                 r.map_err(ServiceError::from)

@@ -291,7 +291,8 @@ fn chaos_round(seed: u64) {
                     let q = rng.gen_range(0..READS.len());
                     // 0 = plain, 1 = injected tick cancel, 2 = expired
                     // deadline, 3 = yield first, 4 = via PREPARE/EXECUTE
-                    // (exercises the plan cache across epoch changes).
+                    // (exercises the schema-epoch fence and rebase
+                    // re-resolution across epoch changes).
                     let mode = if rng.gen_bool(0.6) {
                         0
                     } else {
@@ -509,12 +510,12 @@ fn chaos_round(seed: u64) {
     // resolved under an older epoch must be re-resolved, never executed.
     // The engine counts the should-be-impossible case defensively. The
     // counter covers the reader sessions too: each handle's reader
-    // records into the service registry, and its cached and prepared
-    // programs must survive neither an epoch fence nor a rebase.
+    // records into the service registry, and its prepared programs
+    // must survive neither an epoch fence nor a rebase.
     assert_eq!(
         registry.counter_total("xsql_plan_cache_stale_executions_total"),
         0,
-        "seed {seed}: a stale cached plan reached execution after an epoch bump"
+        "seed {seed}: a stale prepared program reached execution after an epoch bump"
     );
 
     // Invariant 3b: shutdown completes under a watchdog (no deadlock).

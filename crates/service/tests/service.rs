@@ -326,8 +326,7 @@ fn stmt_latency_count(h: &mut service::SessionHandle) -> u64 {
 /// each one adds exactly one `xsql_stmt_latency_us` sample to STATS,
 /// on a warm epoch and on the first epoch after a write alike. Each
 /// read request is also parsed exactly once on its way through the
-/// handle and the reader, whether it is a plain query (cached or not)
-/// or an EXECUTE.
+/// handle and the reader, whether it is a plain query or an EXECUTE.
 #[test]
 fn every_read_reaches_stats_and_is_parsed_once() {
     let svc = Service::start(big_session(), ServiceConfig::default());

@@ -18,7 +18,8 @@
 //!
 //! All integers are little-endian; lengths and counts are `u32`.
 
-use crate::{StorageError, StorageResult};
+use crate::bytes::{put_len, put_str, put_u64, Reader};
+use crate::StorageResult;
 use oodb::{Oid, OidData, OidTable, RedoOp, Signature, Val};
 
 /// One journaled statement inside a commit unit.
@@ -46,25 +47,8 @@ pub struct CommitUnit {
 }
 
 // ---------------------------------------------------------------------
-// Write primitives
+// Encoding
 // ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_len(out: &mut Vec<u8>, n: usize) {
-    put_u32(out, u32::try_from(n).expect("length fits u32"));
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
 
 /// Encodes one OID as its structural term.
 fn put_term(out: &mut Vec<u8>, oids: &OidTable, o: Oid) {
@@ -223,71 +207,10 @@ pub fn encode_commit(unit: &CommitUnit, oids: &OidTable) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Read primitives
+// Decoding
 // ---------------------------------------------------------------------
 
-/// Byte cursor with corruption-reporting reads.
-struct R<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-fn corrupt(what: &str) -> StorageError {
-    StorageError::Corrupt(format!("truncated or malformed {what}"))
-}
-
-impl<'a> R<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        R { b, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> StorageResult<&'a [u8]> {
-        if self.b.len() - self.pos < n {
-            return Err(corrupt(what));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> StorageResult<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> StorageResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> StorageResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self, what: &str) -> StorageResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    /// A length/count field, sanity-capped by the remaining input so a
-    /// corrupt count cannot drive huge allocations.
-    fn len(&mut self, what: &str) -> StorageResult<usize> {
-        let n = self.u32(what)? as usize;
-        if n > self.b.len() - self.pos {
-            return Err(corrupt(what));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self, what: &str) -> StorageResult<String> {
-        let n = self.len(what)?;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(what))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.b.len()
-    }
-}
-
-fn get_term(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Oid> {
+fn get_term(r: &mut Reader<'_>, oids: &mut OidTable) -> StorageResult<Oid> {
     Ok(match r.u8("term tag")? {
         0 => {
             let s = r.str("symbol")?;
@@ -298,7 +221,7 @@ fn get_term(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Oid> {
             let bits = r.u64("real")?;
             let v = f64::from_bits(bits);
             if v.is_nan() {
-                return Err(corrupt("real (NaN)"));
+                return Err(r.corrupt("real (NaN)"));
             }
             oids.real(v)
         }
@@ -316,15 +239,15 @@ fn get_term(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Oid> {
                 args.push(get_term(r, oids)?);
             }
             if !matches!(oids.get(f), OidData::Sym(_)) {
-                return Err(corrupt("id-term functor"));
+                return Err(r.corrupt("id-term functor"));
             }
             oids.func(f, &args)
         }
-        _ => return Err(corrupt("term tag")),
+        _ => return Err(r.corrupt("term tag")),
     })
 }
 
-fn get_terms(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Vec<Oid>> {
+fn get_terms(r: &mut Reader<'_>, oids: &mut OidTable) -> StorageResult<Vec<Oid>> {
     let n = r.len("term count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -333,7 +256,7 @@ fn get_terms(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Vec<Oid>> {
     Ok(out)
 }
 
-fn get_val(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Val> {
+fn get_val(r: &mut Reader<'_>, oids: &mut OidTable) -> StorageResult<Val> {
     Ok(match r.u8("value tag")? {
         0 => Val::Scalar(get_term(r, oids)?),
         1 => {
@@ -344,18 +267,18 @@ fn get_val(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Val> {
             }
             Val::Set(s)
         }
-        _ => return Err(corrupt("value tag")),
+        _ => return Err(r.corrupt("value tag")),
     })
 }
 
-fn get_key(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<(Oid, Oid, Vec<Oid>)> {
+fn get_key(r: &mut Reader<'_>, oids: &mut OidTable) -> StorageResult<(Oid, Oid, Vec<Oid>)> {
     let recv = get_term(r, oids)?;
     let method = get_term(r, oids)?;
     let args = get_terms(r, oids)?;
     Ok((recv, method, args))
 }
 
-fn get_sig(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Signature> {
+fn get_sig(r: &mut Reader<'_>, oids: &mut OidTable) -> StorageResult<Signature> {
     let method = get_term(r, oids)?;
     let args = get_terms(r, oids)?;
     let result = get_term(r, oids)?;
@@ -368,7 +291,7 @@ fn get_sig(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<Signature> {
     })
 }
 
-fn get_redo(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<RedoOp> {
+fn get_redo(r: &mut Reader<'_>, oids: &mut OidTable) -> StorageResult<RedoOp> {
     Ok(match r.u8("redo tag")? {
         0 => RedoOp::DefineClass {
             class: get_term(r, oids)?,
@@ -405,14 +328,14 @@ fn get_redo(r: &mut R<'_>, oids: &mut OidTable) -> StorageResult<RedoOp> {
             method: get_term(r, oids)?,
             from: get_term(r, oids)?,
         },
-        _ => return Err(corrupt("redo tag")),
+        _ => return Err(r.corrupt("redo tag")),
     })
 }
 
 /// Decodes a WAL record payload back into a [`CommitUnit`], interning
 /// every mentioned OID into `oids`.
 pub fn decode_commit(bytes: &[u8], oids: &mut OidTable) -> StorageResult<CommitUnit> {
-    let mut r = R::new(bytes);
+    let mut r = Reader::new(bytes, "");
     let anon_counter = r.u64("anon counter")?;
     let n = r.len("entry count")?;
     let mut entries = Vec::with_capacity(n);
@@ -427,11 +350,11 @@ pub fn decode_commit(bytes: &[u8], oids: &mut OidTable) -> StorageResult<CommitU
                 WalEntry::Ops(ops)
             }
             1 => WalEntry::Stmt(r.str("statement text")?),
-            _ => return Err(corrupt("entry tag")),
+            _ => return Err(r.corrupt("entry tag")),
         });
     }
     if !r.done() {
-        return Err(corrupt("commit unit (trailing bytes)"));
+        return Err(r.corrupt("commit unit (trailing bytes)"));
     }
     Ok(CommitUnit {
         anon_counter,

@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+mod bytes;
 pub mod codec;
 #[cfg(feature = "fault-injection")]
 pub mod fault;

@@ -17,6 +17,7 @@
 //! hybrid; [`crate::Store`] only retires WAL segments after the rename
 //! is durable.
 
+use crate::bytes::{put_len, put_str, put_u32, put_u64, Reader};
 use crate::{wal, StorageError, StorageResult};
 use oodb::{ClassEntry, DbSnapshot, Oid, OidData, Signature, Val};
 use std::collections::BTreeSet;
@@ -40,23 +41,6 @@ pub struct SnapshotFile {
     pub catalog: Vec<String>,
     /// The database state proper.
     pub db: DbSnapshot,
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_len(out: &mut Vec<u8>, n: usize) {
-    put_u32(out, u32::try_from(n).expect("length fits u32"));
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_oid(out: &mut Vec<u8>, o: Oid) {
@@ -176,67 +160,25 @@ pub fn encode_snapshot(snap: &SnapshotFile) -> Vec<u8> {
     out
 }
 
-/// Byte cursor for decoding (indices are validated against the table
-/// length after the table section is read).
-struct R<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
+/// Prefix of every snapshot decode error.
+const ERR_PREFIX: &str = "snapshot: ";
 
-fn corrupt(what: &str) -> StorageError {
-    StorageError::Corrupt(format!("snapshot: truncated or malformed {what}"))
-}
-
-impl<'a> R<'a> {
-    fn take(&mut self, n: usize, what: &str) -> StorageResult<&'a [u8]> {
-        if self.b.len() - self.pos < n {
-            return Err(corrupt(what));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> StorageResult<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> StorageResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> StorageResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn len(&mut self, what: &str) -> StorageResult<usize> {
-        let n = self.u32(what)? as usize;
-        if n > self.b.len() - self.pos {
-            return Err(corrupt(what));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self, what: &str) -> StorageResult<String> {
-        let n = self.len(what)?;
-        String::from_utf8(self.take(n, what)?.to_vec()).map_err(|_| corrupt(what))
-    }
-}
-
+/// Validates OID table indices against the table length (known once
+/// the table section is read).
 struct OidReader {
     table_len: usize,
 }
 
 impl OidReader {
-    fn oid(&self, r: &mut R<'_>, what: &str) -> StorageResult<Oid> {
+    fn oid(&self, r: &mut Reader<'_>, what: &str) -> StorageResult<Oid> {
         let i = r.u32(what)? as usize;
         if i >= self.table_len {
-            return Err(corrupt(what));
+            return Err(r.corrupt(what));
         }
         Ok(Oid::from_index(i))
     }
 
-    fn oids(&self, r: &mut R<'_>, what: &str) -> StorageResult<Vec<Oid>> {
+    fn oids(&self, r: &mut Reader<'_>, what: &str) -> StorageResult<Vec<Oid>> {
         let n = r.len(what)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -245,7 +187,7 @@ impl OidReader {
         Ok(out)
     }
 
-    fn val(&self, r: &mut R<'_>) -> StorageResult<Val> {
+    fn val(&self, r: &mut Reader<'_>) -> StorageResult<Val> {
         Ok(match r.u8("value tag")? {
             0 => Val::Scalar(self.oid(r, "scalar value")?),
             1 => {
@@ -256,7 +198,7 @@ impl OidReader {
                 }
                 Val::Set(s)
             }
-            _ => return Err(corrupt("value tag")),
+            _ => return Err(r.corrupt("value tag")),
         })
     }
 }
@@ -264,10 +206,10 @@ impl OidReader {
 /// Decodes one interner entry at table index `i`. Id-term references
 /// must point strictly below `i` (interning order guarantees args
 /// precede their term).
-fn read_oid_data(r: &mut R<'_>, rd: &OidReader, i: usize) -> StorageResult<OidData> {
+fn read_oid_data(r: &mut Reader<'_>, rd: &OidReader, i: usize) -> StorageResult<OidData> {
     Ok(match r.u8("oid tag")? {
         0 => OidData::Sym(r.str("symbol")?.into()),
-        1 => OidData::Int(i64::from_le_bytes(r.take(8, "int")?.try_into().unwrap())),
+        1 => OidData::Int(r.i64("int")?),
         2 => OidData::Real(r.u64("real")?),
         3 => OidData::Str(r.str("string")?.into()),
         4 => OidData::Bool(r.u8("bool")? != 0),
@@ -276,16 +218,16 @@ fn read_oid_data(r: &mut R<'_>, rd: &OidReader, i: usize) -> StorageResult<OidDa
             let f = rd.oid(r, "functor")?;
             let args = rd.oids(r, "id-term args")?;
             if f.index() >= i || args.iter().any(|a| a.index() >= i) {
-                return Err(corrupt("id-term forward reference"));
+                return Err(r.corrupt("id-term forward reference"));
             }
             OidData::Func(f, args.into())
         }
-        _ => return Err(corrupt("oid tag")),
+        _ => return Err(r.corrupt("oid tag")),
     })
 }
 
 /// Decodes one class entry.
-fn read_class_entry(r: &mut R<'_>, rd: &OidReader) -> StorageResult<ClassEntry> {
+fn read_class_entry(r: &mut Reader<'_>, rd: &OidReader) -> StorageResult<ClassEntry> {
     let class = rd.oid(r, "class oid")?;
     let supers = rd.oids(r, "supers")?;
     let ns = r.len("signature count")?;
@@ -315,15 +257,16 @@ fn read_class_entry(r: &mut R<'_>, rd: &OidReader) -> StorageResult<ClassEntry> 
 
 /// Decodes and validates a snapshot file (magic and CRC checked first).
 pub fn decode_snapshot(bytes: &[u8]) -> StorageResult<SnapshotFile> {
-    if bytes.len() < MAGIC.len() + 4 || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("magic"));
+    let mut r = Reader::new(bytes, ERR_PREFIX);
+    if r.take(MAGIC.len(), "magic")? != MAGIC {
+        return Err(r.corrupt("magic"));
     }
-    let crc = u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
-    let body = &bytes[MAGIC.len() + 4..];
-    if wal::crc32(0, body) != crc {
-        return Err(StorageError::Corrupt("snapshot: checksum mismatch".into()));
+    let crc = r.u32("magic")?;
+    if wal::crc32(0, r.rest()) != crc {
+        return Err(StorageError::Corrupt(format!(
+            "{ERR_PREFIX}checksum mismatch"
+        )));
     }
-    let mut r = R { b: body, pos: 0 };
     let base_tag = r.str("base tag")?;
     let last_seq = r.u64("last seq")?;
     let anon_counter = r.u64("anon counter")?;
@@ -361,8 +304,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> StorageResult<SnapshotFile> {
         let v = rd.val(&mut r)?;
         state.push(((recv, method, args), v));
     }
-    if r.pos != body.len() {
-        return Err(corrupt("file (trailing bytes)"));
+    if !r.done() {
+        return Err(r.corrupt("file (trailing bytes)"));
     }
     Ok(SnapshotFile {
         base_tag,

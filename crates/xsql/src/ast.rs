@@ -563,7 +563,7 @@ pub enum Stmt {
     /// `PREPARE name AS <stmt>` — resolve a statement (which may
     /// contain `?1`-style positional parameters) once and register it
     /// under `name` in the session (engineering extension; see
-    /// docs/VM.md). Prepared statements are session-local and are not
+    /// docs/PREPARED.md). Prepared statements are session-local and are not
     /// logged to the WAL: after a crash the client must re-PREPARE.
     Prepare {
         /// The registration name.

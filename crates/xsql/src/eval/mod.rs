@@ -107,13 +107,13 @@ pub struct EvalOptions {
     /// disables it wholesale (the no-index/no-planner differential leg
     /// and CI use this).
     pub use_planner: bool,
-    /// Let [`Session::run`](crate::Session::run) serve repeated
-    /// statement text from the transparent, schema-epoch-fenced plan
-    /// cache (`crate::vm`), skipping parse and resolve on a hit. Only
-    /// the cache is switched: execution, `PREPARE` and `EXECUTE` take
-    /// the same path either way, so results are identical (the
-    /// differential suite crosses cached cold and warm runs against
-    /// naive/pipelined/planner). Defaults to on.
+    /// Has no effect. Statement text is never cached:
+    /// [`Session::run`](crate::Session::run) parses and resolves every
+    /// statement, and `PREPARE`/`EXECUTE` is the one way to reuse a
+    /// resolved one. The field stays only because the benchmark harness
+    /// (`perfbench/src/workload.rs`) still sets it; it is deleted
+    /// together with that line when the benchmark next changes
+    /// (ROADMAP item 2).
     pub use_vm: bool,
     /// Optional execution-profile sink (`EXPLAIN ANALYZE`). When
     /// attached, the evaluator records strategy, plan, stage and cost
@@ -140,7 +140,7 @@ impl Default for EvalOptions {
             budget: EvalBudget::default(),
             cancel: CancelFlag::default(),
             use_planner: env_planner(),
-            use_vm: true,
+            use_vm: false,
             profile: None,
         }
     }

@@ -50,7 +50,7 @@ pub use unparse::{unparse_query, unparse_stmt};
 mod dump;
 pub mod eval;
 pub mod plan;
+mod prepared;
 mod session;
 pub mod typing;
 mod unparse;
-pub mod vm;

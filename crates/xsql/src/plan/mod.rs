@@ -37,10 +37,10 @@
 //! `path_value` code, and emission goes through the same `emit_rows`.
 //! The differential suite crosses all engines on every paper query.
 //!
-//! `exec::execute` is the only executor of a [`Plan`]. Prepared and
-//! plan-cached statements (`crate::vm`) skip parse and resolve but reach
-//! it through the same statement path, so they are re-planned against
-//! current statistics and index completeness on every run.
+//! `exec::execute` is the only executor of a [`Plan`]. Prepared
+//! statements (`EXECUTE`) skip parse and resolve but reach it through
+//! the same statement path, so they are re-planned against current
+//! statistics and index completeness on every run.
 
 use crate::ast::*;
 use crate::error::XsqlResult;

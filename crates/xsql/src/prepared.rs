@@ -1,55 +1,40 @@
-//! Prepared statements, parameter binding, and the schema-epoch plan
-//! cache.
+//! Prepared statements and parameter binding.
 //!
 //! The statement pipeline (`parse → resolve → execute`) re-does its
-//! front half on every invocation of the same query text. This module
-//! keeps a *resolved* statement as a [`Program`] so repeats skip parse
-//! and resolve; execution always goes through the one statement path
+//! front half on every invocation of the same query text.
+//! `PREPARE name AS <stmt>` keeps a *resolved* statement as a
+//! [`Program`] so each `EXECUTE name (?1, …)` skips parse and resolve;
+//! execution always goes through the one statement path
 //! (`Session::execute_resolved`), so a planner-fragment SELECT is
 //! re-planned by [`crate::plan`] against current attribute statistics
 //! and index completeness on every run. Results are therefore those of
 //! a cold statement by construction.
 //!
-//! Three consumers sit on top:
-//!
-//! * **`PREPARE name AS <stmt>` / `EXECUTE name (?1, …)`** — explicit
-//!   prepared statements with typed positional parameters
-//!   ([`crate::ast::IdTerm::Param`]). The body is resolved at PREPARE;
-//!   EXECUTE substitutes bound argument OIDs into a clone of the
-//!   template ([`Program::bind`]) and runs it, paying zero
-//!   parse/resolve cost. A bound parameter is a plain OID constant by
-//!   then, so the planner's index probes cover parameter keys with no
-//!   extra code. Prepared statements are **session-local** and never
-//!   WAL-logged: after a crash the client must re-PREPARE (an EXECUTE
-//!   against a name prepared before the crash fails cleanly with
-//!   *unknown prepared statement*).
-//! * **The transparent plan cache** — [`Session::run`] keys programs on
-//!   the statement's lexed token stream ([`cache_key`]) and reuses them
-//!   on repeats, with LRU eviction at [`PlanCache::CAPACITY`] entries.
-//!   Layout whitespace and comments never reach the key; literal
-//!   payloads (whitespace inside strings included) do, verbatim.
+//! * **Parameters** — typed positional placeholders
+//!   ([`crate::ast::IdTerm::Param`]). EXECUTE substitutes bound
+//!   argument OIDs into a clone of the template ([`Program::bind`]). A
+//!   bound parameter is a plain OID constant by then, so the planner's
+//!   index probes cover parameter keys with no extra code. Prepared
+//!   statements are **session-local** and never WAL-logged: after a
+//!   crash the client must re-PREPARE (an EXECUTE against a name
+//!   prepared before the crash fails cleanly with *unknown prepared
+//!   statement*).
 //! * **The schema-epoch fence** — every [`Program`] records the
 //!   [`oodb::Database::schema_epoch`] it was resolved under. Any
 //!   definitional statement (class/signature/method/view definition,
 //!   and conservatively any rollback that undid work) bumps the epoch,
-//!   so cache lookup and EXECUTE both treat an epoch mismatch as an
-//!   invalidation and re-resolve; a stale program is structurally
+//!   so EXECUTE treats an epoch mismatch as an invalidation and
+//!   re-resolves the stored body; a stale program is structurally
 //!   unable to execute. A defensive counter
 //!   (`xsql_plan_cache_stale_executions_total`) counts the should-be-
 //!   impossible case and is asserted zero by the chaos harness.
 //!
-//! [`crate::eval::EvalOptions::use_vm`] `= false` turns the transparent
-//! cache off: `Session::run` then parses every statement. See
-//! `docs/VM.md`.
-//!
-//! [`Session::run`]: crate::Session::run
+//! See `docs/PREPARED.md`.
 
 use crate::ast::*;
 use crate::error::{XsqlError, XsqlResult};
 use crate::eval::cond::flatten_and;
-use crate::lexer::lex;
 use oodb::{Database, Oid};
-use std::collections::HashMap;
 
 /// Value family a typed parameter must belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,37 +147,6 @@ pub fn max_param(stmt: &Stmt) -> u32 {
         }
     });
     max
-}
-
-/// True when `Session::run` may cache a program for this
-/// statement: plain SELECTs (no object creation — `OID FUNCTION OF`
-/// mints fresh OIDs per run) and relational-algebra trees of such,
-/// without parameter placeholders.
-pub fn cacheable(stmt: &Stmt) -> bool {
-    fn sel_ok(stmt: &Stmt) -> bool {
-        match stmt {
-            Stmt::Select(q) => q.oid_fn.is_none(),
-            Stmt::RelOp { left, right, .. } => sel_ok(left) && sel_ok(right),
-            _ => false,
-        }
-    }
-    sel_ok(stmt) && max_param(stmt) == 0
-}
-
-/// The plan-cache key: the statement's lexed token stream with source
-/// offsets dropped. Layout whitespace and comments vanish, while string
-/// and quoted-identifier payloads stay verbatim, so two statements share
-/// a key only when they lex to the same tokens. Case stays significant
-/// (identifiers are case-sensitive). `None` when the text does not lex;
-/// the caller then reports the parse error.
-pub fn cache_key(src: &str) -> Option<String> {
-    let tokens = lex(src).ok()?;
-    let mut key = String::with_capacity(src.len() * 2);
-    for t in &tokens {
-        use std::fmt::Write as _;
-        let _ = write!(key, "{:?} ", t.kind);
-    }
-    Some(key)
 }
 
 /// Collects bind-time type checks: for every conjunct of shape
@@ -571,24 +525,16 @@ fn subst_idterm(t: &mut IdTerm, args: &[Oid]) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Plan cache
-// ---------------------------------------------------------------------
-
-/// Cached handles for the plan-cache counters, re-derived whenever the
-/// session's registry is swapped. The size gauge lives in the
-/// [`PlanCache`] itself, which moves it by deltas.
+/// Cached handles for the prepared-statement counters, re-derived
+/// whenever the session's registry is swapped. The names keep their
+/// historical `plan_cache` prefix.
 #[derive(Debug)]
-pub struct CacheMetrics {
-    /// `xsql_plan_cache_hits_total` — lookups and EXECUTEs served by an
-    /// already-resolved program.
+pub struct PreparedMetrics {
+    /// `xsql_plan_cache_hits_total` — EXECUTEs served by a current
+    /// program.
     pub hits: std::sync::Arc<telemetry::Counter>,
-    /// `xsql_plan_cache_misses_total` — cacheable statements that had
-    /// to be parsed and resolved (invalidations included).
-    pub misses: std::sync::Arc<telemetry::Counter>,
-    /// `xsql_plan_cache_evictions_total`.
-    pub evictions: std::sync::Arc<telemetry::Counter>,
-    /// `xsql_plan_cache_invalidations_total`.
+    /// `xsql_plan_cache_invalidations_total` — EXECUTEs that had to
+    /// re-resolve the stored body (schema epoch moved, or rebase).
     pub invalidations: std::sync::Arc<telemetry::Counter>,
     /// `xsql_plan_cache_stale_executions_total` — defensively counts a
     /// program reaching execution under a foreign schema epoch. The
@@ -597,145 +543,14 @@ pub struct CacheMetrics {
     pub stale_executions: std::sync::Arc<telemetry::Counter>,
 }
 
-impl CacheMetrics {
+impl PreparedMetrics {
     /// Derives the metric handles from a registry.
-    pub fn new(registry: &telemetry::Registry) -> CacheMetrics {
-        CacheMetrics {
+    pub fn new(registry: &telemetry::Registry) -> PreparedMetrics {
+        PreparedMetrics {
             hits: registry.counter("xsql_plan_cache_hits_total", &[]),
-            misses: registry.counter("xsql_plan_cache_misses_total", &[]),
-            evictions: registry.counter("xsql_plan_cache_evictions_total", &[]),
             invalidations: registry.counter("xsql_plan_cache_invalidations_total", &[]),
             stale_executions: registry.counter("xsql_plan_cache_stale_executions_total", &[]),
         }
-    }
-}
-
-struct CacheEntry {
-    prog: std::sync::Arc<Program>,
-    /// LRU stamp: the cache tick of the last touch.
-    stamp: u64,
-}
-
-impl std::fmt::Debug for CacheEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheEntry")
-            .field("epoch", &self.prog.epoch)
-            .field("stamp", &self.stamp)
-            .finish()
-    }
-}
-
-/// The transparent, session-local plan cache: resolved programs keyed
-/// on [`cache_key`] token streams, fenced by schema epoch, evicted LRU.
-///
-/// The cache moves its `xsql_plan_cache_size` gauge by deltas (and
-/// takes its entries back off the gauge when dropped), so with several
-/// sessions on one registry the gauge reads the sum over them.
-#[derive(Debug)]
-pub struct PlanCache {
-    map: HashMap<String, CacheEntry>,
-    tick: u64,
-    size: std::sync::Arc<telemetry::Gauge>,
-}
-
-impl PlanCache {
-    /// Maximum number of cached programs; the least recently used entry
-    /// is evicted beyond this.
-    pub const CAPACITY: usize = 64;
-
-    /// A fresh, empty cache counting its entries into `registry`'s
-    /// `xsql_plan_cache_size` gauge.
-    pub fn new(registry: &telemetry::Registry) -> PlanCache {
-        PlanCache {
-            map: HashMap::new(),
-            tick: 0,
-            size: registry.gauge("xsql_plan_cache_size", &[]),
-        }
-    }
-
-    /// Moves this cache's entries from its current size gauge to
-    /// `registry`'s.
-    pub fn set_registry(&mut self, registry: &telemetry::Registry) {
-        let n = self.map.len() as i64;
-        self.size.add(-n);
-        self.size = registry.gauge("xsql_plan_cache_size", &[]);
-        self.size.add(n);
-    }
-
-    /// Number of cached programs.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Looks up `key` under the current schema epoch. A hit bumps the
-    /// LRU stamp and counts `hits`; an entry resolved under another
-    /// epoch is dropped and counted as an invalidation. Misses are the
-    /// caller's to count: only it learns whether the statement is
-    /// cacheable at all.
-    pub fn lookup(
-        &mut self,
-        key: &str,
-        epoch: u64,
-        m: &CacheMetrics,
-    ) -> Option<std::sync::Arc<Program>> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(entry) if entry.prog.epoch == epoch => {
-                entry.stamp = self.tick;
-                m.hits.inc();
-                Some(std::sync::Arc::clone(&entry.prog))
-            }
-            Some(_) => {
-                self.map.remove(key);
-                self.size.add(-1);
-                m.invalidations.inc();
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Inserts a freshly resolved program, evicting the least recently
-    /// used entry when full.
-    pub fn insert(&mut self, key: String, prog: std::sync::Arc<Program>, m: &CacheMetrics) {
-        self.tick += 1;
-        if self.map.len() >= Self::CAPACITY && !self.map.contains_key(&key) {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.size.add(-1);
-                m.evictions.inc();
-            }
-        }
-        let entry = CacheEntry {
-            prog,
-            stamp: self.tick,
-        };
-        if self.map.insert(key, entry).is_none() {
-            self.size.add(1);
-        }
-    }
-
-    /// Drops every cached program (a reader session does this when it
-    /// is rebased onto a newer epoch).
-    pub fn clear(&mut self) {
-        self.size.add(-(self.map.len() as i64));
-        self.map.clear();
-    }
-}
-
-impl Drop for PlanCache {
-    fn drop(&mut self) {
-        self.clear();
     }
 }
 
@@ -752,42 +567,5 @@ mod tests {
         assert_eq!(max_param(&s), 3);
         let s = parse("SELECT X FROM Employee X").unwrap();
         assert_eq!(max_param(&s), 0);
-    }
-
-    #[test]
-    fn normalizes_whitespace_only() {
-        // Layout whitespace and comments do not reach the key …
-        assert_eq!(
-            cache_key("SELECT   X\n  FROM Employee\tX -- all of them"),
-            cache_key("SELECT X FROM Employee X")
-        );
-        // … whitespace inside a string literal does.
-        assert_ne!(
-            cache_key("SELECT X FROM Company X WHERE X.Name = 'Company  3'"),
-            cache_key("SELECT X FROM Company X WHERE X.Name = 'Company 3'")
-        );
-        // Literal content and case stay significant.
-        assert_ne!(
-            cache_key("SELECT X FROM Employee X WHERE X.Salary > 1"),
-            cache_key("SELECT X FROM Employee X WHERE X.Salary > 2")
-        );
-        assert_ne!(
-            cache_key("select x from Employee x"),
-            cache_key("SELECT X FROM Employee X")
-        );
-        // Text that does not lex has no key.
-        assert_eq!(cache_key("SELECT 'unterminated"), None);
-    }
-
-    #[test]
-    fn cacheable_excludes_creation_and_params() {
-        let ok = parse("SELECT X FROM Employee X").unwrap();
-        assert!(cacheable(&ok));
-        let relop = parse("SELECT X FROM Employee X UNION SELECT X FROM Employee X").unwrap();
-        assert!(cacheable(&relop));
-        let oid_fn = parse("SELECT Name = X.Name FROM Employee X OID FUNCTION OF X").unwrap();
-        assert!(!cacheable(&oid_fn));
-        let param = parse("SELECT X FROM Employee X WHERE X.Salary > ?1").unwrap();
-        assert!(!cacheable(&param));
     }
 }

@@ -6,9 +6,9 @@ use crate::eval::select::{eval_rows, select_rows};
 use crate::eval::view::{create_view, materialize, reattach_view, update_through_view, ViewDef};
 use crate::eval::{create, method, update, Ctx, EvalOptions};
 use crate::parser::{parse, parse_script};
+use crate::prepared::{self, PreparedMetrics, Program};
 use crate::resolve::resolve_stmt;
 use crate::unparse::unparse_stmt;
-use crate::vm;
 use oodb::{Database, Oid};
 use relalg::Relation;
 use std::collections::BTreeMap;
@@ -171,14 +171,9 @@ pub struct Session {
     /// before a [`Session::rebase`], are transparently re-resolved at
     /// EXECUTE.
     prepared: BTreeMap<String, PreparedEntry>,
-    /// The transparent plan cache: resolved programs keyed on the
-    /// statement's token stream, fenced by schema epoch
-    /// ([`crate::vm::PlanCache`]). Consulted by [`Session::run`] when
-    /// [`EvalOptions::use_vm`] is on.
-    plan_cache: vm::PlanCache,
-    /// Cached plan-cache metric handles (re-derived on
+    /// Cached prepared-statement metric handles (re-derived on
     /// [`Session::set_registry`]).
-    cache_metrics: vm::CacheMetrics,
+    prepared_metrics: PreparedMetrics,
 }
 
 /// One `PREPARE`d statement: the unresolved body (kept for
@@ -190,7 +185,7 @@ struct PreparedEntry {
     /// The program resolved from `src`; `None` once a
     /// [`Session::rebase`] replaced the database it was resolved
     /// against, so the next EXECUTE re-resolves.
-    program: Option<std::sync::Arc<vm::Program>>,
+    program: Option<std::sync::Arc<Program>>,
 }
 
 /// Summary of what crash recovery did when the session opened its
@@ -278,8 +273,7 @@ impl Session {
     pub fn with_options(db: Database, opts: EvalOptions) -> Session {
         let registry = std::sync::Arc::new(telemetry::Registry::from_env());
         let stmt_latency = registry.latency("xsql_stmt_latency_us", &[]);
-        let cache_metrics = vm::CacheMetrics::new(&registry);
-        let plan_cache = vm::PlanCache::new(&registry);
+        let prepared_metrics = PreparedMetrics::new(&registry);
         Session {
             db,
             opts,
@@ -296,8 +290,7 @@ impl Session {
             registry,
             stmt_latency,
             prepared: BTreeMap::new(),
-            plan_cache,
-            cache_metrics,
+            prepared_metrics,
         }
     }
 
@@ -492,10 +485,10 @@ impl Session {
     /// Replaces the database with `db`, a newer committed state of the
     /// one the session was serving — how a kept reader session moves to
     /// the next published epoch. Nothing resolved against the old
-    /// database survives: the plan cache is cleared and every prepared
-    /// statement is re-resolved from its stored body at its next
-    /// EXECUTE. (`schema_epoch` alone cannot fence a rebase: two
-    /// databases may reach the same epoch over different OID tables.)
+    /// database survives: every prepared statement is re-resolved from
+    /// its stored body at its next EXECUTE. (`schema_epoch` alone cannot
+    /// fence a rebase: two databases may reach the same epoch over
+    /// different OID tables.)
     ///
     /// Meant for sessions that only read: the view catalogue and the
     /// anonymous-name counter are kept, and it must not be called
@@ -503,7 +496,6 @@ impl Session {
     pub fn rebase(&mut self, db: Database) {
         debug_assert!(self.txn.is_none(), "rebase inside an open transaction");
         self.db = db;
-        self.plan_cache.clear();
         for entry in self.prepared.values_mut() {
             entry.program = None;
         }
@@ -541,8 +533,7 @@ impl Session {
     /// registry.
     pub fn set_registry(&mut self, registry: std::sync::Arc<telemetry::Registry>) {
         self.stmt_latency = registry.latency("xsql_stmt_latency_us", &[]);
-        self.cache_metrics = vm::CacheMetrics::new(&registry);
-        self.plan_cache.set_registry(&registry);
+        self.prepared_metrics = PreparedMetrics::new(&registry);
         if let Some(store) = &mut self.store {
             store.attach_registry(&registry);
         }
@@ -563,78 +554,7 @@ impl Session {
     /// explicit transaction a successful statement commits immediately;
     /// inside one it stays undoable until `COMMIT WORK`.
     pub fn run(&mut self, src: &str) -> XsqlResult<Outcome> {
-        self.run_src(src, None)
-    }
-
-    /// [`Session::run`] for a statement the caller already parsed from
-    /// `src` (a server that parsed it to classify the request). The
-    /// source is lexed for the plan-cache key but never parsed again.
-    pub fn run_parsed(&mut self, stmt: &Stmt, src: &str) -> XsqlResult<Outcome> {
-        self.run_src(src, Some(stmt))
-    }
-
-    /// The plan cache, when on, is consulted on the statement's
-    /// token-stream key under the current schema epoch; a hit skips
-    /// parse and resolve entirely. On a miss, cacheable statements
-    /// (plain SELECTs) are resolved, run, and cached; everything else
-    /// takes the stock path. `src` is parsed only when `parsed` is
-    /// `None` and the cache missed.
-    fn run_src(&mut self, src: &str, parsed: Option<&Stmt>) -> XsqlResult<Outcome> {
-        let key = self.opts.use_vm.then(|| vm::cache_key(src)).flatten();
-        if let Some(key) = &key {
-            let epoch = self.db.schema_epoch();
-            if let Some(prog) = self.plan_cache.lookup(key, epoch, &self.cache_metrics) {
-                return self.execute_program_gated(|s| s.run_program(&prog, &[]));
-            }
-        }
-        let owned;
-        let stmt = match parsed {
-            Some(stmt) => stmt,
-            None => {
-                owned = parse(src)?;
-                &owned
-            }
-        };
-        let Some(key) = key.filter(|_| vm::cacheable(stmt)) else {
-            return self.execute(stmt);
-        };
-        self.cache_metrics.misses.inc();
-        let mut resolved_prog: Option<std::sync::Arc<vm::Program>> = None;
-        let out = self.execute_program_gated(|s| {
-            let resolved = resolve_stmt(&mut s.db, stmt)?;
-            let prog = std::sync::Arc::new(vm::Program::new(&s.db, resolved, 0));
-            let outcome = s.run_program(&prog, &[])?;
-            resolved_prog = Some(prog);
-            Ok(outcome)
-        })?;
-        if let Some(prog) = resolved_prog {
-            self.plan_cache.insert(key, prog, &self.cache_metrics);
-        }
-        Ok(out)
-    }
-
-    /// Runs a program-producing closure with the same telemetry span,
-    /// latency recording, poison gate, atomicity and poison-on-failure
-    /// rule as [`Session::execute`].
-    fn execute_program_gated(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> XsqlResult<Outcome>,
-    ) -> XsqlResult<Outcome> {
-        let registry = std::sync::Arc::clone(&self.registry);
-        let _span = registry.span("xsql.execute");
-        let started = std::time::Instant::now();
-        let result = match self.poison_gate() {
-            Ok(()) => {
-                let r = self.atomically_as(LogAs::Ops, f);
-                if let Err(e) = &r {
-                    self.note_statement_failure(e);
-                }
-                r
-            }
-            Err(e) => Err(e),
-        };
-        self.stmt_latency.observe_since(started);
-        result
+        self.execute(&parse(src)?)
     }
 
     /// Runs a `;`-separated script, returning the outcome of each
@@ -828,7 +748,7 @@ impl Session {
         }
         // Parameters only bind through EXECUTE; a bare `?n` anywhere
         // outside a PREPARE body can never receive a value.
-        if !matches!(stmt, Stmt::Prepare { .. }) && vm::max_param(stmt) > 0 {
+        if !matches!(stmt, Stmt::Prepare { .. }) && prepared::max_param(stmt) > 0 {
             let e = XsqlError::Resolve(
                 "parameters (`?1`, `?2`, …) are only allowed inside a PREPARE body".into(),
             );
@@ -1218,9 +1138,9 @@ impl Session {
                 // The body is resolved now; EXECUTE pays zero
                 // parse/resolve cost. The unresolved body is kept so a
                 // schema-epoch change can re-resolve it.
-                let n_params = vm::max_param(inner);
+                let n_params = prepared::max_param(inner);
                 let resolved = resolve_stmt(&mut self.db, inner)?;
-                let program = std::sync::Arc::new(vm::Program::new(&self.db, resolved, n_params));
+                let program = std::sync::Arc::new(Program::new(&self.db, resolved, n_params));
                 self.prepared.insert(
                     name.clone(),
                     PreparedEntry {
@@ -1240,7 +1160,7 @@ impl Session {
                 let epoch = self.db.schema_epoch();
                 let program = match entry.program {
                     Some(program) if program.epoch == epoch => {
-                        self.cache_metrics.hits.inc();
+                        self.prepared_metrics.hits.inc();
                         program
                     }
                     // The schema moved since PREPARE, or the session was
@@ -1248,11 +1168,11 @@ impl Session {
                     // re-resolve the stored body against the current
                     // database.
                     _ => {
-                        self.cache_metrics.invalidations.inc();
-                        let n_params = vm::max_param(&entry.src);
+                        self.prepared_metrics.invalidations.inc();
+                        let n_params = prepared::max_param(&entry.src);
                         let resolved = resolve_stmt(&mut self.db, &entry.src)?;
                         let program =
-                            std::sync::Arc::new(vm::Program::new(&self.db, resolved, n_params));
+                            std::sync::Arc::new(Program::new(&self.db, resolved, n_params));
                         self.prepared.insert(
                             name.clone(),
                             PreparedEntry {
@@ -1379,12 +1299,12 @@ impl Session {
     /// parameters and runs the bound statement through
     /// [`Session::execute_resolved`], still skipping parse and resolve.
     /// A planner-fragment SELECT is planned afresh on every run.
-    fn run_program(&mut self, prog: &vm::Program, args: &[Oid]) -> XsqlResult<Outcome> {
-        // The epoch fence: callers already validated (cache lookup /
-        // EXECUTE re-resolve), so a mismatch here is a bug — count it
-        // (the chaos harness asserts this stays 0) and refuse to run.
+    fn run_program(&mut self, prog: &Program, args: &[Oid]) -> XsqlResult<Outcome> {
+        // The epoch fence: EXECUTE already validated or re-resolved
+        // the program, so a mismatch here is a bug — count it (the
+        // chaos harness asserts this stays 0) and refuse to run.
         if prog.epoch != self.db.schema_epoch() {
-            self.cache_metrics.stale_executions.inc();
+            self.prepared_metrics.stale_executions.inc();
             return Err(XsqlError::Internal(
                 "stale program reached execution (schema epoch changed since resolution)".into(),
             ));

@@ -4,14 +4,15 @@
 //! instance and on property-generated queries over random databases.
 //! Every query additionally runs with the method index disabled,
 //! through the cost-based planner (with and without index probes), and
-//! through a session's plan cache (a cold miss and a warm hit), which
-//! must all produce the same relation bit-for-bit.
+//! twice through one session's `run` (the full parse → resolve →
+//! execute path), which must all produce the same relation
+//! bit-for-bit.
 //!
-//! The literal-pair leg attacks the plan cache itself: statement pairs
-//! that differ only in literal content, whitespace inside a literal,
-//! keyword/identifier case, or an `EXECUTE` argument run in both orders
-//! through one warm session, and every answer must equal a cold
-//! session's and the naive engine's.
+//! The literal-pair leg shows that nothing carries over between
+//! statements: pairs that differ only in literal content, whitespace
+//! inside a literal, keyword/identifier case, or an `EXECUTE` argument
+//! run in both orders through one warm session, and every answer must
+//! equal a fresh session's and the naive engine's.
 
 use datagen::{figure1_db, figure1_scaled, Figure1Params};
 use oodb::{Database, DbBuilder, Oid};
@@ -66,31 +67,30 @@ fn engines(db: &mut Database, src: &str) -> Vec<(&'static str, relalg::Relation)
         .into_iter()
         .map(|(label, opts)| (label, eval_select(db, &q, &opts).unwrap()))
         .collect();
-    // Plan-cache legs, driven through a session so the statement takes
-    // the real resolve → cache → execute path: a cold run (plan-cache
-    // miss) and a warm re-run of the same text (cache hit, same Program
-    // object) must both agree bit-for-bit. The session runs on a clone
-    // taken *after* the engine legs, so every result value is already
-    // interned and OIDs line up exactly.
-    let mut sess = Session::with_options(db.clone(), cached_opts());
-    let mut cached_run = |label: &'static str| {
+    // Session legs, driven through `Session::run` so the statement
+    // takes the real parse → resolve → execute path: a first run and a
+    // re-run of the same text in the same session must both agree
+    // bit-for-bit. The session runs on a clone taken *after* the engine
+    // legs, so every result value is already interned and OIDs line up
+    // exactly.
+    let mut sess = Session::with_options(db.clone(), session_opts());
+    let mut session_run = |label: &'static str| {
         let Outcome::Relation(rel) = sess.run(src).unwrap() else {
-            panic!("cached leg did not return a relation for {src}")
+            panic!("session leg did not return a relation for {src}")
         };
         (label, rel)
     };
-    let cold = cached_run("cached-cold");
-    let warm = cached_run("cached-warm");
-    results.push(cold);
-    results.push(warm);
+    let first = session_run("session");
+    let rerun = session_run("session-rerun");
+    results.push(first);
+    results.push(rerun);
     results
 }
 
-/// Session options with the plan cache and the planner pinned on.
-fn cached_opts() -> EvalOptions {
+/// Session options with the planner pinned on.
+fn session_opts() -> EvalOptions {
     EvalOptions {
         use_planner: true,
-        use_vm: true,
         ..EvalOptions::default()
     }
 }
@@ -107,9 +107,8 @@ fn session_rows(s: &mut Session, src: &str) -> Vec<Vec<String>> {
 }
 
 /// Runs the pair `a`/`b` in both orders through one warm session (each
-/// statement twice, so the second run is a cache hit when the
-/// statement is cacheable) and asserts every answer equals a cold
-/// cached session's and the naive engine's. `setup` runs first in
+/// statement twice) and asserts every answer equals a fresh session's
+/// and the naive engine's. `setup` runs first in
 /// every session (PREPAREs for `EXECUTE` pairs).
 fn assert_literal_pair(db: &Database, setup: &[&str], a: &str, b: &str) {
     let fresh = |opts: EvalOptions| {
@@ -121,18 +120,14 @@ fn assert_literal_pair(db: &Database, setup: &[&str], a: &str, b: &str) {
     };
     let oracle = EvalOptions {
         use_planner: false,
-        use_vm: false,
         ..EvalOptions::naive()
     };
     for (first, second) in [(a, b), (b, a)] {
-        let mut warm = fresh(cached_opts());
+        let mut warm = fresh(session_opts());
         for src in [first, second, first, second] {
             let want = session_rows(&mut fresh(oracle.clone()), src);
-            let cold = session_rows(&mut fresh(cached_opts()), src);
-            assert_eq!(
-                cold, want,
-                "cold cached session disagrees with naive on {src}"
-            );
+            let cold = session_rows(&mut fresh(session_opts()), src);
+            assert_eq!(cold, want, "fresh session disagrees with naive on {src}");
             let got = session_rows(&mut warm, src);
             assert_eq!(
                 got, want,

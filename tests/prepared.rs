@@ -1,13 +1,15 @@
 //! Prepared statements (`PREPARE name AS …` / `EXECUTE name (…)`) and
-//! the schema-epoch plan cache. See docs/VM.md.
+//! their schema-epoch fence. See docs/PREPARED.md.
 //!
 //! Covered here: parameter binding and its typed bind-time errors,
-//! plan-cache transparency (same rows cold and warm), invalidation
-//! across definitional statements (a schema change must never let a
-//! stale plan execute), the interaction with `ROLLBACK WORK` (the
-//! prepared map is transaction state), and crash recovery (prepared
-//! names are session-local and never WAL-logged, so an `EXECUTE` after
-//! recovery fails cleanly and the session stays usable).
+//! repeated statement text (nothing carries over between plain
+//! statements, so cold and repeated runs give the same rows),
+//! invalidation across definitional statements and rebases (a schema
+//! change must never let a stale program execute), the interaction
+//! with `ROLLBACK WORK` (the prepared map is transaction state), and
+//! crash recovery (prepared names are session-local and never
+//! WAL-logged, so an `EXECUTE` after recovery fails cleanly and the
+//! session stays usable).
 
 use datagen::{figure1_db, figure1_scaled, Figure1Params};
 use oodb::Database;
@@ -15,13 +17,12 @@ use std::path::Path;
 use storage::{CrashMode, FaultFs};
 use xsql::{EvalOptions, Outcome, Session, XsqlError};
 
-/// A session with the plan cache and planner pinned on, independent of
-/// the `XSQL_PLANNER` environment.
-fn vm_session(db: Database) -> Session {
+/// A session with the planner pinned on, independent of the
+/// `XSQL_PLANNER` environment.
+fn session(db: Database) -> Session {
     Session::with_options(
         db,
         EvalOptions {
-            use_vm: true,
             use_planner: true,
             ..EvalOptions::default()
         },
@@ -41,7 +42,7 @@ fn counter(s: &Session, name: &str) -> u64 {
 
 #[test]
 fn execute_binds_parameters_and_matches_the_direct_query() {
-    let mut s = vm_session(figure1_db());
+    let mut s = session(figure1_db());
     let out = s
         .run("PREPARE rich AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .unwrap();
@@ -70,50 +71,44 @@ fn execute_binds_parameters_and_matches_the_direct_query() {
 }
 
 #[test]
-fn whitespace_inside_a_literal_is_part_of_the_cache_key() {
+fn whitespace_inside_a_literal_changes_the_answer() {
     let db = figure1_scaled(&Figure1Params::with_total_objects(500));
     let two_spaces = "SELECT X FROM Company X WHERE X.Name = 'Company  3'";
     let one_space = "SELECT X FROM Company X WHERE X.Name = 'Company 3'";
-    let cold = rows(&mut vm_session(db.clone()), one_space);
+    let cold = rows(&mut session(db.clone()), one_space);
     assert_eq!(cold.len(), 1, "the scaled fixture has one `Company 3`");
 
-    // Warm session: the two-space statement runs (and is cached) first.
-    // The one-space statement must not be served its program.
-    let mut warm = vm_session(db);
+    // The two-space statement runs first in the same session; the
+    // one-space statement must not be served its answer.
+    let mut warm = session(db);
     assert_eq!(rows(&mut warm, two_spaces).len(), 0);
-    let m0 = counter(&warm, "xsql_plan_cache_misses_total");
     assert_eq!(rows(&mut warm, one_space), cold);
-    assert_eq!(counter(&warm, "xsql_plan_cache_misses_total"), m0 + 1);
 }
 
 #[test]
-fn reexecution_reuses_the_compiled_plan() {
-    let mut s = vm_session(figure1_db());
+fn reexecution_reuses_the_prepared_program() {
+    let mut s = session(figure1_db());
     s.run("PREPARE q AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .unwrap();
     let hits0 = counter(&s, "xsql_plan_cache_hits_total");
-    let misses0 = counter(&s, "xsql_plan_cache_misses_total");
     let first = rows(&mut s, "EXECUTE q (30000)");
     let second = rows(&mut s, "EXECUTE q (30000)");
     assert_eq!(first, second);
     // Both EXECUTEs ran the program resolved at PREPARE (epoch
-    // unchanged), and each counts as one plan-cache hit and no miss.
+    // unchanged), and each counts as one hit.
     assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), hits0 + 2);
-    assert_eq!(counter(&s, "xsql_plan_cache_misses_total"), misses0);
-    // Statements the cache never holds count neither.
+    // Plain statements and PREPARE itself count none.
     s.run("UPDATE CLASS Employee SET kim1.Salary = 30001")
         .unwrap();
     s.run("PREPARE r AS SELECT X FROM Employee X WHERE X.Salary < ?1")
         .unwrap();
     assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), hits0 + 2);
-    assert_eq!(counter(&s, "xsql_plan_cache_misses_total"), misses0);
     assert_eq!(counter(&s, "xsql_plan_cache_stale_executions_total"), 0);
 }
 
 /// `Session::rebase` drops everything resolved against the old
 /// database even when the new one has the same schema epoch. Here the
-/// reader's cached and prepared programs point at a literal it interned
-/// itself; a writer over the same base interns a different value at
+/// reader's prepared program points at a literal it interned itself; a writer over the same base interns a different value at
 /// the same table position without moving its schema epoch, and the
 /// reader's own epoch moved away (a failed statement) before the
 /// rebase brings it back to the programs' epoch.
@@ -121,7 +116,7 @@ fn reexecution_reuses_the_compiled_plan() {
 fn rebase_re_resolves_even_when_the_schema_epoch_collides() {
     let base = figure1_db();
     let query = "SELECT X FROM Employee X WHERE X.Salary > 31234";
-    let mut reader = vm_session(base.clone());
+    let mut reader = session(base.clone());
     reader
         .run("PREPARE p AS SELECT X FROM Employee X WHERE X.Salary > 31234 and X.Salary > ?1")
         .unwrap();
@@ -132,14 +127,14 @@ fn rebase_re_resolves_even_when_the_schema_epoch_collides() {
         .unwrap_err();
     assert!(reader.db().schema_epoch() > resolved_at);
 
-    let mut writer = vm_session(base);
+    let mut writer = session(base);
     writer
         .run("UPDATE CLASS Employee SET kim1.Salary = 99999")
         .unwrap();
     assert_eq!(writer.db().schema_epoch(), resolved_at);
 
     reader.rebase(writer.db().clone());
-    let want = rows(&mut vm_session(writer.db().clone()), query);
+    let want = rows(&mut session(writer.db().clone()), query);
     assert!(!want.is_empty());
     assert_eq!(rows(&mut reader, query), want);
     assert_eq!(rows(&mut reader, "EXECUTE p (0)"), want);
@@ -149,37 +144,9 @@ fn rebase_re_resolves_even_when_the_schema_epoch_collides() {
     );
 }
 
-/// Sessions sharing a registry add up in `xsql_plan_cache_size`: each
-/// moves the gauge by its own deltas, hands its entries over on
-/// `set_registry`, and takes them back off when dropped or rebased.
-#[test]
-fn plan_cache_size_gauge_sums_over_sessions_on_one_registry() {
-    let q1 = "SELECT X FROM Employee X WHERE X.Salary > 30000";
-    let q2 = "SELECT X FROM Employee X WHERE X.Salary < 30000";
-    let mut a = vm_session(figure1_db());
-    let mut b = vm_session(figure1_db());
-    rows(&mut b, q1);
-    let own = std::sync::Arc::clone(b.registry());
-    let registry = std::sync::Arc::clone(a.registry());
-    b.set_registry(std::sync::Arc::clone(&registry));
-    let size = || registry.gauge("xsql_plan_cache_size", &[]).get();
-    assert_eq!(size(), 1);
-    assert_eq!(own.gauge("xsql_plan_cache_size", &[]).get(), 0);
-    rows(&mut a, q1);
-    rows(&mut a, q2);
-    assert_eq!(size(), 3);
-    rows(&mut b, q2);
-    assert_eq!(size(), 4);
-    drop(b);
-    assert_eq!(size(), 2);
-    let db = a.db().clone();
-    a.rebase(db);
-    assert_eq!(size(), 0);
-}
-
 #[test]
 fn mistyped_arguments_fail_at_bind_with_a_named_parameter() {
-    let mut s = vm_session(figure1_db());
+    let mut s = session(figure1_db());
     s.run("PREPARE by_sal AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .unwrap();
     s.run("PREPARE by_name AS SELECT X FROM Employee X WHERE X.Name = ?1")
@@ -217,7 +184,7 @@ fn mistyped_arguments_fail_at_bind_with_a_named_parameter() {
 
 #[test]
 fn parameters_are_rejected_outside_a_prepare_body() {
-    let mut s = vm_session(figure1_db());
+    let mut s = session(figure1_db());
     let err = s
         .run("SELECT X FROM Employee X WHERE X.Salary > ?1")
         .unwrap_err();
@@ -229,7 +196,7 @@ fn parameters_are_rejected_outside_a_prepare_body() {
 
 #[test]
 fn prepare_rejects_nested_prepare_and_explain() {
-    let mut s = vm_session(figure1_db());
+    let mut s = session(figure1_db());
     assert!(s
         .run("PREPARE a AS PREPARE b AS SELECT X FROM Employee X")
         .is_err());
@@ -245,7 +212,7 @@ fn prepare_rejects_nested_prepare_and_explain() {
 
 #[test]
 fn definitional_statements_invalidate_prepared_plans() {
-    let mut s = vm_session(figure1_db());
+    let mut s = session(figure1_db());
     s.run("PREPARE q AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .unwrap();
     let before = rows(&mut s, "EXECUTE q (30000)");
@@ -277,30 +244,29 @@ fn definitional_statements_invalidate_prepared_plans() {
 }
 
 #[test]
-fn transparent_plan_cache_hits_on_warm_text_and_invalidates_on_ddl() {
-    let mut s = vm_session(figure1_db());
+fn repeated_statement_text_is_parsed_afresh_across_ddl() {
+    let mut s = session(figure1_db());
     let src = "SELECT X FROM Employee X WHERE X.Salary > 30000";
-    let m0 = counter(&s, "xsql_plan_cache_misses_total");
     let h0 = counter(&s, "xsql_plan_cache_hits_total");
     let cold = rows(&mut s, src);
-    assert_eq!(counter(&s, "xsql_plan_cache_misses_total"), m0 + 1);
-    // Warm: same token stream, different layout.
+    // Same tokens, different layout.
     let warm = rows(&mut s, "SELECT X   FROM Employee X WHERE X.Salary > 30000");
     assert_eq!(cold, warm);
-    assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), h0 + 1);
-    assert!(s.registry().gauge("xsql_plan_cache_size", &[]).get() >= 1);
 
     let i0 = counter(&s, "xsql_plan_cache_invalidations_total");
     s.run("CREATE CLASS Scratch2").unwrap();
     let again = rows(&mut s, src);
     assert_eq!(cold, again);
-    assert_eq!(counter(&s, "xsql_plan_cache_invalidations_total"), i0 + 1);
+    // Plain statement text is never kept, so nothing was reused and
+    // nothing had to be invalidated.
+    assert_eq!(counter(&s, "xsql_plan_cache_hits_total"), h0);
+    assert_eq!(counter(&s, "xsql_plan_cache_invalidations_total"), i0);
     assert_eq!(counter(&s, "xsql_plan_cache_stale_executions_total"), 0);
 }
 
 #[test]
 fn rollback_work_restores_the_prepared_map() {
-    let mut s = vm_session(figure1_db());
+    let mut s = session(figure1_db());
     s.run("PREPARE keep AS SELECT X FROM Employee X WHERE X.Salary > ?1")
         .unwrap();
     let keep_before = rows(&mut s, "EXECUTE keep (30000)");
