@@ -9,9 +9,13 @@
 //!
 //! The spread between the three is the price of logging vs the price of
 //! the fsync barrier. A `checkpoint_cost` section times `CHECKPOINT` on
-//! a durable store at three sizes (see [`checkpoint_cost`]), and a
+//! a durable store at three sizes (see [`checkpoint_cost`]), a
 //! `publish_sweep` section times what one epoch publication costs the
-//! in-memory database at the same sizes (see [`publish_sweep`]).
+//! in-memory database at the same sizes (see [`publish_sweep`]), and an
+//! `in_process` section times the bulk loads, the extent lookup and a
+//! warm point read (see [`in_process`]). Both of the last two report the
+//! median and quartiles of hundreds of rounds, so a cell can be told
+//! apart from host drift.
 //! Results are written to `BENCH_storage.json` at the repo root
 //! (hand-rendered JSON; the offline criterion shim has no reporting).
 //! Uses wall-clock timing directly — commit latency is
@@ -21,6 +25,7 @@
 use datagen::{figure1_scaled, Figure1Params};
 use oodb::Database;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,9 +90,11 @@ fn summarize(name: &'static str, mut lat: Vec<u128>) -> Summary {
 /// `with_total_objects` arguments of both sweeps: about 1.6k, 14k and
 /// 80k objects.
 const SWEEP_SIZES: [usize; 3] = [500, 5_000, 30_000];
-/// Publications (and checkpoints) timed per size; the sweeps report
-/// their medians.
+/// Checkpoints timed per size; the sweep reports their median.
 const SWEEP_ROUNDS: usize = 15;
+/// Publications timed per size, and rounds of each `in_process` cell;
+/// those report the median and quartiles.
+const QUARTILE_ROUNDS: usize = 400;
 /// Salary UPDATEs committed before each timed checkpoint.
 const UPDATES_PER_CHECKPOINT: usize = 10;
 
@@ -101,14 +108,41 @@ struct CheckpointCost {
 struct PublishCost {
     total_objects: usize,
     objects: usize,
-    clone_us: f64,
-    first_write_after_clone_us: f64,
-    drop_us: f64,
+    clone_us: Quartiles,
+    first_write_after_clone_us: Quartiles,
+    drop_us: Quartiles,
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.total_cmp(b));
     v[v.len() / 2]
+}
+
+/// First quartile, median and third quartile of a sample.
+#[derive(Clone, Copy)]
+struct Quartiles {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Quartiles {
+    fn of(mut v: Vec<f64>) -> Quartiles {
+        v.sort_by(|a, b| a.total_cmp(b));
+        let at = |q: usize| v[(v.len() - 1) * q / 4];
+        Quartiles {
+            q1: at(1),
+            median: at(2),
+            q3: at(3),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"q1\": {:.2}, \"median\": {:.2}, \"q3\": {:.2}}}",
+            self.q1, self.median, self.q3
+        )
+    }
 }
 
 /// One epoch publication as the service performs it, against the
@@ -126,7 +160,7 @@ fn publish_sweep(total_objects: usize) -> PublishCost {
     let mut live = Arc::new(w.clone());
     let mut superseded = Arc::new(w.clone());
     let (mut clone_us, mut write_us, mut drop_us) = (Vec::new(), Vec::new(), Vec::new());
-    for round in 0..SWEEP_ROUNDS {
+    for round in 0..QUARTILE_ROUNDS {
         let t = Instant::now();
         let snap = w.clone();
         clone_us.push(t.elapsed().as_secs_f64() * 1e6);
@@ -146,10 +180,103 @@ fn publish_sweep(total_objects: usize) -> PublishCost {
     PublishCost {
         total_objects,
         objects,
-        clone_us: median(clone_us),
-        first_write_after_clone_us: median(write_us),
-        drop_us: median(drop_us),
+        clone_us: Quartiles::of(clone_us),
+        first_write_after_clone_us: Quartiles::of(write_us),
+        drop_us: Quartiles::of(drop_us),
     }
+}
+
+/// One `in_process` cell: what was timed, at which
+/// `with_total_objects` size, over how many objects.
+struct Cell {
+    name: &'static str,
+    total_objects: usize,
+    objects: usize,
+    us: Quartiles,
+}
+
+/// Times `f` [`QUARTILE_ROUNDS`] times after a few warm-up calls; each
+/// round runs it `batch` times and counts the mean, so calls far below
+/// the timer's resolution still time well.
+fn rounds(batch: usize, mut f: impl FnMut()) -> Quartiles {
+    for _ in 0..batch.min(8) {
+        f();
+    }
+    let mut us = Vec::with_capacity(QUARTILE_ROUNDS);
+    for _ in 0..QUARTILE_ROUNDS {
+        let t = Instant::now();
+        for _ in 0..batch {
+            f();
+        }
+        us.push(t.elapsed().as_secs_f64() * 1e6 / batch as f64);
+    }
+    Quartiles::of(us)
+}
+
+/// The in-process cells:
+///
+/// * `figure1_scaled_us` — generating the `wire_scan` database
+///   (`with_total_objects(150)`) through the builder's per-insert path;
+/// * `import_snapshot_us` — rebuilding that database from its exported
+///   image (crash recovery, replica bootstrap), the image copy untimed;
+/// * `instances_of_us` — `Database::instances_of(Employee)` plus its
+///   `len`, at the `point_update` size (`with_total_objects(500)`);
+/// * `point_read_us` — one warm `point_update` read,
+///   `SELECT X.Salary FROM Employee X WHERE X.Name = 'Emp 0-0-0'`, on a
+///   plain session at that size.
+fn in_process() -> Vec<Cell> {
+    let small = Figure1Params::with_total_objects(150);
+    let db = figure1_scaled(&small);
+    let small_objects = db.individual_count();
+    let image = db.export_snapshot();
+    let mut cells = vec![
+        Cell {
+            name: "figure1_scaled_us",
+            total_objects: 150,
+            objects: small_objects,
+            us: rounds(1, || drop(black_box(figure1_scaled(&small)))),
+        },
+        Cell {
+            name: "import_snapshot_us",
+            total_objects: 150,
+            objects: small_objects,
+            us: {
+                let mut us = Vec::with_capacity(QUARTILE_ROUNDS);
+                for _ in 0..QUARTILE_ROUNDS {
+                    let copy = image.clone();
+                    let t = Instant::now();
+                    let db = Database::import_snapshot(copy).unwrap();
+                    us.push(t.elapsed().as_secs_f64() * 1e6);
+                    drop(black_box(db));
+                }
+                Quartiles::of(us)
+            },
+        },
+    ];
+    let db = figure1_scaled(&Figure1Params::with_total_objects(500));
+    let objects = db.individual_count();
+    let employee = db.oids().find_sym("Employee").expect("Employee class");
+    cells.push(Cell {
+        name: "instances_of_us",
+        total_objects: 500,
+        objects,
+        us: rounds(100, || {
+            black_box(db.instances_of(black_box(employee)).len());
+        }),
+    });
+    let mut s = Session::new(db);
+    cells.push(Cell {
+        name: "point_read_us",
+        total_objects: 500,
+        objects,
+        us: rounds(1, || {
+            let r = s
+                .query("SELECT X.Salary FROM Employee X WHERE X.Name = 'Emp 0-0-0'")
+                .unwrap();
+            assert_eq!(r.len(), 1);
+        }),
+    });
+    cells
 }
 
 /// What `CHECKPOINT` costs a durable store over the scaled figure-1
@@ -219,6 +346,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&base);
 
     let sweep: Vec<PublishCost> = SWEEP_SIZES.iter().map(|&n| publish_sweep(n)).collect();
+    let cells = in_process();
 
     let mut json = String::from("{\n  \"experiment\": \"E9_commit_latency\",\n");
     let _ = writeln!(json, "  \"statements_per_config\": {STATEMENTS},");
@@ -251,15 +379,33 @@ fn main() {
         });
     }
     json.push_str("    ]\n  },\n  \"publish_sweep\": {\n");
-    let _ = writeln!(json, "    \"rounds\": {SWEEP_ROUNDS},");
-    json.push_str("    \"statistic\": \"median_us\",\n    \"sizes\": [\n");
+    let _ = writeln!(json, "    \"rounds\": {QUARTILE_ROUNDS},");
+    json.push_str("    \"statistic\": \"quartiles_us\",\n    \"sizes\": [\n");
     for (i, c) in sweep.iter().enumerate() {
         let _ = write!(
             json,
-            "      {{\"total_objects_param\": {}, \"objects\": {}, \"clone_us\": {:.1}, \"first_write_after_clone_us\": {:.1}, \"drop_us\": {:.1}}}",
-            c.total_objects, c.objects, c.clone_us, c.first_write_after_clone_us, c.drop_us
+            "      {{\"total_objects_param\": {}, \"objects\": {}, \"clone_us\": {}, \"first_write_after_clone_us\": {}, \"drop_us\": {}}}",
+            c.total_objects,
+            c.objects,
+            c.clone_us.json(),
+            c.first_write_after_clone_us.json(),
+            c.drop_us.json()
         );
         json.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("    ]\n  },\n  \"in_process\": {\n");
+    let _ = writeln!(json, "    \"rounds\": {QUARTILE_ROUNDS},");
+    json.push_str("    \"statistic\": \"quartiles_us\",\n    \"cells\": [\n");
+    for (i, c) in cells.iter().enumerate() {
+        let _ = write!(
+            json,
+            "      {{\"name\": \"{}\", \"total_objects_param\": {}, \"objects\": {}, \"us\": {}}}",
+            c.name,
+            c.total_objects,
+            c.objects,
+            c.us.json()
+        );
+        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     json.push_str("    ]\n  }\n}\n");
 
@@ -281,7 +427,13 @@ fn main() {
     for c in &sweep {
         println!(
             "publish      {:>6} objects   clone {:>9.1} us   first write {:>8.1} us   drop {:>9.1} us",
-            c.objects, c.clone_us, c.first_write_after_clone_us, c.drop_us
+            c.objects, c.clone_us.median, c.first_write_after_clone_us.median, c.drop_us.median
+        );
+    }
+    for c in &cells {
+        println!(
+            "{:<20} {:>6} objects   q1 {:>9.2} us   median {:>9.2} us   q3 {:>9.2} us",
+            c.name, c.objects, c.us.q1, c.us.median, c.us.q3
         );
     }
 }

@@ -35,7 +35,8 @@ fn bench(c: &mut Criterion) {
         let mut db = scaled_db(2);
         {
             let person = db.oids().find_sym("Person").unwrap();
-            let people = db.instances_of(person);
+            // Collected: the loop below writes to `db`.
+            let people: Vec<_> = db.instances_of(person).into_iter().collect();
             for i in 0..extra {
                 let m = db.oids_mut().sym(&format!("Decoy{i}"));
                 let v = db.oids_mut().int(i as i64);

@@ -16,22 +16,24 @@
 //! booleans by value, and everything else by object identity. Keys of
 //! different type families never compare equal, and within the map
 //! each family forms one contiguous run (`Num < Str < Bool < Obj`), so
-//! a numeric or lexicographic range probe is a single `BTreeMap` range
+//! a numeric or lexicographic range probe is a single ordered range
 //! scan.
 //!
 //! The index itself lives in [`Database`](crate::Database) as
-//! `by_method_key` and is maintained by the same two private helpers
-//! (`index_insert` / `index_remove`) that keep `by_method` alive. Every
-//! mutation path funnels through those helpers — direct stores, undo
-//! application (`ROLLBACK` / savepoints), redo replay (crash recovery
-//! and replicas), and snapshot import — so transactional rollback and
-//! recovery keep this index consistent for free.
+//! `by_method_key`, one flat ordered set of `(method, key, receiver)`
+//! postings ([`AttrIndex`]), and is maintained by the same two private
+//! helpers (`index_insert` / `index_remove`) that keep `by_method`
+//! alive. Every mutation path funnels through those helpers — direct
+//! stores, undo application (`ROLLBACK` / savepoints) and redo replay
+//! (crash recovery and replicas) — so transactional rollback and
+//! recovery keep this index consistent for free; snapshot import builds
+//! it in one sorted pass from the same postings.
 //! `Database::attr_index_divergence` checks the live structure against
 //! a from-scratch rebuild, which the proptest suites run after hostile
 //! interleavings.
 
+use crate::cow::ChunkSet;
 use crate::oid::{Oid, OidData, OidTable};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A typed, totally-ordered index key for one stored value member.
 ///
@@ -96,9 +98,13 @@ impl ValueKey {
     }
 }
 
-/// One method's ordered index: typed value key → receivers with a
-/// stored entry whose value contains a member with that key.
-pub type AttrIndex = BTreeMap<ValueKey, BTreeSet<Oid>>;
+/// The ordered index of every method, one `(method, typed value key,
+/// receiver)` posting per receiver with a stored entry whose value
+/// contains a member with that key. One method's postings form one
+/// contiguous run, and within it one key's receivers do, so an equality
+/// or range probe is one ordered scan; a write adds or drops single
+/// postings, so the write after a publish copies one bounded chunk.
+pub type AttrIndex = ChunkSet<(Oid, ValueKey, Oid)>;
 
 /// Per-attribute statistics the planner's cost model reads: sizes of
 /// one method's ordered index.

@@ -15,15 +15,17 @@
 //!   sub-universes of objects).
 
 use crate::attr_index::{AttrIndex, AttrStats, ValueKey};
-use crate::cow::{ShardMap, ShardSet};
+use crate::cow::{ChunkMap, ChunkSet};
 use crate::error::{DbError, DbResult};
+use crate::extent::Extent;
 use crate::oid::{Oid, OidData, OidTable};
 use crate::redo::RedoOp;
 use crate::schema::{Builtins, ClassInfo, Schema, Signature};
 use crate::snapshot::{ClassEntry, DbSnapshot};
 use crate::undo::{Savepoint, UndoLog, UndoOp};
 use crate::value::Val;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Maximum depth of nested computed-method invocation; guards against
@@ -63,53 +65,73 @@ pub trait MethodImpl: Send + Sync {
 
 type StateKey = (Oid, Oid, Vec<Oid>);
 
-/// Adds `v` to the set under `k`, unsharing that one set only when `v`
-/// is new. Returns whether it was.
-fn shared_set_insert(map: &mut HashMap<Oid, Arc<BTreeSet<Oid>>>, k: Oid, v: Oid) -> bool {
-    let set = map.entry(k).or_default();
-    !set.contains(&v) && Arc::make_mut(set).insert(v)
+/// The ordered-index oracle: method -> typed key -> receivers, as
+/// rebuilt from the stored state by [`Database::rebuilt_attr_index`].
+pub type RebuiltAttrIndex = HashMap<Oid, BTreeMap<ValueKey, BTreeSet<Oid>>>;
+
+/// True for the classes whose extent closure the database keeps: every
+/// class but the catalogue ones, whose instances come from elsewhere
+/// (the active domain, the class list, the method catalogue).
+fn keeps_closure(b: &Builtins, c: Oid) -> bool {
+    c != b.object && c != b.class && c != b.method
 }
 
-/// Removes `v` from the set under `k`, unsharing that one set only when
-/// `v` is there. Returns whether it was.
-fn shared_set_remove(map: &mut HashMap<Oid, Arc<BTreeSet<Oid>>>, k: Oid, v: Oid) -> bool {
-    match map.get_mut(&k) {
-        Some(s) if s.contains(&v) => Arc::make_mut(s).remove(&v),
-        _ => false,
+/// A lower bound below every posting of `method` in the ordered index
+/// (`Num(0)` is the smallest typed key).
+fn first_posting(method: Oid) -> Bound<(Oid, ValueKey, Oid)> {
+    Bound::Included((method, ValueKey::Num(0), Oid::MIN))
+}
+
+/// True when `k` lies beyond the upper bound `end`.
+fn past_end(end: Bound<&ValueKey>, k: &ValueKey) -> bool {
+    match end {
+        Bound::Included(hi) => k > hi,
+        Bound::Excluded(hi) => k >= hi,
+        Bound::Unbounded => false,
     }
 }
 
 /// An in-memory object-oriented database.
 ///
 /// Cloning is cheap and the clones are independent: every large part is
-/// shared copy-on-write (see the `cow` module), so a clone costs one `Arc`
-/// bump per shard, and a later write copies only what it touches — one
-/// state shard, one extent or index set, the schema on a definitional
-/// change.
+/// a [`ChunkMap`] or [`ChunkSet`] (see the `cow` module), so a clone
+/// copies one small directory per collection, and a later write copies
+/// only the bounded chunks it touches, plus the schema on a
+/// definitional change.
 #[derive(Clone)]
 pub struct Database {
     oids: OidTable,
     schema: Arc<Schema>,
     /// Direct classes of each registered object.
-    instance_of: ShardMap<Oid, BTreeSet<Oid>>,
-    /// Direct extent of each class.
-    extent: HashMap<Oid, Arc<BTreeSet<Oid>>>,
+    instance_of: ChunkMap<Oid, BTreeSet<Oid>>,
+    /// Direct extent of each class (the inverse of `instance_of`).
+    extent: ChunkMap<Oid, ChunkSet<Oid>>,
+    /// Extent closure of each class: its instances, directly or through
+    /// IS-A (the range of `FROM C X`, §3.4). The union of the direct
+    /// extents of the class and its subclasses, kept for every class
+    /// but `Object`, `Class` and `Method` ([`keeps_closure`]), and
+    /// maintained where those change: `add_membership` /
+    /// `remove_membership` (which undo, redo and purges go through),
+    /// IS-A edits (`edit_hierarchy`) and snapshot import.
+    /// [`Database::extent_closure_divergence`] checks it against a
+    /// rebuild.
+    closure: ChunkMap<Oid, ChunkSet<Oid>>,
     /// Active domain of individual objects (registered individuals plus
     /// every literal that has appeared in stored state).
-    individuals: ShardSet<Oid>,
-    /// Explicit tuple-object state: (receiver, method, args) -> value,
-    /// sharded by receiver.
-    state: ShardMap<StateKey, Val>,
-    /// Inverted index: method -> receivers with any stored entry for it
-    /// (class-objects included — their instances inherit the default).
-    /// The paper's own reference point is \[BERT89\], "Indexing
-    /// Techniques for Queries on Nested Objects".
-    by_method: HashMap<Oid, Arc<BTreeSet<Oid>>>,
-    /// Ordered secondary index: method -> typed value key -> receivers
-    /// (see [`crate::attr_index`]). Numeral members collapse onto one
-    /// numeric key, so equality probes are numeral-insensitive and
-    /// range predicates scan a contiguous key run.
-    by_method_key: HashMap<Oid, Arc<AttrIndex>>,
+    individuals: ChunkSet<Oid>,
+    /// Explicit tuple-object state: (receiver, method, args) -> value.
+    state: ChunkMap<StateKey, Val>,
+    /// Inverted index: `(method, receiver)` for every receiver with any
+    /// stored entry for the method (class-objects included — their
+    /// instances inherit the default), so one method's receivers are one
+    /// contiguous run. The paper's own reference point is \[BERT89\],
+    /// "Indexing Techniques for Queries on Nested Objects".
+    by_method: ChunkSet<(Oid, Oid)>,
+    /// Ordered secondary index: `(method, typed value key, receiver)`
+    /// postings (see [`crate::attr_index`]). Numeral members collapse
+    /// onto one numeric key, so equality probes are numeral-insensitive
+    /// and range predicates scan a contiguous key run.
+    by_method_key: AttrIndex,
     /// Active undo log; `Some` while a transaction is open, in which
     /// case every mutating entry point records its inverse here.
     undo: Option<UndoLog>,
@@ -200,12 +222,13 @@ impl Database {
         Database {
             oids,
             schema: Arc::new(schema),
-            instance_of: ShardMap::default(),
-            extent: HashMap::new(),
-            individuals: ShardSet::default(),
-            state: ShardMap::default(),
-            by_method: HashMap::new(),
-            by_method_key: HashMap::new(),
+            instance_of: ChunkMap::new(),
+            extent: ChunkMap::new(),
+            closure: ChunkMap::new(),
+            individuals: ChunkSet::new(),
+            state: ChunkMap::new(),
+            by_method: ChunkSet::new(),
+            by_method_key: ChunkSet::new(),
             undo: None,
             redo: None,
             schema_epoch: 0,
@@ -215,6 +238,48 @@ impl Database {
     /// The schema, unshared for a definitional change.
     fn schema_mut(&mut self) -> &mut Schema {
         Arc::make_mut(&mut self.schema)
+    }
+
+    /// Applies an edit of the IS-A graph (classes or edges), recomputes
+    /// the IS-A closure, and rebuilds the extent closure of every class
+    /// that gained or lost a populated descendant.
+    fn edit_hierarchy(&mut self, edit: impl FnOnce(&mut Schema)) {
+        let before = self.schema.ancestors.clone();
+        let schema = self.schema_mut();
+        edit(schema);
+        schema.recompute_closure();
+        let after = &self.schema.ancestors;
+        let empty = BTreeSet::new();
+        let mut stale = BTreeSet::new();
+        for d in before.keys().chain(after.keys()) {
+            let (old, new) = (
+                before.get(d).unwrap_or(&empty),
+                after.get(d).unwrap_or(&empty),
+            );
+            if old != new && self.extent.contains_key(d) {
+                stale.extend(old.symmetric_difference(new).copied());
+            }
+        }
+        for a in stale {
+            self.rebuild_closure(a);
+        }
+    }
+
+    /// Recomputes the extent closure of `a` from the direct extents.
+    fn rebuild_closure(&mut self, a: Oid) {
+        let mut members = BTreeSet::new();
+        if self.is_class(a) && keeps_closure(&self.schema.builtins, a) {
+            for (&d, ext) in self.extent.iter() {
+                if self.is_subclass(d, a) {
+                    members.extend(ext.iter().copied());
+                }
+            }
+        }
+        if members.is_empty() {
+            self.closure.remove(&a);
+        } else {
+            self.closure.insert(a, ChunkSet::from_sorted(members));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -417,19 +482,19 @@ impl Database {
                         return Err(DbError::UnknownClass(self.render(*s)));
                     }
                 }
-                let schema = self.schema_mut();
-                schema.classes.insert(
-                    *class,
-                    ClassInfo {
-                        supers: supers.clone(),
-                        ..ClassInfo::default()
-                    },
-                );
-                schema.class_order.push(*class);
-                for s in supers {
-                    schema.classes.get_mut(s).unwrap().subs.push(*class);
-                }
-                schema.recompute_closure();
+                self.edit_hierarchy(|schema| {
+                    schema.classes.insert(
+                        *class,
+                        ClassInfo {
+                            supers: supers.clone(),
+                            ..ClassInfo::default()
+                        },
+                    );
+                    schema.class_order.push(*class);
+                    for s in supers {
+                        schema.classes.get_mut(s).unwrap().subs.push(*class);
+                    }
+                });
             }
             RedoOp::AddIsA { sub, sup } => {
                 for c in [sub, sup] {
@@ -438,10 +503,10 @@ impl Database {
                     }
                 }
                 if !self.schema.classes[sub].supers.contains(sup) {
-                    let schema = self.schema_mut();
-                    schema.classes.get_mut(sub).unwrap().supers.push(*sup);
-                    schema.classes.get_mut(sup).unwrap().subs.push(*sub);
-                    schema.recompute_closure();
+                    self.edit_hierarchy(|schema| {
+                        schema.classes.get_mut(sub).unwrap().supers.push(*sup);
+                        schema.classes.get_mut(sup).unwrap().subs.push(*sub);
+                    });
                 }
             }
             RedoOp::PutState { key, val } => {
@@ -586,20 +651,54 @@ impl Database {
         }
         schema.recompute_closure();
         let mut db = Database::with_parts(oids, schema);
-        db.individuals = snap.individuals.into_iter().collect();
+        // Every collection is built in one ordered pass (`from_sorted`);
+        // the image lists objects and state entries in key order.
+        db.individuals = ChunkSet::from_sorted(snap.individuals);
+        let mut extents: BTreeMap<Oid, Vec<Oid>> = BTreeMap::new();
+        let mut instance_of = Vec::with_capacity(snap.instance_of.len());
         for (o, classes) in snap.instance_of {
-            for c in classes {
+            for &c in &classes {
                 if !db.schema.classes.contains_key(&c) {
                     return Err(DbError::UnknownClass(db.render(c)));
                 }
-                db.add_membership(o, c);
+                extents.entry(c).or_default().push(o);
+            }
+            if !classes.is_empty() {
+                instance_of.push((o, classes.into_iter().collect::<BTreeSet<Oid>>()));
             }
         }
-        for (key, val) in snap.state {
-            let (recv, method) = (key.0, key.1);
-            db.state.insert(key, val.clone());
-            db.index_insert(recv, method, &val);
+        db.instance_of = ChunkMap::from_sorted(instance_of);
+        let mut closures: HashMap<Oid, Vec<Oid>> = HashMap::new();
+        for (&c, members) in &extents {
+            for &a in &db.schema.ancestors[&c] {
+                if keeps_closure(&db.schema.builtins, a) {
+                    closures.entry(a).or_default().extend(members);
+                }
+            }
         }
+        db.closure = ChunkMap::from_sorted(closures.into_iter().map(|(a, mut members)| {
+            members.sort_unstable();
+            members.dedup();
+            (a, ChunkSet::from_sorted(members))
+        }));
+        db.extent = ChunkMap::from_sorted(
+            extents
+                .into_iter()
+                .map(|(c, members)| (c, ChunkSet::from_sorted(members))),
+        );
+        // The method indexes, gathered in state order and sorted once by
+        // `from_sorted`.
+        let mut by_method = Vec::with_capacity(snap.state.len());
+        let mut by_key = Vec::with_capacity(snap.state.len());
+        for ((recv, method, _), val) in &snap.state {
+            by_method.push((*method, *recv));
+            for m in val.members() {
+                by_key.push((*method, ValueKey::of(&db.oids, m), *recv));
+            }
+        }
+        db.by_method = ChunkSet::from_sorted(by_method);
+        db.by_method_key = ChunkSet::from_sorted(by_key);
+        db.state = ChunkMap::from_sorted(snap.state);
         Ok(db)
     }
 
@@ -608,26 +707,28 @@ impl Database {
     fn apply_undo(&mut self, op: UndoOp) {
         match op {
             UndoOp::UndefineClass(c) => {
-                let schema = self.schema_mut();
-                if let Some(info) = schema.classes.remove(&c) {
-                    schema.class_order.retain(|&x| x != c);
-                    for s in info.supers {
-                        if let Some(si) = schema.classes.get_mut(&s) {
-                            si.subs.retain(|&x| x != c);
+                if self.is_class(c) {
+                    self.edit_hierarchy(|schema| {
+                        let info = schema.classes.remove(&c).expect("checked above");
+                        schema.class_order.retain(|&x| x != c);
+                        for s in info.supers {
+                            if let Some(si) = schema.classes.get_mut(&s) {
+                                si.subs.retain(|&x| x != c);
+                            }
                         }
-                    }
-                    schema.recompute_closure();
+                    });
+                    self.closure.remove(&c);
                 }
             }
             UndoOp::RemoveIsA { sub, sup } => {
-                let schema = self.schema_mut();
-                if let Some(i) = schema.classes.get_mut(&sub) {
-                    i.supers.retain(|&x| x != sup);
-                }
-                if let Some(i) = schema.classes.get_mut(&sup) {
-                    i.subs.retain(|&x| x != sub);
-                }
-                schema.recompute_closure();
+                self.edit_hierarchy(|schema| {
+                    if let Some(i) = schema.classes.get_mut(&sub) {
+                        i.supers.retain(|&x| x != sup);
+                    }
+                    if let Some(i) = schema.classes.get_mut(&sup) {
+                        i.subs.retain(|&x| x != sub);
+                    }
+                });
             }
             UndoOp::RestoreState { key, old } => {
                 let (recv, method) = (key.0, key.1);
@@ -719,19 +820,19 @@ impl Database {
                 return Err(DbError::UnknownClass(self.render(*s)));
             }
         }
-        let schema = self.schema_mut();
-        schema.classes.insert(
-            c,
-            ClassInfo {
-                supers: supers.clone(),
-                ..ClassInfo::default()
-            },
-        );
-        schema.class_order.push(c);
-        for &s in &supers {
-            schema.classes.get_mut(&s).unwrap().subs.push(c);
-        }
-        schema.recompute_closure();
+        self.edit_hierarchy(|schema| {
+            schema.classes.insert(
+                c,
+                ClassInfo {
+                    supers: supers.clone(),
+                    ..ClassInfo::default()
+                },
+            );
+            schema.class_order.push(c);
+            for &s in &supers {
+                schema.classes.get_mut(&s).unwrap().subs.push(c);
+            }
+        });
         self.record(UndoOp::UndefineClass(c));
         self.emit(RedoOp::DefineClass { class: c, supers });
         self.bump_schema_epoch();
@@ -753,10 +854,10 @@ impl Database {
             });
         }
         if !self.schema.classes[&sub].supers.contains(&sup) {
-            let schema = self.schema_mut();
-            schema.classes.get_mut(&sub).unwrap().supers.push(sup);
-            schema.classes.get_mut(&sup).unwrap().subs.push(sub);
-            schema.recompute_closure();
+            self.edit_hierarchy(|schema| {
+                schema.classes.get_mut(&sub).unwrap().supers.push(sup);
+                schema.classes.get_mut(&sup).unwrap().subs.push(sub);
+            });
             self.record(UndoOp::RemoveIsA { sub, sup });
             self.emit(RedoOp::AddIsA { sub, sup });
             self.bump_schema_epoch();
@@ -1007,9 +1108,19 @@ impl Database {
     fn add_membership(&mut self, o: Oid, class: Oid) -> bool {
         let fresh = !self.instance_of.get(&o).is_some_and(|s| s.contains(&class));
         if fresh {
-            self.instance_of.entry(o).or_default().insert(class);
+            self.instance_of
+                .get_or_insert_with(o, BTreeSet::new)
+                .insert(class);
         }
-        shared_set_insert(&mut self.extent, class, o);
+        if self.extent.insert_member(class, o) {
+            // `o` now belongs to the closure of every ancestor.
+            let b = &self.schema.builtins;
+            for &a in self.schema.ancestors.get(&class).into_iter().flatten() {
+                if keeps_closure(b, a) {
+                    self.closure.insert_member(a, o);
+                }
+            }
+        }
         fresh
     }
 
@@ -1018,11 +1129,29 @@ impl Database {
     fn remove_membership(&mut self, o: Oid, class: Oid) -> bool {
         let held = self.instance_of.get(&o).is_some_and(|s| s.contains(&class));
         if held {
-            if let Some(s) = self.instance_of.get_mut(&o) {
-                s.remove(&class);
+            let classes = self.instance_of.get_mut(&o).expect("held");
+            classes.remove(&class);
+            if classes.is_empty() {
+                self.instance_of.remove(&o);
             }
         }
-        shared_set_remove(&mut self.extent, class, o) || held
+        let in_extent = self.extent.remove_member(&class, &o);
+        if in_extent {
+            // `o` leaves the closure of each ancestor that none of its
+            // remaining direct classes is under.
+            let schema = &self.schema;
+            let rest = self.instance_of.get(&o);
+            for &a in schema.ancestors.get(&class).into_iter().flatten() {
+                let kept = rest
+                    .into_iter()
+                    .flatten()
+                    .any(|d| schema.ancestors.get(d).is_some_and(|anc| anc.contains(&a)));
+                if keeps_closure(&schema.builtins, a) && !kept {
+                    self.closure.remove_member(&a, &o);
+                }
+            }
+        }
+        in_extent || held
     }
 
     /// Direct classes of an object, including the implied builtin class
@@ -1066,36 +1195,36 @@ impl Database {
     }
 
     /// The full extent of `class`: all individuals that are instances of
-    /// it (directly or via IS-A), in deterministic order. For the
-    /// builtin value classes this enumerates the literals in the active
-    /// domain.
-    pub fn instances_of(&self, class: Oid) -> Vec<Oid> {
-        if class == self.schema.builtins.object {
-            return self.individuals.iter().copied().collect();
+    /// it (directly or via IS-A), in OID order (the catalogue class
+    /// `Class` in definition order). A handle on the kept extent closure:
+    /// nothing is collected, except for a class that holds literals (the
+    /// builtin value classes and their superclasses), whose literals in
+    /// the active domain are gathered per call.
+    pub fn instances_of(&self, class: Oid) -> Extent<'_> {
+        let b = &self.schema.builtins;
+        if class == b.object {
+            return Extent::kept(&self.individuals);
         }
-        if class == self.schema.builtins.class {
-            return self.schema.class_order.clone();
+        if class == b.class {
+            return Extent::classes(&self.schema.class_order);
         }
-        if class == self.schema.builtins.method {
-            return self.schema.method_objects.iter().copied().collect();
+        if class == b.method {
+            return Extent::methods(&self.schema.method_objects);
         }
-        let mut out = BTreeSet::new();
-        for (&c, ext) in &self.extent {
-            if self.is_subclass(c, class) {
-                out.extend(ext.iter().copied());
-            }
-        }
-        if self.is_subclass(self.schema.builtins.numeral, class)
-            || self.is_subclass(self.schema.builtins.string, class)
-            || self.is_subclass(self.schema.builtins.boolean, class)
+        let kept = self.closure.get(&class);
+        if [b.numeral, b.string, b.boolean]
+            .iter()
+            .any(|&v| self.is_subclass(v, class))
         {
+            let mut out: BTreeSet<Oid> = kept.into_iter().flat_map(|s| s.iter().copied()).collect();
             for &o in self.individuals.iter() {
                 if self.is_instance_of(o, class) {
                     out.insert(o);
                 }
             }
+            return Extent::from_sorted(out.into_iter().collect());
         }
-        out.into_iter().collect()
+        kept.map_or_else(Extent::empty, Extent::kept)
     }
 
     /// The active domain of individual objects (range of individual
@@ -1150,13 +1279,10 @@ impl Database {
     }
 
     fn index_insert(&mut self, recv: Oid, method: Oid, val: &Val) {
-        shared_set_insert(&mut self.by_method, method, recv);
+        self.by_method.insert((method, recv));
         for m in val.members() {
-            let key = ValueKey::of(&self.oids, m);
-            let idx = self.by_method_key.entry(method).or_default();
-            if !idx.get(&key).is_some_and(|s| s.contains(&recv)) {
-                Arc::make_mut(idx).entry(key).or_default().insert(recv);
-            }
+            self.by_method_key
+                .insert((method, ValueKey::of(&self.oids, m), recv));
         }
     }
 
@@ -1166,9 +1292,9 @@ impl Database {
         // the state map already reflects the post-change value at every
         // call site, so the check is against what survives. Keys are
         // collected first (members of `old` can collapse onto one key,
-        // e.g. `2` and `2.0`), then the postings are dropped with empty
-        // buckets pruned so the live structure stays equal to a fresh
-        // rebuild (`attr_index_divergence`).
+        // e.g. `2` and `2.0`), then the postings are dropped, so the live
+        // structure stays equal to a fresh rebuild
+        // (`attr_index_divergence`).
         let mut dead: Vec<ValueKey> = Vec::new();
         for m in old.members() {
             let key = ValueKey::of(&self.oids, m);
@@ -1182,26 +1308,14 @@ impl Database {
                 dead.push(key);
             }
         }
-        if !dead.is_empty() {
-            if let Some(map) = self.by_method_key.get_mut(&method).map(Arc::make_mut) {
-                for key in dead {
-                    if let Some(set) = map.get_mut(&key) {
-                        set.remove(&recv);
-                        if set.is_empty() {
-                            map.remove(&key);
-                        }
-                    }
-                }
-                if map.is_empty() {
-                    self.by_method_key.remove(&method);
-                }
-            }
+        for key in dead {
+            self.by_method_key.remove(&(method, key, recv));
         }
         // recv stays in by_method iff another entry for (recv, method)
         // remains (a different argument tuple).
         let still = self.stored_entries_for(recv, method).next().is_some();
         if !still {
-            shared_set_remove(&mut self.by_method, method, recv);
+            self.by_method.remove(&(method, recv));
         }
     }
 
@@ -1277,21 +1391,19 @@ impl Database {
         // after `note_*` already mutated, so the caller must be able to
         // roll the whole call back.
         self.record_state(&key);
-        match self.state.entry(key) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Val::set([value]));
+        if let Some(Val::Scalar(_)) = self.state.get(&key) {
+            return Err(DbError::ArityOrKindMismatch {
+                method: self.oids.render(method),
+                detail: "cannot insert into a scalar-valued entry".into(),
+            });
+        }
+        match self.state.get_mut(&key) {
+            Some(Val::Set(s)) => {
+                s.insert(value);
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Val::Set(s) => {
-                    s.insert(value);
-                }
-                Val::Scalar(_) => {
-                    return Err(DbError::ArityOrKindMismatch {
-                        method: self.oids.render(method),
-                        detail: "cannot insert into a scalar-valued entry".into(),
-                    })
-                }
-            },
+            _ => {
+                self.state.insert(key, Val::set([value]));
+            }
         }
         self.index_insert(recv, method, &Val::Scalar(value));
         if self.redo_on() {
@@ -1328,7 +1440,27 @@ impl Database {
     /// uses it to avoid scanning the whole domain for head-unbound path
     /// expressions (cf. \[BERT89\]).
     pub fn candidates_with_method(&self, method: Oid) -> BTreeSet<Oid> {
-        self.expand_receivers(method, self.by_method.get(&method).map(|s| &**s))
+        self.expand_receivers(method, self.method_receivers(method))
+    }
+
+    /// The receivers with any stored entry for `method`, ascending.
+    fn method_receivers(&self, method: Oid) -> impl Iterator<Item = Oid> + '_ {
+        self.by_method
+            .range((method, Oid::MIN)..=(method, Oid::MAX))
+            .map(|&(_, r)| r)
+    }
+
+    /// The `(key, receiver)` postings of `method` in key order, from the
+    /// posting `from` on.
+    fn postings(
+        &self,
+        method: Oid,
+        from: Bound<(Oid, ValueKey, Oid)>,
+    ) -> impl Iterator<Item = (&ValueKey, Oid)> + '_ {
+        self.by_method_key
+            .range((from, Bound::Unbounded))
+            .take_while(move |(m, _, _)| *m == method)
+            .map(|(_, k, r)| (k, *r))
     }
 
     /// As [`Database::candidates_with_method`], further anchored on a
@@ -1338,19 +1470,19 @@ impl Database {
     /// `2.0` find the same receivers.
     pub fn candidates_with_method_value(&self, method: Oid, value: Oid) -> BTreeSet<Oid> {
         let key = ValueKey::of(&self.oids, value);
-        let recvs = self.by_method_key.get(&method).and_then(|m| m.get(&key));
-        self.expand_receivers(method, recvs)
+        let recvs = self.attr_receivers_eq(method, &key);
+        self.expand_receivers(method, recvs.into_iter())
     }
 
     /// The objects on which `method` may be defined through `recvs`:
     /// each receiver itself, plus, for class-object receivers (stored
     /// defaults), their instances and subclass class-objects; plus the
     /// instances of classes with a computed definition of `method`.
-    fn expand_receivers(&self, method: Oid, recvs: Option<&BTreeSet<Oid>>) -> BTreeSet<Oid> {
+    fn expand_receivers(&self, method: Oid, recvs: impl Iterator<Item = Oid>) -> BTreeSet<Oid> {
         let mut out = BTreeSet::new();
-        for &r in recvs.into_iter().flatten() {
+        for r in recvs {
             if self.is_class(r) {
-                out.extend(self.instances_of(r));
+                out.extend(self.instances_of(r).iter());
                 // Subclass class-objects inherit the default too.
                 out.extend(self.strict_descendants(r));
             }
@@ -1358,31 +1490,22 @@ impl Database {
         }
         for &(c, m, _) in &self.schema.computed_order {
             if m == method {
-                out.extend(self.instances_of(c));
+                out.extend(self.instances_of(c).iter());
             }
         }
         out
     }
 
-    /// The ordered secondary index of one method: typed value key →
-    /// receivers with a stored entry containing a member with that key
-    /// (see [`crate::attr_index`]). `None` when nothing is stored under
-    /// the method. Planner access paths probe this for equality and
-    /// range predicates; soundness of treating a probe as a *complete*
-    /// candidate set additionally needs
-    /// [`Database::attr_index_complete`].
-    pub fn attr_index(&self, method: Oid) -> Option<&AttrIndex> {
-        self.by_method_key.get(&method).map(|m| &**m)
-    }
-
     /// Receivers whose stored value for `method` contains a member with
-    /// exactly this typed key (numeral-insensitive).
+    /// exactly this typed key (numeral-insensitive): the planner's
+    /// equality probe (see [`crate::attr_index`]; treating a probe as a
+    /// *complete* candidate set additionally needs
+    /// [`Database::attr_index_complete`]).
     pub fn attr_receivers_eq(&self, method: Oid, key: &ValueKey) -> BTreeSet<Oid> {
-        self.by_method_key
-            .get(&method)
-            .and_then(|m| m.get(key))
-            .cloned()
-            .unwrap_or_default()
+        self.postings(method, Bound::Included((method, key.clone(), Oid::MIN)))
+            .take_while(|(k, _)| *k == key)
+            .map(|(_, r)| r)
+            .collect()
     }
 
     /// Receivers whose stored value for `method` contains a member with
@@ -1393,23 +1516,34 @@ impl Database {
     where
         R: std::ops::RangeBounds<ValueKey>,
     {
-        let mut out = BTreeSet::new();
-        if let Some(m) = self.by_method_key.get(&method) {
-            for (_, recvs) in m.range(range) {
-                out.extend(recvs.iter().copied());
-            }
-        }
-        out
+        let from = match range.start_bound().cloned() {
+            Bound::Included(k) => Bound::Included((method, k, Oid::MIN)),
+            Bound::Excluded(k) => Bound::Excluded((method, k, Oid::MAX)),
+            Bound::Unbounded => first_posting(method),
+        };
+        self.postings(method, from)
+            .take_while(|(k, _)| !past_end(range.end_bound(), k))
+            .map(|(_, r)| r)
+            .collect()
     }
 
     /// Index sizes for the planner's cost model: distinct keys and
     /// total postings stored under `method`. `None` when the method has
     /// no stored entries.
     pub fn attr_stats(&self, method: Oid) -> Option<AttrStats> {
-        self.by_method_key.get(&method).map(|m| AttrStats {
-            distinct_keys: m.len(),
-            postings: m.values().map(|s| s.len()).sum(),
-        })
+        let mut stats = AttrStats {
+            distinct_keys: 0,
+            postings: 0,
+        };
+        let mut last = None;
+        for (k, _) in self.postings(method, first_posting(method)) {
+            stats.postings += 1;
+            if last != Some(k) {
+                stats.distinct_keys += 1;
+                last = Some(k);
+            }
+        }
+        (stats.postings > 0).then_some(stats)
     }
 
     /// True when the stored state of `method` tells the whole story:
@@ -1428,17 +1562,14 @@ impl Database {
         {
             return false;
         }
-        match self.by_method.get(&method) {
-            Some(recvs) => !recvs.iter().any(|&r| self.is_class(r)),
-            None => true,
-        }
+        !self.method_receivers(method).any(|r| self.is_class(r))
     }
 
     /// Rebuilds the ordered secondary index from scratch by scanning
     /// the stored state — the oracle [`Database::attr_index_divergence`]
     /// compares the live structure against.
-    pub fn rebuilt_attr_index(&self) -> HashMap<Oid, AttrIndex> {
-        let mut out: HashMap<Oid, AttrIndex> = HashMap::new();
+    pub fn rebuilt_attr_index(&self) -> RebuiltAttrIndex {
+        let mut out = RebuiltAttrIndex::new();
         for ((recv, method, _args), val) in self.state.iter() {
             for m in val.members() {
                 out.entry(*method)
@@ -1458,34 +1589,119 @@ impl Database {
     /// transaction-interleaving proptests assert.
     pub fn attr_index_divergence(&self) -> Vec<String> {
         let rebuilt = self.rebuilt_attr_index();
+        let mut live = RebuiltAttrIndex::new();
+        for (m, k, r) in self.by_method_key.iter() {
+            live.entry(*m)
+                .or_default()
+                .entry(k.clone())
+                .or_default()
+                .insert(*r);
+        }
         let mut out = Vec::new();
-        let mut methods: BTreeSet<Oid> = self.by_method_key.keys().copied().collect();
+        let mut methods: BTreeSet<Oid> = live.keys().copied().collect();
         methods.extend(rebuilt.keys().copied());
         for m in methods {
-            let live = self.attr_index(m);
-            let want = rebuilt.get(&m);
-            if live != want {
-                let name = self.render(m);
-                match (live, want) {
-                    (Some(l), Some(w)) => {
-                        let lk: BTreeSet<&ValueKey> = l.keys().collect();
-                        let wk: BTreeSet<&ValueKey> = w.keys().collect();
-                        for k in lk.symmetric_difference(&wk) {
-                            out.push(format!("{name}: key {k:?} present on one side only"));
-                        }
-                        for k in lk.intersection(&wk) {
-                            if l[k] != w[k] {
-                                out.push(format!("{name}: key {k:?} receiver sets differ"));
-                            }
+            let name = self.render(m);
+            match (live.get(&m), rebuilt.get(&m)) {
+                (Some(l), Some(w)) => {
+                    let lk: BTreeSet<&ValueKey> = l.keys().collect();
+                    let wk: BTreeSet<&ValueKey> = w.keys().collect();
+                    for k in lk.symmetric_difference(&wk) {
+                        out.push(format!("{name}: key {k:?} present on one side only"));
+                    }
+                    for k in lk.intersection(&wk) {
+                        if l[*k] != w[*k] {
+                            out.push(format!("{name}: key {k:?} receiver sets differ"));
                         }
                     }
-                    (Some(_), None) => out.push(format!("{name}: stale index (no stored state)")),
-                    (None, Some(_)) => out.push(format!("{name}: missing index entries")),
-                    (None, None) => unreachable!("method came from one of the two maps"),
+                }
+                (Some(_), None) => out.push(format!("{name}: stale index (no stored state)")),
+                (None, Some(_)) => out.push(format!("{name}: missing index entries")),
+                (None, None) => unreachable!("method came from one of the two maps"),
+            }
+        }
+        out
+    }
+
+    /// Differences between the kept direct extents and extent closures
+    /// and a fresh rebuild from the per-object class lists, rendered one
+    /// per line. Empty means every membership change, IS-A edit, undo,
+    /// redo replay and import left them exactly as a rebuild would: the
+    /// counterpart of [`Database::attr_index_divergence`] for
+    /// [`Database::instances_of`].
+    pub fn extent_closure_divergence(&self) -> Vec<String> {
+        let mut extents: BTreeMap<Oid, BTreeSet<Oid>> = BTreeMap::new();
+        for (&o, classes) in self.instance_of.iter() {
+            for &c in classes {
+                extents.entry(c).or_default().insert(o);
+            }
+        }
+        let mut closures: BTreeMap<Oid, BTreeSet<Oid>> = BTreeMap::new();
+        for &a in &self.schema.class_order {
+            if !keeps_closure(&self.schema.builtins, a) {
+                continue;
+            }
+            for (&d, members) in &extents {
+                if self.is_subclass(d, a) {
+                    closures.entry(a).or_default().extend(members);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (what, live, want) in [
+            ("extent", &self.extent, extents),
+            ("closure", &self.closure, closures),
+        ] {
+            let mut classes: BTreeSet<Oid> = live.keys().copied().collect();
+            classes.extend(want.keys().copied());
+            for c in classes {
+                let l: Vec<Oid> = live
+                    .get(&c)
+                    .into_iter()
+                    .flat_map(|s| s.iter().copied())
+                    .collect();
+                let w: Vec<Oid> = want.get(&c).into_iter().flatten().copied().collect();
+                if l != w {
+                    out.push(format!(
+                        "{what} of {}: kept {} members, rebuilt {}",
+                        self.render(c),
+                        l.len(),
+                        w.len()
+                    ));
                 }
             }
         }
         out
+    }
+
+    /// How much of its storage this database still shares with `other`:
+    /// `(chunks, unshared)`, the number of storage chunks of every
+    /// collection (OID data and index, class lists, extents and
+    /// closures, active domain, state, both method indexes) and how many
+    /// of them are not pointer-equal to a chunk of `other`. For tests
+    /// that pin what a write after a copy copies.
+    #[doc(hidden)]
+    pub fn chunk_sharing(&self, other: &Database) -> (usize, usize) {
+        fn ptrs(db: &Database) -> Vec<*const ()> {
+            fn at<T>(chunk: &[T]) -> *const () {
+                chunk.as_ptr() as *const ()
+            }
+            let mut out: Vec<*const ()> = db.oids.chunk_ptrs().collect();
+            out.extend(db.instance_of.chunks().map(at));
+            for sets in [&db.extent, &db.closure] {
+                out.extend(sets.chunks().map(at));
+                out.extend(sets.values().flat_map(|s| s.chunks()).map(at));
+            }
+            out.extend(db.individuals.chunks().map(at));
+            out.extend(db.state.chunks().map(at));
+            out.extend(db.by_method.chunks().map(at));
+            out.extend(db.by_method_key.chunks().map(at));
+            out
+        }
+        let theirs: std::collections::HashSet<*const ()> = ptrs(other).into_iter().collect();
+        let mine = ptrs(self);
+        let unshared = mine.iter().filter(|p| !theirs.contains(p)).count();
+        (mine.len(), unshared)
     }
 
     /// Removes an object entirely: its stored state (as receiver), its
@@ -1496,23 +1712,28 @@ impl Database {
     pub fn purge_object(&mut self, o: Oid) {
         let keys: Vec<(Oid, Vec<Oid>)> = self
             .state
-            .range_from((o, Oid::MIN, Vec::new()))
+            .range((o, Oid::MIN, Vec::new())..)
             .take_while(|((r, _, _), _)| *r == o)
             .map(|((_, m, a), _)| (*m, a.clone()))
             .collect();
         for (m, a) in keys {
             self.remove_value(o, m, &a);
         }
-        if let Some(classes) = self.instance_of.remove(&o) {
-            for c in classes {
-                shared_set_remove(&mut self.extent, c, o);
-                self.record(UndoOp::RestoreMembership {
-                    o,
-                    class: c,
-                    present: true,
-                });
-                self.emit(RedoOp::RemoveMembership { o, class: c });
-            }
+        let classes: Vec<Oid> = self
+            .instance_of
+            .get(&o)
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        for c in classes {
+            self.remove_membership(o, c);
+            self.record(UndoOp::RestoreMembership {
+                o,
+                class: c,
+                present: true,
+            });
+            self.emit(RedoOp::RemoveMembership { o, class: c });
         }
         if self.individuals.remove(&o) {
             self.record(UndoOp::RestoreIndividual { o, present: true });
@@ -1542,7 +1763,7 @@ impl Database {
         method: Oid,
     ) -> impl Iterator<Item = (&[Oid], &Val)> + '_ {
         self.state
-            .range_from((recv, method, Vec::new()))
+            .range((recv, method, Vec::new())..)
             .take_while(move |((r, m, _), _)| *r == recv && *m == method)
             .map(|((_, _, a), v)| (a.as_slice(), v))
     }
@@ -1847,7 +2068,7 @@ impl Database {
     /// methods it inherits.
     pub fn methods_defined_on(&self, recv: Oid, arity: usize) -> BTreeSet<Oid> {
         let mut out = BTreeSet::new();
-        for ((r, m, a), _) in self.state.range_from((recv, Oid::MIN, Vec::new())) {
+        for ((r, m, a), _) in self.state.range((recv, Oid::MIN, Vec::new())..) {
             if *r != recv {
                 break;
             }
@@ -1866,7 +2087,7 @@ impl Database {
             cs
         };
         for &c in &classes {
-            for ((r, m, a), _) in self.state.range_from((c, Oid::MIN, Vec::new())) {
+            for ((r, m, a), _) in self.state.range((c, Oid::MIN, Vec::new())..) {
                 if *r != c {
                     break;
                 }

@@ -38,6 +38,7 @@ mod cow;
 mod database;
 mod epoch;
 mod error;
+mod extent;
 mod oid;
 mod redo;
 mod schema;
@@ -47,9 +48,11 @@ mod value;
 
 pub use attr_index::{AttrIndex, AttrStats, ValueKey};
 pub use builder::DbBuilder;
-pub use database::{Database, MethodImpl, MAX_INVOKE_DEPTH};
+pub use cow::{ChunkMap, ChunkSet};
+pub use database::{Database, MethodImpl, RebuiltAttrIndex, MAX_INVOKE_DEPTH};
 pub use epoch::{EpochCell, EpochDb};
 pub use error::{DbError, DbResult};
+pub use extent::{Extent, ExtentIter};
 pub use oid::{Oid, OidData, OidTable};
 pub use redo::RedoOp;
 pub use schema::{Builtins, ClassInfo, Signature};

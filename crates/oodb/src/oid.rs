@@ -14,9 +14,10 @@
 //! defined, and does not occur elsewhere in the database", §4.1) holds by
 //! construction.
 
-use std::collections::HashMap;
+use crate::cow::ChunkSet;
+use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// Interned handle to a logical object id. Copyable, order is the
@@ -28,6 +29,9 @@ impl Oid {
     /// Smallest possible handle; useful as a range lower bound for
     /// ordered scans keyed by `Oid`.
     pub const MIN: Oid = Oid(0);
+
+    /// Largest possible handle; the matching upper bound.
+    pub const MAX: Oid = Oid(u32::MAX);
 
     /// Raw index into the owning [`OidTable`].
     #[inline]
@@ -69,38 +73,30 @@ pub enum OidData {
 /// Entries per chunk of the interned data. Chunks are shared between
 /// copies of a table; appending copies at most the partial tail.
 const CHUNK: usize = 256;
-/// Hash shards of the datum-to-OID index. A fixed count: a clone bumps
-/// this many `Arc`s, and a new datum copies one shard.
-const INDEX_SHARDS: usize = 256;
 
 /// Interner for logical OIDs. Owned by [`crate::Database`].
 ///
 /// Interning is never undone, so the table only grows. Copies of a
 /// table share its storage: the data is a list of fixed-size [`Arc`]
-/// chunks, and the lookup index is split into [`Arc`] shards by hash.
-/// A clone costs one `Arc` bump per chunk and shard; interning a new
-/// datum copies the last chunk and one index shard if another copy
-/// still shares them, and interning a known datum copies nothing.
-#[derive(Clone)]
+/// chunks, and the lookup index is a [`ChunkSet`] of `(datum hash, OID)`
+/// pairs whose data are read back from those chunks. The hash is keyed
+/// per table (and shared by its copies), so data from outside cannot be
+/// crafted to pile onto one hash. A clone costs one
+/// `Arc` bump per chunk; interning a new datum copies the last data
+/// chunk and one bounded index chunk if another copy still shares them,
+/// and interning a known datum copies nothing.
+#[derive(Clone, Default)]
 pub struct OidTable {
     /// Entry `i` is `chunks[i / CHUNK][i % CHUNK]`. Chunks are arrays,
     /// so a lookup follows one pointer and checks one bound; slots at
     /// and past `len` hold `Nil` and are never handed out.
     chunks: Vec<Arc<[OidData; CHUNK]>>,
     len: usize,
-    index: Vec<Arc<HashMap<OidData, Oid>>>,
-}
-
-impl Default for OidTable {
-    fn default() -> Self {
-        OidTable {
-            chunks: Vec::new(),
-            len: 0,
-            // One shared empty map; each shard unshares on its first
-            // insert.
-            index: vec![Arc::default(); INDEX_SHARDS],
-        }
-    }
+    /// Every OID under the hash of its datum; equal hashes are told
+    /// apart by comparing the data.
+    index: ChunkSet<(u64, Oid)>,
+    /// The keyed hasher of `index`.
+    hasher: RandomState,
 }
 
 impl fmt::Debug for OidTable {
@@ -109,37 +105,50 @@ impl fmt::Debug for OidTable {
     }
 }
 
-/// The index shard of a datum. Only the spread of data over shards
-/// depends on this hash, so it is a fast unkeyed multiply-rotate one;
-/// lookups inside a shard use the map's own keyed hasher.
-fn index_shard(d: &OidData) -> usize {
-    let mut h = ShardHasher(0);
-    d.hash(&mut h);
-    (h.0 >> 56) as usize % INDEX_SHARDS
+/// A datum as a lookup sees it: [`OidData`] with its text and id-term
+/// arguments borrowed, so finding a known datum allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Datum<'a> {
+    Sym(&'a str),
+    Int(i64),
+    Real(u64),
+    Str(&'a str),
+    Bool(bool),
+    Nil,
+    Func(Oid, &'a [Oid]),
 }
 
-struct ShardHasher(u64);
+impl Datum<'_> {
+    fn of(d: &OidData) -> Datum<'_> {
+        match d {
+            OidData::Sym(s) => Datum::Sym(s),
+            OidData::Int(v) => Datum::Int(*v),
+            OidData::Real(b) => Datum::Real(*b),
+            OidData::Str(s) => Datum::Str(s),
+            OidData::Bool(b) => Datum::Bool(*b),
+            OidData::Nil => Datum::Nil,
+            OidData::Func(f, args) => Datum::Func(*f, args),
+        }
+    }
+
+    fn to_owned(self) -> OidData {
+        match self {
+            Datum::Sym(s) => OidData::Sym(s.into()),
+            Datum::Int(v) => OidData::Int(v),
+            Datum::Real(b) => OidData::Real(b),
+            Datum::Str(s) => OidData::Str(s.into()),
+            Datum::Bool(b) => OidData::Bool(b),
+            Datum::Nil => OidData::Nil,
+            Datum::Func(f, args) => OidData::Func(f, args.into()),
+        }
+    }
+}
 
 fn number(d: &OidData) -> Option<f64> {
     match d {
         OidData::Int(v) => Some(*v as f64),
         OidData::Real(b) => Some(f64::from_bits(*b)),
         _ => None,
-    }
-}
-
-impl Hasher for ShardHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
-                .wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        }
     }
 }
 
@@ -159,24 +168,33 @@ impl OidTable {
         self.len() == 0
     }
 
-    fn find(&self, d: &OidData) -> Option<Oid> {
-        self.index[index_shard(d)].get(d).copied()
+    fn find(&self, d: Datum<'_>) -> Option<Oid> {
+        self.find_hashed(self.hasher.hash_one(d), d)
     }
 
-    fn intern(&mut self, d: OidData) -> Oid {
+    /// The OID of `d`, whose hash is `h`.
+    fn find_hashed(&self, h: u64, d: Datum<'_>) -> Option<Oid> {
+        self.index
+            .range((h, Oid::MIN)..=(h, Oid::MAX))
+            .map(|&(_, o)| o)
+            .find(|&o| Datum::of(self.get(o)) == d)
+    }
+
+    fn intern(&mut self, d: Datum<'_>) -> Oid {
         // The lookup goes through `&self`: a hit must not unshare
         // anything.
-        if let Some(o) = self.find(&d) {
+        let h = self.hasher.hash_one(d);
+        if let Some(o) = self.find_hashed(h, d) {
             return o;
         }
         let o = Oid(u32::try_from(self.len()).expect("OID space exhausted"));
-        self.push(o, d);
+        self.index.insert((h, o));
+        self.push(d.to_owned());
         o
     }
 
-    /// Appends `d` as the datum of `o`, the next position.
-    fn push(&mut self, o: Oid, d: OidData) {
-        Arc::make_mut(&mut self.index[index_shard(&d)]).insert(d.clone(), o);
+    /// Appends `d` as the datum of the next position.
+    fn push(&mut self, d: OidData) {
         let (c, slot) = (self.len / CHUNK, self.len % CHUNK);
         if c == self.chunks.len() {
             self.chunks
@@ -188,12 +206,12 @@ impl OidTable {
 
     /// Interns a symbolic id.
     pub fn sym(&mut self, name: &str) -> Oid {
-        self.intern(OidData::Sym(name.into()))
+        self.intern(Datum::Sym(name))
     }
 
     /// Interns an integer numeral object.
     pub fn int(&mut self, v: i64) -> Oid {
-        self.intern(OidData::Int(v))
+        self.intern(Datum::Int(v))
     }
 
     /// Interns a real numeral object. NaN is rejected (it has no
@@ -202,22 +220,22 @@ impl OidTable {
         assert!(!v.is_nan(), "NaN has no object identity");
         // Normalize -0.0 to 0.0 so numerically equal reals share an OID.
         let v = if v == 0.0 { 0.0 } else { v };
-        self.intern(OidData::Real(v.to_bits()))
+        self.intern(Datum::Real(v.to_bits()))
     }
 
     /// Interns a string object.
     pub fn str(&mut self, v: &str) -> Oid {
-        self.intern(OidData::Str(v.into()))
+        self.intern(Datum::Str(v))
     }
 
     /// Interns a boolean object.
     pub fn bool(&mut self, v: bool) -> Oid {
-        self.intern(OidData::Bool(v))
+        self.intern(Datum::Bool(v))
     }
 
     /// The special object `nil`.
     pub fn nil(&mut self) -> Oid {
-        self.intern(OidData::Nil)
+        self.intern(Datum::Nil)
     }
 
     /// Interns an id-term `functor(args…)`. `functor` must be a symbol.
@@ -226,7 +244,14 @@ impl OidTable {
             matches!(self.get(functor), OidData::Sym(_)),
             "id-function functor must be a symbol"
         );
-        self.intern(OidData::Func(functor, args.into()))
+        self.intern(Datum::Func(functor, args))
+    }
+
+    /// The storage chunks (data, then index), as pointers, for tests
+    /// that check what two copies share.
+    pub(crate) fn chunk_ptrs(&self) -> impl Iterator<Item = *const ()> + '_ {
+        let data = self.chunks.iter().map(|c| Arc::as_ptr(c) as *const ());
+        data.chain(self.index.chunks().map(|c| c.as_ptr() as *const ()))
     }
 
     /// The raw interned entries in interning order — the `i`-th item is
@@ -240,23 +265,44 @@ impl OidTable {
     /// [`OidData::Func`] arguments must point at earlier positions, as
     /// produced by interning.
     pub fn from_entries(entries: Vec<OidData>) -> OidTable {
-        let mut t = OidTable::new();
-        for (i, d) in entries.into_iter().enumerate() {
-            t.push(Oid::from_index(i), d);
+        // Built in one pass: each data chunk is filled before it goes
+        // behind its `Arc`, and the index is built from all the hashes
+        // at once (`from_sorted` sorts them).
+        let len = entries.len();
+        let hasher = RandomState::new();
+        let index = ChunkSet::from_sorted(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (hasher.hash_one(Datum::of(d)), Oid::from_index(i))),
+        );
+        let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK));
+        let mut rest = entries.into_iter().peekable();
+        while rest.peek().is_some() {
+            let mut chunk: [OidData; CHUNK] = std::array::from_fn(|_| OidData::Nil);
+            for (slot, d) in chunk.iter_mut().zip(rest.by_ref()) {
+                *slot = d;
+            }
+            chunks.push(Arc::new(chunk));
         }
-        t
+        OidTable {
+            chunks,
+            len,
+            index,
+            hasher,
+        }
     }
 
     /// Looks up an already-interned symbol without interning.
     pub fn find_sym(&self, name: &str) -> Option<Oid> {
-        self.find(&OidData::Sym(name.into()))
+        self.find(Datum::Sym(name))
     }
 
     /// Looks up an already-interned id-term `functor(args…)` without
     /// interning. Used by read-only evaluation: an id-term that was
     /// never created denotes no object, so the path simply fails (§3.1).
     pub fn find_func(&self, functor: Oid, args: &[Oid]) -> Option<Oid> {
-        self.find(&OidData::Func(functor, args.into()))
+        self.find(Datum::Func(functor, args))
     }
 
     /// The datum behind a handle.

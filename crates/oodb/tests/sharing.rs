@@ -8,14 +8,25 @@
 //! exactly the snapshot it exported before. At the end, each database
 //! must export the same snapshot as an unshared rebuild of the base
 //! (`import_snapshot(export_snapshot())`) that ran the same script, and
-//! its ordered attribute index must equal a fresh rebuild.
+//! its ordered attribute index, direct extents and extent closures must
+//! equal fresh rebuilds (checked after every step too).
+//!
+//! `SHARING_CASES=<n>` runs the property at `n` cases instead of 24.
 
 use oodb::{Database, DbSnapshot, Oid, Savepoint};
 use proptest::prelude::*;
 
 /// Objects in the base database: enough that their OIDs (plus the
-/// literals they store) span several storage shards.
+/// literals they store) span several storage chunks.
 const OBJECTS: usize = 600;
+
+/// Property cases: `SHARING_CASES` or 24.
+fn cases() -> u32 {
+    std::env::var("SHARING_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
 
 /// One step of a script: `(kind, target database, operand, operand)`.
 type Step = (u8, u8, u16, u16);
@@ -30,6 +41,10 @@ struct Names {
 }
 
 fn base() -> Database {
+    base_of(OBJECTS)
+}
+
+fn base_of(objects: usize) -> Database {
     let mut db = Database::new();
     let a = db.define_class("A", &[]).unwrap();
     let b = db.define_class("B", &[a]).unwrap();
@@ -38,7 +53,7 @@ fn base() -> Database {
     db.add_signature(a, "Age", &[], numeral, false).unwrap();
     db.add_signature(a, "Pals", &[], a, true).unwrap();
     let age = db.oids_mut().sym("Age");
-    for i in 0..OBJECTS {
+    for i in 0..objects {
         let o = db
             .new_individual(&format!("o{i}"), &[if i % 3 == 0 { b } else { a }])
             .unwrap();
@@ -50,9 +65,12 @@ fn base() -> Database {
 
 fn names(db: &Database) -> Names {
     let t = db.oids();
+    let objects = (0..)
+        .take_while(|i| t.find_sym(&format!("o{i}")).is_some())
+        .count();
     Names {
         classes: ["A", "B", "C"].map(|c| t.find_sym(c).unwrap()).to_vec(),
-        objects: (0..OBJECTS)
+        objects: (0..objects)
             .map(|i| t.find_sym(&format!("o{i}")).unwrap())
             .collect(),
         age: t.find_sym("Age").unwrap(),
@@ -111,7 +129,7 @@ struct Side {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn clones_are_independent_and_match_a_deep_rebuild(
@@ -143,6 +161,14 @@ proptest! {
             apply(&mut side.db, &mut side.marks, &n, kind, x, y);
             side.script.push((kind, x, y));
             side.export = side.db.export_snapshot();
+            let divergence = side.db.extent_closure_divergence();
+            prop_assert!(
+                divergence.is_empty(),
+                "step {:?} on side {}: {:?}",
+                (kind, x, y),
+                t,
+                divergence
+            );
             for (j, other) in sides.iter().enumerate() {
                 if j != t {
                     prop_assert!(
@@ -169,6 +195,51 @@ proptest! {
             );
             let divergence = side.db.attr_index_divergence();
             prop_assert!(divergence.is_empty(), "side {}: {:?}", i, divergence);
+            for db in [&side.db, &deep] {
+                let divergence = db.extent_closure_divergence();
+                prop_assert!(divergence.is_empty(), "side {}: {:?}", i, divergence);
+            }
+            for c in side.db.classes() {
+                prop_assert!(
+                    side.db.instances_of(c).iter().eq(deep.instances_of(c).iter()),
+                    "side {}: extent of {:?} differs from its deep rebuild",
+                    i,
+                    c
+                );
+            }
         }
+    }
+}
+
+/// A write after a copy copies a constant handful of storage chunks,
+/// whatever the size of the database: the salary-style `set_scalar` of
+/// a fresh literal leaves every other chunk of every collection
+/// pointer-shared with the copy (exact, no timing).
+#[test]
+fn one_write_after_a_copy_unshares_a_bounded_number_of_chunks() {
+    for objects in [600, 6_000] {
+        let mut db = base_of(objects);
+        let n = names(&db);
+        let copy = db.clone();
+        assert_eq!(
+            db.chunk_sharing(&copy).1,
+            0,
+            "a fresh copy shares everything"
+        );
+        let v = db.oids_mut().int(1_000_000);
+        db.set_scalar(n.objects[objects / 2], n.age, &[], v)
+            .unwrap();
+        let (chunks, unshared) = db.chunk_sharing(&copy);
+        // One chunk each of: OID data, OID index, active domain, state,
+        // the old value's posting and the new value's posting.
+        assert!(
+            unshared <= 6,
+            "{objects} objects: {unshared} of {chunks} chunks unshared"
+        );
+        // The copy still reads the old value.
+        assert_ne!(
+            copy.value(n.objects[objects / 2], n.age, &[]).unwrap(),
+            db.value(n.objects[objects / 2], n.age, &[]).unwrap()
+        );
     }
 }

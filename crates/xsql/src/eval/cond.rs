@@ -16,7 +16,7 @@ use super::vars;
 use super::Ctx;
 use crate::ast::*;
 use crate::error::{XsqlError, XsqlResult};
-use oodb::Oid;
+use oodb::{Extent, Oid};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Continuation receiving each satisfying binding.
@@ -399,23 +399,22 @@ impl<'d> Ctx<'d> {
         }
     }
 
-    fn instance_candidates(&self, obj: &IdTerm, class: Oid, bnd: &Bindings<'_>) -> Vec<Oid> {
+    fn instance_candidates(&self, obj: &IdTerm, class: Oid, bnd: &Bindings<'_>) -> Extent<'d> {
         // If the object side is already determined, test just it.
         if let Some(o) = self.try_eval(obj, bnd) {
-            if self.db.is_instance_of(o, class) {
-                return vec![o];
-            }
-            return Vec::new();
+            let hit = self.db.is_instance_of(o, class);
+            return Extent::from_sorted(if hit { vec![o] } else { Vec::new() });
         }
         // Narrow by Theorem 6.1 range if the variable has one.
         if let IdTerm::Var(v) = obj {
             if let Some(rs) = self.ranges {
                 if let Some(set) = rs.get(&v.name) {
-                    return set
-                        .iter()
-                        .copied()
-                        .filter(|&o| self.db.is_instance_of(o, class))
-                        .collect();
+                    return Extent::from_sorted(
+                        set.iter()
+                            .copied()
+                            .filter(|&o| self.db.is_instance_of(o, class))
+                            .collect(),
+                    );
                 }
             }
         }

@@ -108,7 +108,7 @@ pub fn reattach_view(db: &Database, v: &CreateView) -> XsqlResult<ViewDef> {
 /// key no longer satisfies the query are dropped from the extent and
 /// their state cleared.
 pub fn materialize(db: &mut Database, def: &ViewDef, opts: &EvalOptions) -> XsqlResult<Vec<Oid>> {
-    let before: Vec<Oid> = db.instances_of(def.class);
+    let before: Vec<Oid> = db.instances_of(def.class).into_iter().collect();
     let created = run_creation(
         db,
         &def.query,

@@ -2,7 +2,10 @@
 //!
 //! Everything semantic is delegated to the stock evaluator — candidates
 //! come from the same extents ([`oodb::Database::instances_of`] filtered
-//! by `sort_ok`, exactly like the pipelined `InstanceOf` generator),
+//! by `sort_ok`, exactly like the pipelined `InstanceOf` generator; a
+//! variable an index probe narrowed walks the probed receivers in OID
+//! order and keeps those in the extent, the same candidates in the same
+//! order),
 //! filters run through [`Ctx::holds`], join edges through
 //! [`Ctx::compare`] / [`Ctx::set_compare`] / `elem_eq` over cached
 //! per-candidate columns, and rows through `emit_rows`. This module only
@@ -155,15 +158,19 @@ pub(crate) fn execute(
         let mut kept = Vec::new();
         let mut bnd = Bindings::new();
         let mark = bnd.mark();
-        'cand: for &o in &v.extent {
+        // One tick per candidate examined: each probed receiver (kept
+        // only if in the extent) when a probe narrowed the variable, else
+        // each member of the extent. One of the two chained walks is
+        // empty.
+        let probed = narrowed.iter().flatten().copied();
+        let scanned = narrowed.is_none().then(|| v.extent.iter());
+        'cand: for o in probed.chain(scanned.into_iter().flatten()) {
             ctx.tick()?;
-            if !ctx.sort_ok(VarSort::Individual, o) {
+            if narrowed.is_some() && !v.extent.contains(&o) {
                 continue;
             }
-            if let Some(set) = &narrowed {
-                if !set.contains(&o) {
-                    continue;
-                }
+            if !ctx.sort_ok(VarSort::Individual, o) {
+                continue;
             }
             bnd.push(v.name, o);
             for f in plan.filters.iter().filter(|f| f.var == vi) {

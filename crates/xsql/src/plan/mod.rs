@@ -48,7 +48,7 @@ use crate::eval::bindings::Bindings;
 use crate::eval::cond::{conjunct_vars, flatten_and};
 use crate::eval::select::{Prepared, SelectRows};
 use crate::eval::{vars, Ctx};
-use oodb::{Oid, ValueKey};
+use oodb::{Extent, Oid, ValueKey};
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
@@ -63,9 +63,11 @@ pub struct PlanVar<'q> {
     pub class: Oid,
     /// Rendered class name (for EXPLAIN).
     pub class_name: String,
-    /// The class extent (candidates before filters), read once per
-    /// plan and scanned by the executor.
-    pub extent: Vec<Oid>,
+    /// The class extent (candidates before filters): a handle on the
+    /// kept extent closure, taken once per plan. The executor scans it,
+    /// or, when an index probe narrowed the variable, tests the probed
+    /// receivers against it.
+    pub extent: Extent<'q>,
     /// Estimated candidates after filters.
     pub est_rows: f64,
 }
@@ -307,7 +309,7 @@ pub fn static_plan_lines(ctx: &Ctx<'_>, q: &SelectQuery) -> Option<Vec<String>> 
 /// Recognizes the query and, if it fits the fragment entirely, builds
 /// the cost-ordered plan. Pure analysis: no ticks, no evaluation.
 pub(crate) fn plan_query<'q>(
-    ctx: &Ctx<'_>,
+    ctx: &Ctx<'q>,
     q: &'q SelectQuery,
     prep: &Prepared,
 ) -> Option<Plan<'q>> {

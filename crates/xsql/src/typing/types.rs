@@ -117,13 +117,13 @@ pub fn range_extent(db: &Database, r: &Range) -> BTreeSet<Oid> {
     if classes.is_empty() {
         classes.push(db.builtins().object);
     }
-    // Start from the smallest extent for efficiency.
+    // Walk the smallest extent (its size is a constant-time read) and
+    // keep what the other classes contain too.
     classes.sort_by_key(|&c| db.instances_of(c).len());
-    let mut out: BTreeSet<Oid> = db.instances_of(classes[0]).into_iter().collect();
-    for &c in &classes[1..] {
-        out.retain(|&o| db.is_instance_of(o, c));
-    }
-    out
+    db.instances_of(classes[0])
+        .iter()
+        .filter(|&o| classes[1..].iter().all(|&c| db.is_instance_of(o, c)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -18,6 +18,12 @@
 //! 3. end-to-end through crash recovery: a store with committed work, a
 //!    checkpoint and a rolled-back transaction is reopened and the
 //!    recovered index must match a rebuild exactly.
+//!
+//! The kept extent closures (what `instances_of` answers from) are held
+//! to the same standard: `extent_closure_divergence` runs wherever
+//! `attr_index_divergence` does, and a fourth property drives class
+//! memberships and IS-A DDL through savepoints, rollbacks, redo replay
+//! and snapshot import.
 
 use oodb::{Database, DbBuilder, Oid, Savepoint, ValueKey};
 use proptest::prelude::*;
@@ -81,6 +87,8 @@ proptest! {
                 (kind % 7, o, v),
                 divergence
             );
+            let divergence = db.extent_closure_divergence();
+            prop_assert!(divergence.is_empty(), "extents after op {:?}: {:?}", (kind % 7, o, v), divergence);
         }
         // Equality probes agree with the rebuild, key by key.
         let rebuilt = db.rebuilt_attr_index();
@@ -178,6 +186,8 @@ proptest! {
             }
             let divergence = s.db().attr_index_divergence();
             prop_assert!(divergence.is_empty(), "{divergence:?}");
+            let divergence = s.db().extent_closure_divergence();
+            prop_assert!(divergence.is_empty(), "{divergence:?}");
             for val in 0..6 {
                 let q = format!("SELECT X FROM Item X WHERE X.Num = {val}");
                 let planned = query_as(&mut s, &q, planner_opts());
@@ -209,6 +219,7 @@ fn rollback_work_reverts_index_probes() {
 
     s.run("ROLLBACK WORK").unwrap();
     assert!(s.db().attr_index_divergence().is_empty());
+    assert!(s.db().extent_closure_divergence().is_empty());
     assert!(
         query_as(&mut s, q, planner_opts()).is_empty(),
         "index must not serve the reverted Age"
@@ -259,6 +270,8 @@ fn recovered_store_has_consistent_attr_index() {
     let mut s = open(&fs);
     let divergence = s.db().attr_index_divergence();
     assert!(divergence.is_empty(), "after recovery: {divergence:?}");
+    let divergence = s.db().extent_closure_divergence();
+    assert!(divergence.is_empty(), "after recovery: {divergence:?}");
     // The committed updates survived, the rolled-back one did not…
     assert_eq!(
         query_as(
@@ -283,5 +296,97 @@ fn recovered_store_has_consistent_attr_index() {
             query_as(&mut s, &q, naive_opts()),
             "{q}"
         );
+    }
+}
+
+/// A hierarchy to grow: `Thing` with `Part` under it, and objects in
+/// either class.
+fn hierarchy_db() -> (Database, Vec<Oid>) {
+    let mut b = DbBuilder::new();
+    b.class("Thing");
+    b.subclass("Part", &["Thing"]);
+    b.attr("Thing", "Num", "Numeral");
+    let objs: Vec<Oid> = (0..8)
+        .map(|i| b.obj(&format!("h{i}"), if i % 2 == 0 { "Thing" } else { "Part" }))
+        .collect();
+    (b.build(), objs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Class memberships and IS-A DDL (new subclasses, new edges)
+    /// interleaved with savepoints, partial rollbacks and commits, with
+    /// redo recording on. After every operation the kept extents and
+    /// closures equal a rebuild. At the end, replaying the surviving
+    /// redo images onto the starting image, and importing the final
+    /// image, both reproduce the same database with the same extents.
+    #[test]
+    fn extents_match_rebuild_under_ddl_rollback_and_redo(
+        ops in proptest::collection::vec((0u8..8, 0u8..8, 0u8..16), 0..40),
+    ) {
+        let (mut db, objs) = hierarchy_db();
+        let start = db.export_snapshot();
+        db.set_redo_logging(true);
+        let mut classes: Vec<Oid> = ["Thing", "Part"]
+            .map(|c| db.oids().find_sym(c).unwrap())
+            .to_vec();
+        // Savepoints with the redo length they were taken at: rolling
+        // back drops the redo images of the undone span too.
+        let mut marks: Vec<(Savepoint, usize)> = Vec::new();
+        for (step, &(kind, o, c)) in ops.iter().enumerate() {
+            let (obj, class) = (objs[o as usize], classes[c as usize % classes.len()]);
+            match kind {
+                // Unknown classes (defined in a rolled-back span) and
+                // IS-A cycles are rejected before anything changes.
+                0 | 1 => {
+                    let _ = db.add_instance(obj, class);
+                }
+                2 => db.remove_instance(obj, class),
+                3 => db.purge_object(obj),
+                4 => {
+                    if let Ok(k) = db.define_class(&format!("K{step}"), &[class]) {
+                        classes.push(k);
+                    }
+                }
+                5 => {
+                    let _ = db.add_is_a(class, classes[o as usize % classes.len()]);
+                }
+                6 => marks.push((db.savepoint(), db.redo_len())),
+                _ => match marks.pop() {
+                    Some((sp, redo)) if c % 2 == 0 => {
+                        db.rollback_to(sp).unwrap();
+                        db.truncate_redo(redo);
+                    }
+                    _ => {
+                        db.commit();
+                        marks.clear();
+                    }
+                },
+            }
+            let divergence = db.extent_closure_divergence();
+            prop_assert!(divergence.is_empty(), "after op {:?}: {:?}", (kind, o, c), divergence);
+        }
+        let image = db.export_snapshot();
+        // Redo images name OIDs by position; the durable log carries the
+        // interned entries beside them, so the replay starts from the
+        // starting image with the final OID table.
+        let mut replayed = Database::import_snapshot(oodb::DbSnapshot {
+            oids: image.oids.clone(),
+            ..start
+        })
+        .unwrap();
+        for op in db.take_redo_from(0) {
+            replayed.apply_redo(&op).unwrap();
+        }
+        let imported = Database::import_snapshot(image.clone()).unwrap();
+        for other in [&replayed, &imported] {
+            prop_assert!(other.export_snapshot() == image);
+            let divergence = other.extent_closure_divergence();
+            prop_assert!(divergence.is_empty(), "{:?}", divergence);
+            for c in db.classes() {
+                prop_assert!(db.instances_of(c).iter().eq(other.instances_of(c).iter()));
+            }
+        }
     }
 }

@@ -224,3 +224,33 @@ fn goldens_are_byte_stable() {
         assert_eq!(a, b, "{q} is not byte-stable");
     }
 }
+
+/// A probed variable walks the probe's receivers and keeps only those
+/// in its class extent: a name stored on a company, a plain person or
+/// an employee probes the same `Name` index, and each FROM class keeps
+/// only its own instances (the naive engine is the oracle).
+#[test]
+fn probe_receivers_outside_the_extent_are_not_kept() {
+    let naive = EvalOptions {
+        strategy: Strategy::Naive,
+        ..EvalOptions::default()
+    };
+    let mut planned = det_session(figure1_db());
+    let mut oracle = Session::with_options(figure1_db(), naive);
+    for class in ["Employee", "Person", "Company", "Division"] {
+        for name in ["UniSQL", "Mary", "John", "Sales", "Nobody"] {
+            let q = format!("SELECT X FROM {class} X WHERE X.Name = '{name}'");
+            let got = planned.query(&q).unwrap();
+            assert_eq!(got, oracle.query(&q).unwrap(), "{q}");
+            assert!(
+                analyze(&mut planned, &q).contains("via attr-index"),
+                "{q} is not probed"
+            );
+            // The company's name is probed for every class but kept
+            // only for `Company`.
+            if name == "UniSQL" {
+                assert_eq!(got.is_empty(), class != "Company", "{q}");
+            }
+        }
+    }
+}
