@@ -14,23 +14,53 @@
 //! of `Session::run` (`run_us` − `prepared_us`), and re-planning per
 //! run is a small share of execution (`plan_us` ≪ `execute_us`).
 //!
-//! Results go to `BENCH_vm.json` at the repo root (hand-rendered JSON;
-//! the offline criterion shim has no reporting). Wall-clock timing on
-//! medians — phase costs are microsecond-scale, not nanosecond kernels.
+//! Every cell is sampled once per round, all cells of all statements
+//! in turn within the round, so a drift in host speed moves every
+//! column alike. Each cell reports the first quartile, median and third
+//! quartile (p25, p50, p75) of [`QUARTILE_ROUNDS`] rounds, as
+//! `commit_latency.rs` does, so a cell can be told apart from host
+//! drift. Results go to `BENCH_vm.json` at the repo root (hand-rendered
+//! JSON; the offline criterion shim has no reporting).
 
 use datagen::{figure1_scaled, Figure1Params};
 use oodb::Database;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-use xsql::ast::Stmt;
+use xsql::ast::{SelectQuery, Stmt};
 use xsql::eval::Ctx;
 use xsql::{eval_select, parse, resolve_stmt, EvalOptions, Outcome, Session};
 
-const REPS: usize = 200;
+/// Rounds per cell; each round takes one sample of every cell.
+const QUARTILE_ROUNDS: usize = 400;
 
 /// Objects in the scaled Figure 1 database.
 const OBJECTS: usize = 150;
+
+const QUERIES: &[(&str, &str)] = &[
+    (
+        "wire_scan",
+        "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary > Y.Salary",
+    ),
+    (
+        "employee_join2",
+        "SELECT X, Y FROM Employee X, Employee Y \
+         WHERE X.Salary > Y.Salary AND X.Age < Y.Age",
+    ),
+    (
+        "salary_probe",
+        "SELECT X FROM Employee X WHERE X.Salary > 30000",
+    ),
+];
+
+/// The phase cells of one statement, in JSON order.
+const PHASES: [&str; 5] = [
+    "parse_resolve_us",
+    "plan_us",
+    "execute_us",
+    "run_us",
+    "prepared_us",
+];
 
 fn scaled_db() -> Database {
     figure1_scaled(&Figure1Params::with_total_objects(OBJECTS))
@@ -43,16 +73,23 @@ fn opts() -> EvalOptions {
     }
 }
 
-fn median(mut v: Vec<u128>) -> u128 {
-    v.sort_unstable();
-    v[v.len() / 2]
+/// First quartile, median and third quartile of a sample, in JSON.
+fn quartiles_json(mut v: Vec<f64>) -> String {
+    v.sort_by(|a, b| a.total_cmp(b));
+    let at = |q: usize| v[(v.len() - 1) * q / 4];
+    format!(
+        "{{\"q1\": {:.1}, \"median\": {:.1}, \"q3\": {:.1}}}",
+        at(1),
+        at(2),
+        at(3)
+    )
 }
 
 /// Times one call of `f` in µs.
-fn time_once<F: FnOnce()>(f: F) -> u128 {
+fn time_once<F: FnOnce()>(f: F) -> f64 {
     let t = Instant::now();
     f();
-    t.elapsed().as_micros()
+    t.elapsed().as_secs_f64() * 1e6
 }
 
 fn run(s: &mut Session, src: &str) -> usize {
@@ -62,108 +99,76 @@ fn run(s: &mut Session, src: &str) -> usize {
     }
 }
 
+/// One statement text (no parameters) set up for each phase.
 struct Phases {
-    parse_resolve_us: u128,
-    plan_us: u128,
-    execute_us: u128,
-    run_us: u128,
-    prepared_us: u128,
+    src: &'static str,
     rows: usize,
+    /// Parse + resolve runs on its own database (resolve interns
+    /// constants).
+    pr_db: Database,
+    /// Planning and execution of the resolved statement.
+    db: Database,
+    q: SelectQuery,
+    o: EvalOptions,
+    /// `Session::run` of the text: parse, resolve and execute every run.
+    session: Session,
+    /// PREPAREd once, EXECUTEd per round (no parameters).
+    prepared: Session,
 }
 
-/// Phase split for one statement text (no parameters). The phases are
-/// timed round-robin, one sample of each per repetition, so a drift in
-/// host speed lands on all of them alike.
-fn phases(src: &'static str) -> Phases {
-    // Parse + resolve on its own database (resolve interns constants).
-    let mut pr_db = scaled_db();
-    // Planning and execution of the resolved statement.
-    let mut db = scaled_db();
-    let stmt = parse(src).expect("parse");
-    let Stmt::Select(q) = resolve_stmt(&mut db, &stmt).expect("resolve") else {
-        panic!("not a SELECT: {src}")
-    };
-    let o = opts();
-    // `Session::run` of the text: parse, resolve and execute every run.
-    let mut session = Session::with_options(scaled_db(), opts());
-    let rows = run(&mut session, src); // warm the OID interner
-                                       // PREPAREd once, EXECUTEd per repetition (no parameters).
-    let mut prepared = Session::with_options(scaled_db(), opts());
-    prepared
-        .run(&format!("PREPARE stmt AS {src}"))
-        .expect("prepare");
-    run(&mut prepared, "EXECUTE stmt");
+impl Phases {
+    fn new(src: &'static str) -> Phases {
+        let mut db = scaled_db();
+        let stmt = parse(src).expect("parse");
+        let Stmt::Select(q) = resolve_stmt(&mut db, &stmt).expect("resolve") else {
+            panic!("not a SELECT: {src}")
+        };
+        let mut session = Session::with_options(scaled_db(), opts());
+        let rows = run(&mut session, src); // warm the OID interner
+        let mut prepared = Session::with_options(scaled_db(), opts());
+        prepared
+            .run(&format!("PREPARE stmt AS {src}"))
+            .expect("prepare");
+        run(&mut prepared, "EXECUTE stmt");
+        Phases {
+            src,
+            rows,
+            pr_db: scaled_db(),
+            db,
+            q,
+            o: opts(),
+            session,
+            prepared,
+        }
+    }
 
-    let mut lat: [Vec<u128>; 5] = Default::default();
-    for _ in 0..REPS {
+    /// Takes one sample of each phase, in [`PHASES`] order.
+    fn sample(&mut self, lat: &mut [Vec<f64>; 5]) {
+        let src = self.src;
         lat[0].push(time_once(|| {
             let stmt = parse(src).expect("parse");
-            std::hint::black_box(resolve_stmt(&mut pr_db, &stmt).expect("resolve"));
+            std::hint::black_box(resolve_stmt(&mut self.pr_db, &stmt).expect("resolve"));
         }));
         lat[1].push(time_once(|| {
-            let ctx = Ctx::new(&db, &o);
-            let lines = xsql::plan::static_plan_lines(&ctx, &q).expect("planner fragment");
+            let ctx = Ctx::new(&self.db, &self.o);
+            let lines = xsql::plan::static_plan_lines(&ctx, &self.q).expect("planner fragment");
             std::hint::black_box(lines);
         }));
         lat[2].push(time_once(|| {
-            std::hint::black_box(eval_select(&db, &q, &o).expect("execute"));
+            std::hint::black_box(eval_select(&self.db, &self.q, &self.o).expect("execute"));
         }));
         lat[3].push(time_once(|| {
-            run(&mut session, src);
+            run(&mut self.session, src);
         }));
         lat[4].push(time_once(|| {
-            run(&mut prepared, "EXECUTE stmt");
+            run(&mut self.prepared, "EXECUTE stmt");
         }));
-    }
-    let [pr, plan, exec, run_us, prepared] = lat.map(median);
-    Phases {
-        parse_resolve_us: pr,
-        plan_us: plan,
-        execute_us: exec,
-        run_us,
-        prepared_us: prepared,
-        rows,
     }
 }
 
 fn main() {
-    let queries: &[(&str, &str)] = &[
-        (
-            "wire_scan",
-            "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary > Y.Salary",
-        ),
-        (
-            "employee_join2",
-            "SELECT X, Y FROM Employee X, Employee Y \
-             WHERE X.Salary > Y.Salary AND X.Age < Y.Age",
-        ),
-        (
-            "salary_probe",
-            "SELECT X FROM Employee X WHERE X.Salary > 30000",
-        ),
-    ];
-
-    let mut json = String::from("{\n  \"experiment\": \"E16_prepared_and_executor\",\n");
-    let _ = writeln!(json, "  \"reps\": {REPS},");
-    let _ = writeln!(json, "  \"db\": \"figure1 scaled to {OBJECTS} objects\",");
-    json.push_str("  \"queries\": [\n");
-    for (i, (name, src)) in queries.iter().enumerate() {
-        let p = phases(src);
-        println!(
-            "{name}: parse+resolve {} µs, plan {} µs, execute {} µs, run {} µs, \
-             prepared {} µs ({} rows)",
-            p.parse_resolve_us, p.plan_us, p.execute_us, p.run_us, p.prepared_us, p.rows
-        );
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{name}\", \"rows\": {}, \
-             \"parse_resolve_us\": {}, \"plan_us\": {}, \"execute_us\": {}, \
-             \"run_us\": {}, \"prepared_us\": {}}}",
-            p.rows, p.parse_resolve_us, p.plan_us, p.execute_us, p.run_us, p.prepared_us
-        );
-        json.push_str(if i + 1 < queries.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
+    let mut phases: Vec<Phases> = QUERIES.iter().map(|&(_, src)| Phases::new(src)).collect();
+    let mut lat: Vec<[Vec<f64>; 5]> = phases.iter().map(|_| Default::default()).collect();
 
     // PREPARE / EXECUTE with a bound parameter: resolve once, bind and
     // run per EXECUTE. Compared with `Session::run` of the equivalent
@@ -175,7 +180,11 @@ fn main() {
     run(&mut s, "EXECUTE rich (30000)");
     run(&mut s, plain);
     let (mut exec_lat, mut plain_lat) = (Vec::new(), Vec::new());
-    for _ in 0..REPS {
+
+    for _ in 0..QUARTILE_ROUNDS {
+        for (p, lat) in phases.iter_mut().zip(&mut lat) {
+            p.sample(lat);
+        }
         exec_lat.push(time_once(|| {
             run(&mut s, "EXECUTE rich (30000)");
         }));
@@ -183,12 +192,26 @@ fn main() {
             run(&mut s, plain);
         }));
     }
-    let (execute_us, plain_run_us) = (median(exec_lat), median(plain_lat));
-    println!("prepared EXECUTE {execute_us} µs; plain text run {plain_run_us} µs");
+
+    let mut json = String::from("{\n  \"experiment\": \"E16_prepared_and_executor\",\n");
+    let _ = writeln!(json, "  \"rounds\": {QUARTILE_ROUNDS},");
+    json.push_str("  \"statistic\": \"quartiles_us\",\n");
+    let _ = writeln!(json, "  \"db\": \"figure1 scaled to {OBJECTS} objects\",");
+    json.push_str("  \"queries\": [\n");
+    for (i, ((name, _), (p, lat))) in QUERIES.iter().zip(phases.iter().zip(lat)).enumerate() {
+        let _ = write!(json, "    {{\"name\": \"{name}\", \"rows\": {}", p.rows);
+        for (cell, v) in PHASES.iter().zip(lat) {
+            let _ = write!(json, ", \"{cell}\": {}", quartiles_json(v));
+        }
+        json.push('}');
+        json.push_str(if i + 1 < QUERIES.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"prepared\": {{\"execute_us\": {execute_us}, \
-         \"plain_run_us\": {plain_run_us}}}\n}}"
+        "  \"prepared\": {{\"execute_us\": {}, \"plain_run_us\": {}}}\n}}",
+        quartiles_json(exec_lat),
+        quartiles_json(plain_lat)
     );
 
     let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_vm.json");

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::RealFs;
-use xsql::Session;
+use xsql::{parse, Session};
 
 /// Measurement window per configuration.
 const WINDOW: Duration = Duration::from_millis(400);
@@ -72,8 +72,11 @@ fn run_readers(svc: &Arc<Service>, n: usize, prepared: bool, stop: &Arc<AtomicBo
                 let mut h = svc.connect().expect("connect reader");
                 let ctx = QueryContext::default();
                 let src = if prepared {
-                    h.execute(&format!("PREPARE bench_read AS {READ_QUERY}"), &ctx)
-                        .expect("prepare");
+                    h.execute(
+                        &parse(&format!("PREPARE bench_read AS {READ_QUERY}")).unwrap(),
+                        &ctx,
+                    )
+                    .expect("prepare");
                     "EXECUTE bench_read"
                 } else {
                     READ_QUERY
@@ -81,7 +84,8 @@ fn run_readers(svc: &Arc<Service>, n: usize, prepared: bool, stop: &Arc<AtomicBo
                 let mut lat = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     let t = Instant::now();
-                    h.query(src, &ctx).expect("read");
+                    // Parsed inside the timed loop: a request pays for its parse.
+                    h.query(&parse(src).unwrap(), &ctx).expect("read");
                     lat.push(t.elapsed().as_micros());
                 }
                 lat
@@ -160,7 +164,7 @@ fn mixed() -> MixedStats {
                 i += 1;
                 let t = Instant::now();
                 h.execute(
-                    &format!("UPDATE CLASS Tick SET t0.N = {i}"),
+                    &parse(&format!("UPDATE CLASS Tick SET t0.N = {i}")).unwrap(),
                     &QueryContext::default(),
                 )
                 .expect("commit");

@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xsql::ast::Stmt;
 use xsql::eval::CancelFlag;
-use xsql::{parse, Outcome};
+use xsql::{Outcome, XsqlResult};
 
 /// Network-tier knobs. Defaults suit an interactive deployment; tests
 /// shrink the timeouts to force the reaping paths.
@@ -451,15 +451,7 @@ fn serve_conn(mut stream: TcpStream, inner: &Arc<ServerInner>) {
         Ok(None) => return, // disconnected or timed out silently
         Err(m) => {
             inner.m().protocol_errors.inc();
-            send(
-                &mut stream,
-                &Frame::Error {
-                    id: 0,
-                    code: ErrorCode::Protocol,
-                    retry_after_ms: 0,
-                    message: m,
-                },
-            );
+            send(&mut stream, &conn_error(ErrorCode::Protocol, m));
             return;
         }
     };
@@ -469,28 +461,16 @@ fn serve_conn(mut stream: TcpStream, inner: &Arc<ServerInner>) {
                 inner.m().protocol_errors.inc();
                 send(
                     &mut stream,
-                    &Frame::Error {
-                        id: 0,
-                        code: ErrorCode::Protocol,
-                        retry_after_ms: 0,
-                        message: format!(
-                            "protocol version {version} unsupported (want {PROTO_VERSION})"
-                        ),
-                    },
+                    &conn_error(
+                        ErrorCode::Protocol,
+                        format!("protocol version {version} unsupported (want {PROTO_VERSION})"),
+                    ),
                 );
                 return;
             }
             if let Some(required) = &inner.cfg.auth_token {
                 if &token != required {
-                    send(
-                        &mut stream,
-                        &Frame::Error {
-                            id: 0,
-                            code: ErrorCode::Auth,
-                            retry_after_ms: 0,
-                            message: "bad token".into(),
-                        },
-                    );
+                    send(&mut stream, &conn_error(ErrorCode::Auth, "bad token"));
                     return;
                 }
             }
@@ -499,12 +479,7 @@ fn serve_conn(mut stream: TcpStream, inner: &Arc<ServerInner>) {
             inner.m().protocol_errors.inc();
             send(
                 &mut stream,
-                &Frame::Error {
-                    id: 0,
-                    code: ErrorCode::Protocol,
-                    retry_after_ms: 0,
-                    message: "expected HELLO".into(),
-                },
+                &conn_error(ErrorCode::Protocol, "expected HELLO"),
             );
             return;
         }
@@ -737,38 +712,31 @@ fn executor_loop(
             }
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        // Prepare/ExecutePrepared are sugar over Execute: the server
-        // rebuilds the statement text and runs it through the same path,
-        // so deadlines, cancel, draining, and error mapping behave
-        // identically. Prepared names live in the connection's reader
-        // session, on primary and replica alike. Every other event is
-        // handled in place.
-        let (id, deadline_ms, text) = match ev {
-            Event::Frame(Frame::Execute {
-                id,
-                deadline_ms,
-                src,
-            }) => (id, deadline_ms, src),
-            Event::Frame(Frame::Prepare {
-                id,
-                deadline_ms,
-                name,
-                src,
-            }) => (id, deadline_ms, format!("PREPARE {name} AS {src}")),
-            Event::Frame(Frame::ExecutePrepared {
-                id,
-                deadline_ms,
-                name,
-                args,
-            }) => {
-                let text = if args.is_empty() {
-                    format!("EXECUTE {name}")
-                } else {
-                    format!("EXECUTE {name} ({})", args.join(", "))
-                };
-                (id, deadline_ms, text)
+        let frame = match ev {
+            Event::Frame(f) => f,
+            Event::Malformed(m) => {
+                inner.m().protocol_errors.inc();
+                send(stream, &conn_error(ErrorCode::Protocol, m));
+                return;
             }
-            Event::Frame(Frame::Ping) => {
+            Event::Idle => {
+                inner.m().idle_reaped.inc();
+                send(
+                    stream,
+                    &conn_error(ErrorCode::IdleTimeout, "connection idle too long"),
+                );
+                return;
+            }
+            Event::Disconnected => return,
+        };
+        // The three statement frames run through one path, so deadlines,
+        // cancel, draining, and error mapping behave identically.
+        // Prepared names live in the connection's reader session, on
+        // primary and replica alike. Every other frame is handled in
+        // place.
+        let (id, deadline_ms, stmt) = match parse_request(frame) {
+            Ok(req) => req,
+            Err(Frame::Ping) => {
                 // Compute the health word before writing: holding the
                 // backend lock across a socket write would let a slow
                 // client stall a promotion.
@@ -786,59 +754,27 @@ fn executor_loop(
                 }
                 continue;
             }
-            Event::Frame(Frame::Promote) => {
+            Err(Frame::Promote) => {
                 let reply = handle_promote(inner);
                 if !send(stream, &reply) {
                     return;
                 }
                 continue;
             }
-            Event::Frame(Frame::Goodbye) => {
+            Err(Frame::Goodbye) => {
                 let _ = send(stream, &Frame::Goodbye);
                 return;
             }
             // Cancel is consumed reader-side; any other frame from a
             // client is a grammar violation.
-            Event::Frame(_) => {
+            Err(_) => {
                 inner.m().protocol_errors.inc();
                 send(
                     stream,
-                    &Frame::Error {
-                        id: 0,
-                        code: ErrorCode::Protocol,
-                        retry_after_ms: 0,
-                        message: "unexpected frame kind from client".into(),
-                    },
+                    &conn_error(ErrorCode::Protocol, "unexpected frame kind from client"),
                 );
                 return;
             }
-            Event::Malformed(m) => {
-                inner.m().protocol_errors.inc();
-                send(
-                    stream,
-                    &Frame::Error {
-                        id: 0,
-                        code: ErrorCode::Protocol,
-                        retry_after_ms: 0,
-                        message: m,
-                    },
-                );
-                return;
-            }
-            Event::Idle => {
-                inner.m().idle_reaped.inc();
-                send(
-                    stream,
-                    &Frame::Error {
-                        id: 0,
-                        code: ErrorCode::IdleTimeout,
-                        retry_after_ms: 0,
-                        message: "connection idle too long".into(),
-                    },
-                );
-                return;
-            }
-            Event::Disconnected => return,
         };
         inner.m().requests.inc();
         if inner.draining.load(Ordering::Acquire) {
@@ -854,10 +790,37 @@ fn executor_loop(
             let _ = send(stream, &Frame::Goodbye);
             return;
         }
-        if !execute_one(stream, conn, cancel_slot, inner, id, deadline_ms, &text) {
+        if !execute_one(stream, conn, cancel_slot, inner, id, deadline_ms, stmt) {
             return; // write failure: peer is gone
         }
     }
+}
+
+/// A statement frame's id, deadline and statement, which is parsed here
+/// and nowhere after: a `Prepare` frame's name and body, and an
+/// `ExecutePrepared` frame's name and each argument, must each be
+/// exactly one of their kind. Any other frame comes back as `Err`.
+fn parse_request(frame: Frame) -> Result<(u64, u64, XsqlResult<Stmt>), Frame> {
+    Ok(match frame {
+        Frame::Execute {
+            id,
+            deadline_ms,
+            src,
+        } => (id, deadline_ms, xsql::parse(&src)),
+        Frame::Prepare {
+            id,
+            deadline_ms,
+            name,
+            src,
+        } => (id, deadline_ms, xsql::parse_prepare(&name, &src)),
+        Frame::ExecutePrepared {
+            id,
+            deadline_ms,
+            name,
+            args,
+        } => (id, deadline_ms, xsql::parse_execute(&name, &args)),
+        other => return Err(other),
+    })
 }
 
 /// What one statement produced, before it is encoded: a service
@@ -868,8 +831,10 @@ enum Reply {
     Frame(Frame),
 }
 
-/// Runs one Execute and streams its response. Returns false when the
-/// peer stopped reading (write failure) and the connection should die.
+/// Runs one statement request and streams its response; a statement
+/// that did not parse is answered with its error. Returns false when
+/// the peer stopped reading (write failure) and the connection should
+/// die.
 fn execute_one(
     stream: &mut TcpStream,
     conn: &mut ConnBackend,
@@ -877,7 +842,7 @@ fn execute_one(
     inner: &Arc<ServerInner>,
     id: u64,
     deadline_ms: u64,
-    src: &str,
+    stmt: XsqlResult<Stmt>,
 ) -> bool {
     let ctx = QueryContext {
         deadline: (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms)),
@@ -885,8 +850,9 @@ fn execute_one(
         cancel_at_tick: None,
     };
     *cancel_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((id, ctx.cancel.clone()));
-    let reply = match conn {
-        ConnBackend::Primary(handle) => match handle.execute(src, &ctx) {
+    let reply = match (stmt, conn) {
+        (Err(e), _) => Reply::Frame(error_frame(id, &ServiceError::Xsql(e))),
+        (Ok(stmt), ConnBackend::Primary(handle)) => match handle.execute(&stmt, &ctx) {
             Ok(r) => Reply::Exec(r),
             Err(ServiceError::Fenced { .. }) => {
                 // Deposed: a newer generation owns the store. The write
@@ -902,8 +868,8 @@ fn execute_one(
             }
             Err(e) => Reply::Frame(error_frame(id, &e)),
         },
-        ConnBackend::Replica { shared, reader } => {
-            replica_execute(shared, reader, id, src, &ctx, &inner.leader_hint())
+        (Ok(stmt), ConnBackend::Replica { shared, reader }) => {
+            replica_execute(shared, reader, id, &stmt, &ctx, &inner.leader_hint())
         }
     };
     *cancel_slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
@@ -1007,15 +973,11 @@ fn replica_execute(
     shared: &ReplicaShared,
     reader: &mut EpochReader,
     id: u64,
-    src: &str,
+    stmt: &Stmt,
     ctx: &QueryContext,
     leader_hint: &str,
 ) -> Reply {
-    let stmt = match parse(src) {
-        Ok(s) => s,
-        Err(e) => return Reply::Frame(error_frame(id, &ServiceError::Xsql(e))),
-    };
-    let writes = match &stmt {
+    let writes = match stmt {
         Stmt::Stats => {
             return Reply::Frame(Frame::Done {
                 id,
@@ -1038,7 +1000,7 @@ fn replica_execute(
             leader_hint: leader_hint.into(),
         });
     }
-    match reader.read(shared.epoch_cell(), &stmt, ctx) {
+    match reader.read(shared.epoch_cell(), stmt, ctx) {
         Ok(r) => Reply::Exec(ExecResult::Read(r)),
         Err(e) => Reply::Frame(error_frame(id, &ServiceError::Xsql(e))),
     }
@@ -1052,26 +1014,22 @@ fn handle_promote(inner: &Arc<ServerInner>) -> Frame {
         // The whole point of the fencing term is that promotion is a
         // deliberate operator action; an unauthenticated surface must
         // not expose it.
-        return Frame::Error {
-            id: 0,
-            code: ErrorCode::Auth,
-            retry_after_ms: 0,
-            message: "promotion requires a server configured with a shared-secret token".into(),
-        };
+        return conn_error(
+            ErrorCode::Auth,
+            "promotion requires a server configured with a shared-secret token",
+        );
     }
     {
         let b = inner.backend();
         if let Backend::Primary(svc) = &*b {
             if let Some(observed) = svc.fenced() {
-                return Frame::Error {
-                    id: 0,
-                    code: ErrorCode::Stmt,
-                    retry_after_ms: 0,
-                    message: format!(
+                return conn_error(
+                    ErrorCode::Stmt,
+                    format!(
                         "this node is fenced by generation {observed}; \
                          restart it as a replica before promoting it"
                     ),
-                };
+                );
             }
             // Already the primary: promotion is idempotent.
             return Frame::PromoteAck {
@@ -1085,14 +1043,11 @@ fn handle_promote(inner: &Arc<ServerInner>) -> Frame {
         .unwrap_or_else(|e| e.into_inner())
         .take();
     let Some(hook) = hook else {
-        return Frame::Error {
-            id: 0,
-            code: ErrorCode::Internal,
-            retry_after_ms: 0,
-            message: "this replica cannot be promoted (no promotion hook, \
-                      or a promotion is already in flight)"
-                .into(),
-        };
+        return conn_error(
+            ErrorCode::Internal,
+            "this replica cannot be promoted (no promotion hook, \
+                      or a promotion is already in flight)",
+        );
     };
     match hook() {
         Ok(svc) => {
@@ -1109,12 +1064,7 @@ fn handle_promote(inner: &Arc<ServerInner>) -> Frame {
             }
             Frame::PromoteAck { generation }
         }
-        Err(m) => Frame::Error {
-            id: 0,
-            code: ErrorCode::Internal,
-            retry_after_ms: 0,
-            message: format!("promotion failed: {m}"),
-        },
+        Err(m) => conn_error(ErrorCode::Internal, format!("promotion failed: {m}")),
     }
 }
 
@@ -1140,6 +1090,16 @@ fn map_service_err(e: &ServiceError) -> (ErrorCode, u64, String) {
             (ErrorCode::Cancelled, 0, e.to_string())
         }
         ServiceError::Xsql(_) | ServiceError::Protocol(_) => (ErrorCode::Stmt, 0, e.to_string()),
+    }
+}
+
+/// A connection-level error frame (`id` 0) with no retry hint.
+fn conn_error(code: ErrorCode, message: impl Into<String>) -> Frame {
+    Frame::Error {
+        id: 0,
+        code,
+        retry_after_ms: 0,
+        message: message.into(),
     }
 }
 
@@ -1173,8 +1133,9 @@ mod tests {
         }
     }
 
-    /// Every request on the replica read path is parsed exactly once:
-    /// plain queries (cold and cached), PREPARE and EXECUTE alike.
+    /// Every request on the replica read path is parsed exactly once, in
+    /// the step from frame to statement: plain queries, PREPARE and
+    /// EXECUTE alike, and nothing after that step parses again.
     #[test]
     fn replica_requests_are_parsed_once() {
         let mut s = xsql::Session::new(oodb::Database::new());
@@ -1195,21 +1156,47 @@ mod tests {
         );
         let shared = core.shared();
         let mut reader = EpochReader::new(shared.epoch(), opts, Arc::clone(shared.registry()));
+        let execute = |src: &str| Frame::Execute {
+            id: 1,
+            deadline_ms: 0,
+            src: src.into(),
+        };
+        let execute_prepared = |arg: &str| Frame::ExecutePrepared {
+            id: 1,
+            deadline_ms: 0,
+            name: "q".into(),
+            args: vec![arg.into()],
+        };
         let requests = [
-            "SELECT X FROM Person X WHERE X.Age > 30",
-            "SELECT X FROM Person X WHERE X.Age > 30",
-            "PREPARE q AS SELECT X FROM Person X WHERE X.Age > ?1",
-            "EXECUTE q (30)",
-            "EXECUTE q (40)",
+            execute("SELECT X FROM Person X WHERE X.Age > 30"),
+            execute("SELECT X FROM Person X WHERE X.Age > 30"),
+            Frame::Prepare {
+                id: 1,
+                deadline_ms: 0,
+                name: "q".into(),
+                src: "SELECT X FROM Person X WHERE X.Age > ?1".into(),
+            },
+            execute_prepared("30"),
+            execute_prepared("40"),
+            execute("EXECUTE q (30)"),
         ];
+        let n = requests.len() as u64;
         let parses = xsql::parses_on_this_thread();
-        for src in requests {
-            let reply = replica_execute(&shared, &mut reader, 1, src, &QueryContext::default(), "");
-            assert!(matches!(reply, Reply::Exec(ExecResult::Read(_))), "{src}");
+        for frame in requests {
+            let shown = format!("{frame:?}");
+            let Ok((id, _, Ok(stmt))) = parse_request(frame) else {
+                panic!("{shown} did not parse");
+            };
+            let reply = replica_execute(
+                &shared,
+                &mut reader,
+                id,
+                &stmt,
+                &QueryContext::default(),
+                "",
+            );
+            assert!(matches!(reply, Reply::Exec(ExecResult::Read(_))), "{shown}");
         }
-        assert_eq!(
-            xsql::parses_on_this_thread() - parses,
-            requests.len() as u64
-        );
+        assert_eq!(xsql::parses_on_this_thread() - parses, n);
     }
 }

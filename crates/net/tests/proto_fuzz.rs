@@ -287,3 +287,79 @@ fn a_torn_frame_is_reaped_with_a_typed_error() {
     server.shutdown();
     drop(svc);
 }
+
+/// Fragments the field sweep strings together: XSQL tokens, separators
+/// that would split a spliced statement, and bytes the lexer refuses.
+const FIELD_BITS: &[&str] = &[
+    "q", "p", "X", " ", "(", ")", ",", ";", "30", "-4", "1.5", "'Ada'", "\"", "'", "?1", "#", "AS",
+    "SELECT", "FROM", "Person", "WHERE", "X.Age", ">", "UNION", "EXECUTE", "PREPARE", "EXPLAIN",
+    "é", "\n", "{", "@",
+];
+
+/// A seeded run of `Prepare` and `ExecutePrepared` frames whose names,
+/// bodies and arguments are random strings of [`FIELD_BITS`]. Every
+/// frame gets a typed answer (rows, or a statement error), and the
+/// connection never drops or panics the server.
+#[test]
+fn random_prepared_frame_fields_get_typed_answers() {
+    let (server, svc) = start_server();
+    let addr = server.local_addr();
+    for seed in 0..4u64 {
+        let mut c = net::Client::connect(&addr.to_string(), "").expect("connect");
+        if seed == 0 {
+            for src in [
+                "CREATE CLASS Person",
+                "ALTER CLASS Person ADD SIGNATURE Age => Numeral",
+                "CREATE OBJECT mary CLASS Person SET Age = 31",
+            ] {
+                c.execute(src).expect("fixture");
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64 ^ seed;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let mut field = || -> String {
+            let len = next(5);
+            (0..len)
+                .map(|_| FIELD_BITS[next(FIELD_BITS.len())])
+                .collect()
+        };
+        let (mut ok, mut refused) = (0, 0);
+        for i in 0..150 {
+            let reply = if i % 3 == 0 {
+                let body = match i % 2 {
+                    0 => "SELECT X FROM Person X WHERE X.Age > ?1".to_string(),
+                    _ => field(),
+                };
+                let name = if i % 4 == 0 { "q".to_string() } else { field() };
+                c.prepare(&name, &body)
+            } else {
+                let name = if i % 2 == 0 { "q".to_string() } else { field() };
+                let args: Vec<String> = (0..i % 3).map(|_| field()).collect();
+                let args: Vec<&str> = args.iter().map(String::as_str).collect();
+                c.execute_prepared(&name, &args)
+            };
+            match reply {
+                Ok(_) => ok += 1,
+                Err(net::NetError::Server {
+                    code: ErrorCode::Stmt,
+                    ..
+                }) => refused += 1,
+                Err(e) => panic!("seed {seed}, request {i}: untyped answer {e:?}"),
+            }
+        }
+        assert!(
+            ok > 0 && refused > 0,
+            "seed {seed}: {ok} answered, {refused} refused"
+        );
+        c.ping().expect("the connection survives the sweep");
+        c.goodbye();
+    }
+    assert_alive(&addr);
+    server.shutdown();
+    drop(svc);
+}

@@ -9,6 +9,8 @@
 //! (OID table positions legitimately differ between primary and
 //! replica; names and values must not).
 
+mod common;
+
 use net::{
     Backend, ChaosSource, Client, DirSource, NetError, ReplicaConfig, ReplicaCore, Server,
     ServerConfig, ShipSource,
@@ -631,6 +633,33 @@ fn replica_reads_reach_the_replica_stats() {
         c.execute(q).expect("read");
     }
     assert_eq!(count(&mut c) - before, READS);
+    c.goodbye();
+    server.shutdown();
+}
+
+/// The replica refuses a `Prepare` or `ExecutePrepared` frame field
+/// holding more than one part exactly as the primary does.
+#[test]
+fn replica_prepared_frame_fields_are_one_part_each() {
+    let fs = FaultFs::new();
+    let mut primary = open_primary(&fs).expect("primary store");
+    for stmt in [
+        "CREATE CLASS Person",
+        "ALTER CLASS Person ADD SIGNATURE Age => Numeral",
+        "CREATE OBJECT mary CLASS Person SET Age = 31",
+        "CREATE OBJECT john CLASS Person SET Age = 44",
+    ] {
+        primary.run(stmt).expect("prologue");
+    }
+    let mut core = replica_over(dir_source(&fs));
+    catch_up(&mut core, &fs);
+    let (server, mut c) = serve_replica(&core);
+    c.prepare(
+        "q",
+        "SELECT X FROM Person X WHERE X.Age > ?1 AND X.Age < ?2",
+    )
+    .expect("prepare");
+    common::assert_frame_fields_are_whole(&mut c);
     c.goodbye();
     server.shutdown();
 }

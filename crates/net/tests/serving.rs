@@ -4,6 +4,8 @@
 //! connection-limit shedding with deterministic jittered hints, and
 //! graceful drain.
 
+mod common;
+
 use net::{Backend, Client, ErrorCode, Frame, NetError, Server, ServerConfig};
 use oodb::Database;
 use service::{Service, ServiceConfig};
@@ -506,6 +508,30 @@ fn re_prepared_name_matches_cold_and_naive_sessions_across_epochs() {
             .counter_total("xsql_plan_cache_stale_executions_total"),
         0
     );
+    c.goodbye();
+    server.shutdown();
+    drop(svc);
+}
+
+#[test]
+fn prepared_frame_fields_are_one_part_each() {
+    let svc = primary(ServiceConfig::default());
+    let server = serve(&svc, tight());
+    let mut c = Client::connect(&server.local_addr().to_string(), "").expect("connect");
+    for src in [
+        "CREATE CLASS Person",
+        "ALTER CLASS Person ADD SIGNATURE Age => Numeral",
+        "CREATE OBJECT mary CLASS Person SET Age = 31",
+        "CREATE OBJECT john CLASS Person SET Age = 44",
+    ] {
+        c.execute(src).expect("fixture");
+    }
+    c.prepare(
+        "q",
+        "SELECT X FROM Person X WHERE X.Age > ?1 AND X.Age < ?2",
+    )
+    .expect("prepare");
+    common::assert_frame_fields_are_whole(&mut c);
     c.goodbye();
     server.shutdown();
     drop(svc);

@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xsql::ast::Stmt;
 use xsql::eval::CancelFlag;
-use xsql::{parse, unparse_stmt, EvalOptions, Outcome, Session, XsqlError};
+use xsql::{EvalOptions, Outcome, Session, XsqlError};
 
 /// Admission-control and group-commit knobs. The defaults suit an
 /// interactive workload; the chaos harness shrinks them to force
@@ -385,7 +385,7 @@ pub struct ServiceStats {
 struct WriteReq {
     /// The unit's statements: one for an auto-commit write, several for
     /// an explicit-transaction unit.
-    stmts: Vec<String>,
+    stmts: Vec<Stmt>,
     /// True when the unit must run inside `BEGIN WORK … COMMIT WORK`.
     txn: bool,
     ctx: QueryContext,
@@ -735,9 +735,9 @@ pub struct SessionHandle {
 /// The statements of an open handle transaction, in unit order.
 #[derive(Default)]
 struct HandleTxn {
-    /// Statement source, and whether the client sent it (a bundled
+    /// Each statement, and whether the client sent it (a bundled
     /// PREPARE was not, and its outcome is dropped from the ack).
-    stmts: Vec<(String, bool)>,
+    stmts: Vec<(Stmt, bool)>,
     /// Names some statement of the unit PREPAREs so far.
     prepared: std::collections::HashSet<String>,
 }
@@ -769,22 +769,21 @@ pub fn is_read_only(stmt: &Stmt) -> bool {
     }
 }
 
-/// The source of `PREPARE name AS body`, for a writer unit that must
-/// carry a statement the handle's reader prepared.
-fn prepare_src(name: &str, body: &Stmt) -> String {
-    unparse_stmt(&Stmt::Prepare {
+/// `PREPARE name AS body`, for a writer unit that must carry a
+/// statement the handle's reader prepared.
+fn prepare(name: &str, body: &Stmt) -> Stmt {
+    Stmt::Prepare {
         name: name.to_string(),
         stmt: Box::new(body.clone()),
-    })
+    }
 }
 
 impl SessionHandle {
-    /// Runs one statement under `ctx`. Classification is automatic:
+    /// Runs one parsed statement under `ctx`. Classification is automatic:
     /// read-only statements evaluate on this thread against the latest
     /// epoch; everything else goes through the writer.
-    pub fn execute(&mut self, src: &str, ctx: &QueryContext) -> Result<ExecResult, ServiceError> {
-        let stmt = parse(src)?;
-        match &stmt {
+    pub fn execute(&mut self, stmt: &Stmt, ctx: &QueryContext) -> Result<ExecResult, ServiceError> {
+        match stmt {
             // Diagnostics, answered before read/write classification:
             // renders the service-wide registry (never a reader's own),
             // pinned to the epoch current at the call.
@@ -818,7 +817,7 @@ impl SessionHandle {
                         epoch: self.inner.epoch.load().seq,
                     }));
                 }
-                let stmts = txn.stmts.iter().map(|(src, _)| src.clone()).collect();
+                let stmts = txn.stmts.iter().map(|(stmt, _)| stmt.clone()).collect();
                 match self.submit_write(stmts, true, ctx) {
                     Ok(mut ack) => {
                         ack.outcomes = std::mem::take(&mut ack.outcomes)
@@ -848,14 +847,14 @@ impl SessionHandle {
             }
             _ if self.txn.is_some() => {
                 let txn = self.txn.as_mut().expect("checked");
-                match &stmt {
+                match stmt {
                     // The writer session never saw a PREPARE made before
                     // BEGIN WORK: bundle the reader's body ahead of the
                     // first EXECUTE of it, unless the unit PREPAREs the
                     // name itself, which then wins.
                     Stmt::Execute { name, .. } if !txn.prepared.contains(name) => {
                         if let Some(body) = self.reader.prepared_stmt(name) {
-                            txn.stmts.push((prepare_src(name, body), false));
+                            txn.stmts.push((prepare(name, body), false));
                             txn.prepared.insert(name.clone());
                         }
                     }
@@ -864,7 +863,7 @@ impl SessionHandle {
                     }
                     _ => {}
                 }
-                txn.stmts.push((src.to_string(), true));
+                txn.stmts.push((stmt.clone(), true));
                 Ok(ExecResult::Buffered)
             }
             // EXECUTE routes like the body it names. The writer session
@@ -873,8 +872,7 @@ impl SessionHandle {
             // failing EXECUTE drops the PREPARE with the rest of it).
             Stmt::Execute { name, .. } => match self.reader.prepared_stmt(name) {
                 Some(body) if !is_read_only(body) => {
-                    let prepare = prepare_src(name, body);
-                    self.submit_write(vec![prepare, src.to_string()], true, ctx)
+                    self.submit_write(vec![prepare(name, body), stmt.clone()], true, ctx)
                         .map(|mut ack| {
                             // Drop the bundled PREPARE's outcome: the
                             // client executed one statement.
@@ -885,14 +883,14 @@ impl SessionHandle {
                         })
                 }
                 // A read-only body, or a name the reader reports unknown.
-                _ => self.read(&stmt, ctx).map(ExecResult::Read),
+                _ => self.read(stmt, ctx).map(ExecResult::Read),
             },
             // PREPARE resolves its body in the reader, whatever the body
             // does: nothing runs until EXECUTE.
-            Stmt::Prepare { .. } => self.read(&stmt, ctx).map(ExecResult::Read),
-            s if is_read_only(s) => self.read(&stmt, ctx).map(ExecResult::Read),
+            Stmt::Prepare { .. } => self.read(stmt, ctx).map(ExecResult::Read),
+            s if is_read_only(s) => self.read(s, ctx).map(ExecResult::Read),
             _ => self
-                .submit_write(vec![src.to_string()], false, ctx)
+                .submit_write(vec![stmt.clone()], false, ctx)
                 .map(ExecResult::Write),
         }
     }
@@ -900,10 +898,10 @@ impl SessionHandle {
     /// Convenience: run a read-only query and return its relation.
     pub fn query(
         &mut self,
-        src: &str,
+        stmt: &Stmt,
         ctx: &QueryContext,
     ) -> Result<relalg::Relation, ServiceError> {
-        match self.execute(src, ctx)? {
+        match self.execute(stmt, ctx)? {
             ExecResult::Read(r) => match r.outcome {
                 Outcome::Relation(rel) => Ok(rel),
                 o => Err(ServiceError::Protocol(format!(
@@ -1020,7 +1018,7 @@ impl SessionHandle {
 
     fn submit_write(
         &self,
-        stmts: Vec<String>,
+        stmts: Vec<Stmt>,
         txn: bool,
         ctx: &QueryContext,
     ) -> Result<WriteAck, ServiceError> {
@@ -1035,7 +1033,7 @@ impl SessionHandle {
 
     fn submit_write_inner(
         &self,
-        stmts: Vec<String>,
+        stmts: Vec<Stmt>,
         txn: bool,
         ctx: &QueryContext,
     ) -> Result<WriteAck, ServiceError> {
@@ -1083,7 +1081,7 @@ impl SessionHandle {
                 match ack.recv_timeout(d.saturating_duration_since(now)) {
                     Ok(r) => Ok(r),
                     Err(RecvTimeoutError::Timeout) => {
-                        req_cancel(&self.inner, ctx);
+                        ctx.cancel.cancel();
                         ack.recv().map_err(|_| ())
                     }
                     Err(RecvTimeoutError::Disconnected) => Err(()),
@@ -1100,12 +1098,6 @@ impl SessionHandle {
                 .unwrap_or(ServiceError::ShuttingDown)),
         }
     }
-}
-
-/// Trips the context's cancel token (helper so the borrow of `inner`
-/// stays narrow).
-fn req_cancel(_inner: &Inner, ctx: &QueryContext) {
-    ctx.cancel.cancel();
 }
 
 /// Outcome of one unit inside the writer: a statement-level failure
@@ -1148,19 +1140,19 @@ fn exec_unit(session: &mut Session, req: &WriteReq) -> Result<Vec<Outcome>, Unit
     session.set_options(opts);
     if !req.txn {
         return session
-            .run(&req.stmts[0])
+            .execute(&req.stmts[0])
             .map(|o| vec![o])
             .map_err(classify);
     }
-    session.run("BEGIN WORK").map_err(classify)?;
+    session.execute(&Stmt::Begin).map_err(classify)?;
     let mut outcomes = Vec::with_capacity(req.stmts.len());
     for s in &req.stmts {
-        match session.run(s) {
+        match session.execute(s) {
             Ok(o) => outcomes.push(o),
             Err(e) => return Err(abort_unit(session, e)),
         }
     }
-    match session.run("COMMIT WORK") {
+    match session.execute(&Stmt::Commit) {
         Ok(_) => Ok(outcomes),
         Err(e) => Err(abort_unit(session, e)),
     }
@@ -1169,7 +1161,7 @@ fn exec_unit(session: &mut Session, req: &WriteReq) -> Result<Vec<Outcome>, Unit
 /// Rolls the open unit back after `e`; a rollback failure is fatal
 /// (the writer session is no longer in a known state).
 fn abort_unit(session: &mut Session, e: XsqlError) -> UnitError {
-    if let Err(r) = session.run("ROLLBACK WORK") {
+    if let Err(r) = session.execute(&Stmt::Rollback) {
         return UnitError::Fatal(format!("unit failed ({e}) and rollback also failed: {r}"));
     }
     classify(e)
@@ -1315,6 +1307,10 @@ fn writer_loop(mut session: Session, rx: Receiver<WriteReq>, inner: Arc<Inner>) 
 mod tests {
     use super::*;
 
+    fn stmt(src: &str) -> Stmt {
+        xsql::parse(src).unwrap()
+    }
+
     fn mini_session() -> Session {
         let mut s = Session::new(Database::new());
         s.run_script(
@@ -1330,14 +1326,14 @@ mod tests {
     fn val(h: &mut SessionHandle) -> i64 {
         let rel = h
             .query(
-                "SELECT W FROM Numeral W WHERE c0.Val[W]",
+                &stmt("SELECT W FROM Numeral W WHERE c0.Val[W]"),
                 &QueryContext::default(),
             )
             .unwrap();
         let oid = rel.iter().next().unwrap()[0];
         let snap = match h
             .execute(
-                "SELECT W FROM Numeral W WHERE c0.Val[W]",
+                &stmt("SELECT W FROM Numeral W WHERE c0.Val[W]"),
                 &QueryContext::default(),
             )
             .unwrap()
@@ -1355,7 +1351,7 @@ mod tests {
         assert_eq!(val(&mut h), 0);
         let r = h
             .execute(
-                "UPDATE CLASS Counter SET c0.Val = 41",
+                &stmt("UPDATE CLASS Counter SET c0.Val = 41"),
                 &QueryContext::default(),
             )
             .unwrap();
@@ -1375,18 +1371,18 @@ mod tests {
         let mut h = svc.connect().unwrap();
         let ctx = QueryContext::default();
         assert!(matches!(
-            h.execute("BEGIN WORK", &ctx).unwrap(),
+            h.execute(&stmt("BEGIN WORK"), &ctx).unwrap(),
             ExecResult::TxnStarted
         ));
         assert!(matches!(
-            h.execute("UPDATE CLASS Counter SET c0.Val = 7", &ctx)
+            h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = 7"), &ctx)
                 .unwrap(),
             ExecResult::Buffered
         ));
         // Buffered, not executed: other sessions still see 0.
         let mut h2 = svc.connect().unwrap();
         assert_eq!(val(&mut h2), 0);
-        let r = h.execute("COMMIT WORK", &ctx).unwrap();
+        let r = h.execute(&stmt("COMMIT WORK"), &ctx).unwrap();
         let ExecResult::TxnCommitted(ack) = r else {
             panic!("{r:?}")
         };
@@ -1399,17 +1395,17 @@ mod tests {
         let svc = Service::start(mini_session(), ServiceConfig::default());
         let mut h = svc.connect().unwrap();
         let ctx = QueryContext::default();
-        h.execute("BEGIN WORK", &ctx).unwrap();
-        h.execute("UPDATE CLASS Counter SET c0.Val = 9", &ctx)
+        h.execute(&stmt("BEGIN WORK"), &ctx).unwrap();
+        h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = 9"), &ctx)
             .unwrap();
         // Arithmetic on the string-valued Tag fails at eval time.
-        h.execute("UPDATE CLASS Counter SET c0.Val = c0.Tag + 1", &ctx)
+        h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = c0.Tag + 1"), &ctx)
             .unwrap();
-        let err = h.execute("COMMIT WORK", &ctx).unwrap_err();
+        let err = h.execute(&stmt("COMMIT WORK"), &ctx).unwrap_err();
         assert!(matches!(err, ServiceError::Xsql(_)), "{err}");
         assert_eq!(val(&mut h), 0, "unit must be all-or-nothing");
         // The writer session is healthy: later writes commit.
-        h.execute("UPDATE CLASS Counter SET c0.Val = 5", &ctx)
+        h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = 5"), &ctx)
             .unwrap();
         assert_eq!(val(&mut h), 5);
     }
@@ -1422,14 +1418,17 @@ mod tests {
         let svc = Service::start(mini_session(), ServiceConfig::default());
         let mut h = svc.connect().unwrap();
         let ctx = QueryContext::default();
-        h.execute("PREPARE bump AS UPDATE CLASS Counter SET c0.Val = ?1", &ctx)
-            .unwrap();
         h.execute(
-            "PREPARE get AS SELECT W FROM Numeral W WHERE c0.Val[W]",
+            &stmt("PREPARE bump AS UPDATE CLASS Counter SET c0.Val = ?1"),
             &ctx,
         )
         .unwrap();
-        let r = h.execute("EXECUTE bump (41)", &ctx).unwrap();
+        h.execute(
+            &stmt("PREPARE get AS SELECT W FROM Numeral W WHERE c0.Val[W]"),
+            &ctx,
+        )
+        .unwrap();
+        let r = h.execute(&stmt("EXECUTE bump (41)"), &ctx).unwrap();
         let ExecResult::Write(ack) = r else {
             panic!("{r:?}")
         };
@@ -1439,10 +1438,10 @@ mod tests {
         ));
         assert_eq!(val(&mut h), 41);
         assert!(matches!(
-            h.execute("EXECUTE get", &ctx).unwrap(),
+            h.execute(&stmt("EXECUTE get"), &ctx).unwrap(),
             ExecResult::Read(_)
         ));
-        let err = h.execute("EXECUTE nope", &ctx).unwrap_err();
+        let err = h.execute(&stmt("EXECUTE nope"), &ctx).unwrap_err();
         assert!(
             err.to_string().contains("unknown prepared statement"),
             "{err}"
@@ -1544,7 +1543,7 @@ mod tests {
             svc2.close_queue();
             let err = h
                 .execute(
-                    "UPDATE CLASS Counter SET c0.Val = 1",
+                    &stmt("UPDATE CLASS Counter SET c0.Val = 1"),
                     &QueryContext::default(),
                 )
                 .unwrap_err();

@@ -44,6 +44,12 @@ use storage::StoreConfig;
 use xsql::{EvalOptions, Session, XsqlError};
 
 const DIR: &str = "/db";
+
+/// Parses one statement for a [`service::SessionHandle`], which takes
+/// statements already parsed.
+fn stmt(src: &str) -> xsql::ast::Stmt {
+    xsql::parse(src).unwrap()
+}
 const PROLOGUE: &[&str] = &[
     "CREATE CLASS Counter",
     "ALTER CLASS Counter ADD SIGNATURE Val => Numeral",
@@ -151,20 +157,20 @@ fn run_unit(
         // Best-effort; a checkpoint hitting an injected fault poisons
         // the service, which the Maybe path below will observe.
         let _ = retry_shed(saw_readonly, || {
-            h.execute("CHECKPOINT", &QueryContext::default())
+            h.execute(&stmt("CHECKPOINT"), &QueryContext::default())
         });
     }
     let result = if u.txn {
         (|| {
-            h.execute("BEGIN WORK", &ctx)?;
-            h.execute(&set_val, &ctx)?;
-            h.execute(&set_aux, &ctx)?;
+            h.execute(&stmt("BEGIN WORK"), &ctx)?;
+            h.execute(&stmt(&set_val), &ctx)?;
+            h.execute(&stmt(&set_aux), &ctx)?;
             // A `ReadOnly` shed rolls the unit back cleanly and keeps
             // the handle buffer, so retrying the COMMIT is exact.
-            retry_shed(saw_readonly, || h.execute("COMMIT WORK", &ctx))
+            retry_shed(saw_readonly, || h.execute(&stmt("COMMIT WORK"), &ctx))
         })()
     } else {
-        retry_shed(saw_readonly, || h.execute(&set_val, &ctx))
+        retry_shed(saw_readonly, || h.execute(&stmt(&set_val), &ctx))
     };
     match result {
         Ok(_) => UnitResult::Ok,
@@ -173,19 +179,19 @@ fn run_unit(
             // open only if BEGIN had succeeded and COMMIT failed — the
             // unit itself was rolled back either way. Clear the buffer.
             if h.in_transaction() {
-                let _ = h.execute("ROLLBACK WORK", &QueryContext::default());
+                let _ = h.execute(&stmt("ROLLBACK WORK"), &QueryContext::default());
             }
             UnitResult::DefiniteErr
         }
         Err(ServiceError::Xsql(_)) => {
             if h.in_transaction() {
-                let _ = h.execute("ROLLBACK WORK", &QueryContext::default());
+                let _ = h.execute(&stmt("ROLLBACK WORK"), &QueryContext::default());
             }
             UnitResult::DefiniteErr
         }
         Err(_) => {
             if h.in_transaction() {
-                let _ = h.execute("ROLLBACK WORK", &QueryContext::default());
+                let _ = h.execute(&stmt("ROLLBACK WORK"), &QueryContext::default());
             }
             UnitResult::Maybe
         }
@@ -405,7 +411,7 @@ fn chaos_round(seed: u64) {
                     let src = if mode == 4 {
                         if !prepared.contains(&q)
                             && h.execute(
-                                &format!("PREPARE p{q} AS {}", READS[q]),
+                                &stmt(&format!("PREPARE p{q} AS {}", READS[q])),
                                 &QueryContext::default(),
                             )
                             .is_ok()
@@ -420,7 +426,7 @@ fn chaos_round(seed: u64) {
                     } else {
                         READS[q].to_string()
                     };
-                    match h.execute(&src, &ctx) {
+                    match h.execute(&stmt(&src), &ctx) {
                         Ok(ExecResult::Read(r)) => {
                             let rel = match &r.outcome {
                                 xsql::Outcome::Relation(rel) => rel,

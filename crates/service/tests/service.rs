@@ -9,6 +9,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsql::{EvalOptions, Session, XsqlError};
 
+/// Parses one statement for a [`service::SessionHandle`], which takes
+/// statements already parsed.
+fn stmt(src: &str) -> xsql::ast::Stmt {
+    xsql::parse(src).unwrap()
+}
+
 fn big_session() -> Session {
     // ~500 objects; a triple cross product over Employee is tens of
     // millions of combinations — far beyond any deadline used here.
@@ -34,7 +40,7 @@ fn runaway_query_is_cancelled_by_deadline_and_service_stays_healthy() {
     let start = Instant::now();
     let err = h
         .execute(
-            RUNAWAY,
+            &stmt(RUNAWAY),
             &QueryContext::with_timeout(Duration::from_millis(50)),
         )
         .unwrap_err();
@@ -52,14 +58,14 @@ fn runaway_query_is_cancelled_by_deadline_and_service_stays_healthy() {
     assert!(svc.poisoned().is_none());
     let r = h
         .execute(
-            "SELECT X FROM Company X",
+            &stmt("SELECT X FROM Company X"),
             &QueryContext::with_timeout(Duration::from_secs(30)),
         )
         .unwrap();
     assert!(matches!(r, ExecResult::Read(_)));
     let r = h
         .execute(
-            "CREATE CLASS AfterCancel",
+            &stmt("CREATE CLASS AfterCancel"),
             &QueryContext::with_timeout(Duration::from_secs(30)),
         )
         .unwrap();
@@ -81,7 +87,7 @@ fn client_cancel_token_stops_a_running_read() {
         fired2.store(true, Ordering::SeqCst);
         cancel.cancel();
     });
-    let err = h.execute(RUNAWAY, &ctx).unwrap_err();
+    let err = h.execute(&stmt(RUNAWAY), &ctx).unwrap_err();
     killer.join().unwrap();
     assert!(fired.load(Ordering::SeqCst));
     assert!(
@@ -98,8 +104,10 @@ fn deadline_also_covers_writes() {
     // writer thread; the deadline must still cancel it cleanly.
     let err = h
         .execute(
-            "SELECT Pair = X FROM Employee X, Employee Y, Employee Z \
+            &stmt(
+                "SELECT Pair = X FROM Employee X, Employee Y, Employee Z \
              OID FUNCTION OF X, Y, Z",
+            ),
             &QueryContext::with_timeout(Duration::from_millis(50)),
         )
         .unwrap_err();
@@ -109,7 +117,7 @@ fn deadline_also_covers_writes() {
     );
     assert!(svc.poisoned().is_none());
     // Cancellation rolled the unit back: no Pair class exists.
-    let r = h.query("SELECT X FROM Pair X", &QueryContext::default());
+    let r = h.query(&stmt("SELECT X FROM Pair X"), &QueryContext::default());
     // Unknown class yields an empty relation (not an error) in this
     // engine; either way there must be no Pair objects.
     if let Ok(rel) = r {
@@ -127,15 +135,15 @@ fn readers_see_a_consistent_epoch_while_writers_commit() {
     // Writer: bump a fresh object's attribute in a loop.
     {
         let mut h = svc.connect().unwrap();
-        h.execute("CREATE CLASS Tick", &QueryContext::default())
+        h.execute(&stmt("CREATE CLASS Tick"), &QueryContext::default())
             .unwrap();
         h.execute(
-            "ALTER CLASS Tick ADD SIGNATURE N => Numeral",
+            &stmt("ALTER CLASS Tick ADD SIGNATURE N => Numeral"),
             &QueryContext::default(),
         )
         .unwrap();
         h.execute(
-            "CREATE OBJECT t0 CLASS Tick SET N = 0",
+            &stmt("CREATE OBJECT t0 CLASS Tick SET N = 0"),
             &QueryContext::default(),
         )
         .unwrap();
@@ -149,7 +157,7 @@ fn readers_see_a_consistent_epoch_while_writers_commit() {
             while !stop.load(Ordering::Relaxed) {
                 i += 1;
                 h.execute(
-                    &format!("UPDATE CLASS Tick SET t0.N = {i}"),
+                    &stmt(&format!("UPDATE CLASS Tick SET t0.N = {i}")),
                     &QueryContext::default(),
                 )
                 .unwrap();
@@ -170,7 +178,7 @@ fn readers_see_a_consistent_epoch_while_writers_commit() {
                 while !stop.load(Ordering::Relaxed) {
                     let rel = h
                         .query(
-                            "SELECT W FROM Numeral W WHERE t0.N[W]",
+                            &stmt("SELECT W FROM Numeral W WHERE t0.N[W]"),
                             &QueryContext::with_timeout(Duration::from_secs(30)),
                         )
                         .unwrap();
@@ -210,7 +218,7 @@ fn read_gate_sheds_when_waiters_exceed_the_bound() {
             let mut h = svc.connect().unwrap();
             let err = h
                 .execute(
-                    RUNAWAY,
+                    &stmt(RUNAWAY),
                     &QueryContext::with_timeout(Duration::from_millis(400)),
                 )
                 .unwrap_err();
@@ -236,7 +244,7 @@ fn read_gate_sheds_when_waiters_exceed_the_bound() {
     for _ in 0..100 {
         let mut h = svc.connect().unwrap();
         match h.execute(
-            "SELECT X FROM Company X",
+            &stmt("SELECT X FROM Company X"),
             &QueryContext::with_timeout(Duration::from_secs(5)),
         ) {
             Err(ServiceError::Overloaded { retry_after }) => {
@@ -261,10 +269,10 @@ fn stats_statement_and_exposition() {
     let svc = Service::start(big_session(), ServiceConfig::default());
     let mut h = svc.connect().unwrap();
     let ctx = QueryContext::with_timeout(Duration::from_secs(30));
-    h.execute("SELECT X FROM Company X", &ctx).unwrap();
-    h.execute("CREATE CLASS StatsProbe", &ctx).unwrap();
+    h.execute(&stmt("SELECT X FROM Company X"), &ctx).unwrap();
+    h.execute(&stmt("CREATE CLASS StatsProbe"), &ctx).unwrap();
 
-    let r = h.execute("STATS", &ctx).unwrap();
+    let r = h.execute(&stmt("STATS"), &ctx).unwrap();
     let ExecResult::Read(read) = r else {
         panic!("STATS must be answered as a read");
     };
@@ -313,7 +321,7 @@ fn sample(report: &str, key: &str) -> u64 {
 }
 
 fn stmt_latency_count(h: &mut service::SessionHandle) -> u64 {
-    match h.execute("STATS", &QueryContext::default()).unwrap() {
+    match h.execute(&stmt("STATS"), &QueryContext::default()).unwrap() {
         ExecResult::Read(ReadResult {
             outcome: xsql::Outcome::Stats { report },
             ..
@@ -333,7 +341,7 @@ fn every_read_reaches_stats_and_is_parsed_once() {
     let mut h = svc.connect().unwrap();
     let ctx = QueryContext::default();
     h.execute(
-        "PREPARE rich AS SELECT X FROM Employee X WHERE X.Salary > ?1",
+        &stmt("PREPARE rich AS SELECT X FROM Employee X WHERE X.Salary > ?1"),
         &ctx,
     )
     .unwrap();
@@ -345,12 +353,12 @@ fn every_read_reaches_stats_and_is_parsed_once() {
     ];
     for round in 0..2 {
         if round == 1 {
-            h.execute("CREATE CLASS NewEpoch", &ctx).unwrap();
+            h.execute(&stmt("CREATE CLASS NewEpoch"), &ctx).unwrap();
         }
         let count = stmt_latency_count(&mut h);
         let parses = xsql::parses_on_this_thread();
         for src in READS {
-            let r = h.execute(src, &ctx).unwrap();
+            let r = h.execute(&stmt(src), &ctx).unwrap();
             assert!(matches!(r, ExecResult::Read(_)), "{src}: {r:?}");
         }
         assert_eq!(
@@ -376,7 +384,7 @@ fn every_read_reaches_stats_and_is_parsed_once() {
 /// Rows of a read-only query, counted (figure1 has two Employees: kim1
 /// at Salary 30000 and john13 at 90000).
 fn count(h: &mut service::SessionHandle, src: &str) -> usize {
-    h.query(src, &QueryContext::default()).unwrap().len()
+    h.query(&stmt(src), &QueryContext::default()).unwrap().len()
 }
 
 const LOW_PAID: &str = "SELECT X FROM Employee X WHERE X.Salary < 10";
@@ -384,13 +392,13 @@ const LOW_PAID: &str = "SELECT X FROM Employee X WHERE X.Salary < 10";
 fn commit_outcomes(h: &mut service::SessionHandle, stmts: &[&str]) -> Vec<xsql::Outcome> {
     let ctx = QueryContext::default();
     for src in stmts {
-        let r = h.execute(src, &ctx).unwrap();
+        let r = h.execute(&stmt(src), &ctx).unwrap();
         assert!(
             matches!(r, ExecResult::TxnStarted | ExecResult::Buffered),
             "{src}: {r:?}"
         );
     }
-    match h.execute("COMMIT WORK", &ctx).unwrap() {
+    match h.execute(&stmt("COMMIT WORK"), &ctx).unwrap() {
         ExecResult::TxnCommitted(ack) => ack.outcomes,
         r => panic!("COMMIT WORK: {r:?}"),
     }
@@ -405,7 +413,7 @@ fn execute_of_a_name_prepared_before_begin_commits_in_the_transaction() {
     let mut h = svc.connect().unwrap();
     let ctx = QueryContext::default();
     h.execute(
-        "PREPARE bump AS UPDATE CLASS Employee SET kim1.Salary = ?1",
+        &stmt("PREPARE bump AS UPDATE CLASS Employee SET kim1.Salary = ?1"),
         &ctx,
     )
     .unwrap();
@@ -438,7 +446,7 @@ fn execute_of_a_select_prepared_before_begin_answers_in_the_transaction() {
     );
     let mut h = svc.connect().unwrap();
     h.execute(
-        "PREPARE cheap AS SELECT X FROM Employee X WHERE X.Salary < ?1",
+        &stmt("PREPARE cheap AS SELECT X FROM Employee X WHERE X.Salary < ?1"),
         &QueryContext::default(),
     )
     .unwrap();
@@ -460,7 +468,7 @@ fn re_prepare_inside_the_transaction_wins_over_the_readers_body() {
     );
     let mut h = svc.connect().unwrap();
     h.execute(
-        "PREPARE bump AS UPDATE CLASS Employee SET kim1.Salary = ?1",
+        &stmt("PREPARE bump AS UPDATE CLASS Employee SET kim1.Salary = ?1"),
         &QueryContext::default(),
     )
     .unwrap();

@@ -21,6 +21,12 @@ use xsql::{EvalOptions, Session, XsqlError};
 
 const DIR: &str = "/db";
 
+/// Parses one statement for a [`service::SessionHandle`], which takes
+/// statements already parsed.
+fn stmt(src: &str) -> xsql::ast::Stmt {
+    xsql::parse(src).unwrap()
+}
+
 fn open(fs: &FaultFs) -> Result<Session, XsqlError> {
     Session::open_dir(
         Box::new(fs.clone()),
@@ -87,7 +93,10 @@ fn run_race(seed_round: u64, drop_instead_of_shutdown: bool) {
                     break;
                 }
                 last_submitted = j;
-                match h.execute(&format!("UPDATE CLASS Counter SET {name}.Val = {j}"), &ctx) {
+                match h.execute(
+                    &stmt(&format!("UPDATE CLASS Counter SET {name}.Val = {j}")),
+                    &ctx,
+                ) {
                     Ok(ExecResult::Write(_)) => last_acked = j,
                     Ok(other) => panic!("unexpected {other:?}"),
                     // Queue full: breathe and retry the next value.

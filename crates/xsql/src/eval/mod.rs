@@ -112,8 +112,8 @@ pub struct EvalOptions {
     /// statement, and `PREPARE`/`EXECUTE` is the one way to reuse a
     /// resolved one. The field stays only because the benchmark harness
     /// (`perfbench/src/workload.rs`) still sets it; it is deleted
-    /// together with that line when the benchmark next changes
-    /// (ROADMAP item 2).
+    /// together with that line in the next change to the benchmark
+    /// (ROADMAP item 1).
     pub use_vm: bool,
     /// Optional execution-profile sink (`EXPLAIN ANALYZE`). When
     /// attached, the evaluator records strategy, plan, stage and cost

@@ -19,42 +19,72 @@ thread_local! {
 /// location computed from the source.
 pub fn parse(src: &str) -> XsqlResult<Stmt> {
     PARSES.with(|n| n.set(n.get() + 1));
-    parse_inner(src).map_err(|e| e.with_location(src))
+    parse_whole(src, |p| p.terminated(Parser::stmt))
 }
 
-/// How many times [`parse`] ran on the calling thread — lets tests pin
-/// how often a request is parsed on its way through a server.
+/// `PREPARE name AS body` from the two parts a client sends apart:
+/// `name` must be one identifier and `body` one statement that may be
+/// prepared. Errors are located inside the part at fault.
+pub fn parse_prepare(name: &str, body: &str) -> XsqlResult<Stmt> {
+    PARSES.with(|n| n.set(n.get() + 1));
+    Ok(Stmt::Prepare {
+        name: parse_whole(name, Parser::ident)?,
+        stmt: Box::new(parse_whole(body, |p| p.terminated(Parser::prepared_body))?),
+    })
+}
+
+/// `EXECUTE name (a1, …, ak)` from the parts a client sends apart:
+/// `name` must be one identifier and each argument one term. Errors are
+/// located inside the part at fault.
+pub fn parse_execute(name: &str, args: &[String]) -> XsqlResult<Stmt> {
+    PARSES.with(|n| n.set(n.get() + 1));
+    Ok(Stmt::Execute {
+        name: parse_whole(name, Parser::ident)?,
+        args: args
+            .iter()
+            .map(|a| parse_whole(a, Parser::idterm))
+            .collect::<XsqlResult<_>>()?,
+    })
+}
+
+/// How many times [`parse`], [`parse_prepare`] or [`parse_execute`] ran
+/// on the calling thread — lets tests pin how often a request is parsed
+/// on its way through a server.
 #[doc(hidden)]
 pub fn parses_on_this_thread() -> u64 {
     PARSES.with(|n| n.get())
 }
 
-fn parse_inner(src: &str) -> XsqlResult<Stmt> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let stmt = p.stmt()?;
-    p.expect_eof()?;
-    Ok(stmt)
-}
-
 /// Parses a script: statements separated by `;`. Lex/parse errors carry
 /// a line/column location computed from the source.
 pub fn parse_script(src: &str) -> XsqlResult<Vec<Stmt>> {
-    parse_script_inner(src).map_err(|e| e.with_location(src))
+    parse_whole(src, |p| {
+        let mut out = Vec::new();
+        loop {
+            while p.eat(&TokenKind::Semi) {}
+            if matches!(p.peek(), TokenKind::Eof) {
+                return Ok(out);
+            }
+            out.push(p.stmt()?);
+        }
+    })
 }
 
-fn parse_script_inner(src: &str) -> XsqlResult<Vec<Stmt>> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let mut out = Vec::new();
-    loop {
-        while p.eat(&TokenKind::Semi) {}
-        if matches!(p.peek(), TokenKind::Eof) {
-            break;
+/// Parses all of `src` as one `part`: anything left over is an error.
+/// Errors carry a line/column location computed from `src`.
+fn parse_whole<T>(src: &str, part: impl FnOnce(&mut Parser) -> XsqlResult<T>) -> XsqlResult<T> {
+    let whole = || {
+        let mut p = Parser {
+            toks: lex(src)?,
+            pos: 0,
+        };
+        let parsed = part(&mut p)?;
+        match p.peek() {
+            TokenKind::Eof => Ok(parsed),
+            t => Err(p.err(format!("unexpected trailing input: {t}"))),
         }
-        out.push(p.stmt()?);
-    }
-    Ok(out)
+    };
+    whole().map_err(|e| e.with_location(src))
 }
 
 const RESERVED: &[&str] = &[
@@ -146,13 +176,11 @@ impl Parser {
         }
     }
 
-    fn expect_eof(&mut self) -> XsqlResult<()> {
+    /// `part`, then an optional closing `;`.
+    fn terminated<T>(&mut self, part: fn(&mut Parser) -> XsqlResult<T>) -> XsqlResult<T> {
+        let parsed = part(self)?;
         self.eat(&TokenKind::Semi);
-        if matches!(self.peek(), TokenKind::Eof) {
-            Ok(())
-        } else {
-            Err(self.err(format!("unexpected trailing input: {}", self.peek())))
-        }
+        Ok(parsed)
     }
 
     fn err(&self, msg: impl Into<String>) -> XsqlError {
@@ -265,22 +293,10 @@ impl Parser {
             self.bump();
             let name = self.ident()?;
             self.expect_kw("as")?;
-            let inner_at = self.offset();
-            let inner = self.stmt()?;
-            return match inner {
-                Stmt::Prepare { .. } | Stmt::Execute { .. } => Err(XsqlError::parse(
-                    inner_at,
-                    "a prepared statement cannot itself be PREPARE or EXECUTE",
-                )),
-                Stmt::Explain { .. } => Err(XsqlError::parse(
-                    inner_at,
-                    "EXPLAIN cannot be prepared; prepare the SELECT itself",
-                )),
-                _ => Ok(Stmt::Prepare {
-                    name,
-                    stmt: Box::new(inner),
-                }),
-            };
+            return Ok(Stmt::Prepare {
+                name,
+                stmt: Box::new(self.prepared_body()?),
+            });
         }
         if self.at_kw("execute") && matches!(self.peek2(), TokenKind::Ident(_)) {
             self.bump();
@@ -335,6 +351,23 @@ impl Parser {
             };
         }
         Ok(left)
+    }
+
+    /// The body of a PREPARE: any statement but PREPARE, EXECUTE or
+    /// EXPLAIN, refused at the body's position.
+    fn prepared_body(&mut self) -> XsqlResult<Stmt> {
+        let at = self.offset();
+        match self.stmt()? {
+            Stmt::Prepare { .. } | Stmt::Execute { .. } => Err(XsqlError::parse(
+                at,
+                "a prepared statement cannot itself be PREPARE or EXECUTE",
+            )),
+            Stmt::Explain { .. } => Err(XsqlError::parse(
+                at,
+                "EXPLAIN cannot be prepared; prepare the SELECT itself",
+            )),
+            body => Ok(body),
+        }
     }
 
     fn select_query(&mut self) -> XsqlResult<SelectQuery> {
@@ -1454,5 +1487,60 @@ mod precedence_tests {
             src.push(')');
         }
         assert!(parse(&src).is_ok());
+    }
+
+    /// The frame constructors build what `parse` builds from the
+    /// spliced text, and count one parse each.
+    #[test]
+    fn prepare_and_execute_from_parts_match_parse() {
+        let body = "SELECT X FROM Person X WHERE X.Age > ?1 AND X.Name = ?2";
+        let n = parses_on_this_thread();
+        let prep = parse_prepare("q", body).unwrap();
+        let exec = parse_execute("q", &["30".into(), "'Ada'".into()]).unwrap();
+        let bare = parse_execute("q", &[]).unwrap();
+        assert_eq!(parses_on_this_thread() - n, 3);
+        assert_eq!(prep, parse(&format!("PREPARE q AS {body}")).unwrap());
+        assert_eq!(exec, parse("EXECUTE q (30, 'Ada')").unwrap());
+        assert_eq!(bare, parse("EXECUTE q").unwrap());
+        assert_eq!(
+            parse_prepare("q", "UPDATE CLASS C SET o.A = ?1;").unwrap(),
+            parse("PREPARE q AS UPDATE CLASS C SET o.A = ?1").unwrap()
+        );
+    }
+
+    /// Each part must be exactly one of its kind: a field cannot smuggle
+    /// in a second argument, a name with arguments, or a body.
+    #[test]
+    fn prepare_and_execute_parts_are_whole() {
+        let q = "SELECT X FROM Person X";
+        for name in [
+            "a b",
+            "w AS SELECT X FROM Person X UNION",
+            "",
+            "select",
+            "q;",
+        ] {
+            assert!(parse_prepare(name, q).is_err(), "name {name:?}");
+            assert!(parse_execute(name, &[]).is_err(), "name {name:?}");
+        }
+        assert!(parse_execute("q (30, 50)", &[]).is_err());
+        for arg in ["30, 40", "30)", "", "30;", "X.Age"] {
+            assert!(parse_execute("q", &[arg.into()]).is_err(), "arg {arg:?}");
+        }
+        for body in [
+            "EXECUTE q",
+            "PREPARE r AS SELECT X FROM C X",
+            "EXPLAIN SELECT X FROM C X",
+        ] {
+            assert!(parse_prepare("p", body).is_err(), "body {body:?}");
+        }
+        assert!(parse_prepare("p", "SELECT X FROM C X; SELECT X FROM C X").is_err());
+    }
+
+    /// A body's parse error is located inside the body as sent.
+    #[test]
+    fn prepare_body_errors_locate_in_the_body() {
+        let err = parse_prepare("q", "SELECT X\nFROM Person X WHERE ==").unwrap_err();
+        assert!(err.to_string().contains("line 2, column 21"), "{err}");
     }
 }

@@ -283,9 +283,8 @@ fn serve_script(svc: &Service, path: &str, src: &str) -> (String, bool) {
     };
     let ctx = QueryContext::default();
     for stmt in &stmts {
-        let text = xsql::unparse_stmt(stmt);
         loop {
-            match h.execute(&text, &ctx) {
+            match h.execute(stmt, &ctx) {
                 Ok(ExecResult::Read(r)) => {
                     write!(out, "{}", render_outcome(&r.snapshot, &r.outcome)).unwrap();
                 }

@@ -135,6 +135,10 @@ mod service_level {
     use super::*;
     use service::{ExecResult, QueryContext, Service, ServiceConfig, ServiceError};
 
+    fn stmt(src: &str) -> xsql::ast::Stmt {
+        xsql::parse(src).unwrap()
+    }
+
     fn val(r: &ExecResult) -> i64 {
         let read = match r {
             ExecResult::Read(read) => read,
@@ -172,11 +176,11 @@ mod service_level {
         let ctx = QueryContext::default();
         const READ: &str = "SELECT W FROM Numeral W WHERE c0.Val[W]";
 
-        h.execute("UPDATE CLASS Counter SET c0.Val = 1", &ctx)
+        h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = 1"), &ctx)
             .expect("write while healthy");
 
         fs.set_disk_full(true);
-        match h.execute("UPDATE CLASS Counter SET c0.Val = 2", &ctx) {
+        match h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = 2"), &ctx) {
             Err(ServiceError::ReadOnly { retry_after }) => {
                 assert!(retry_after > Duration::ZERO);
             }
@@ -185,16 +189,16 @@ mod service_level {
 
         // Snapshot-isolated readers keep serving at the published
         // epoch: the shed write is invisible, the acked one is not.
-        let r = h.execute(READ, &ctx).expect("read while degraded");
+        let r = h.execute(&stmt(READ), &ctx).expect("read while degraded");
         assert_eq!(val(&r), 1);
 
         // A transactional COMMIT shed with `ReadOnly` rolled back
         // cleanly and keeps its buffer, so the same COMMIT can be
         // retried once space frees.
-        h.execute("BEGIN WORK", &ctx).expect("begin");
-        h.execute("UPDATE CLASS Counter SET c0.Val = 3", &ctx)
+        h.execute(&stmt("BEGIN WORK"), &ctx).expect("begin");
+        h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = 3"), &ctx)
             .expect("buffered");
-        match h.execute("COMMIT WORK", &ctx) {
+        match h.execute(&stmt("COMMIT WORK"), &ctx) {
             Err(ServiceError::ReadOnly { .. }) => {}
             other => panic!("COMMIT on a full disk returned {other:?}"),
         }
@@ -203,13 +207,13 @@ mod service_level {
         // Space frees: the buffered transaction commits on retry and a
         // plain write succeeds — same service, no restart.
         fs.set_disk_full(false);
-        match h.execute("COMMIT WORK", &ctx) {
+        match h.execute(&stmt("COMMIT WORK"), &ctx) {
             Ok(ExecResult::TxnCommitted(_)) => {}
             other => panic!("retried COMMIT returned {other:?}"),
         }
-        h.execute("UPDATE CLASS Counter SET c0.Val = 4", &ctx)
+        h.execute(&stmt("UPDATE CLASS Counter SET c0.Val = 4"), &ctx)
             .expect("write after space freed");
-        let r = h.execute(READ, &ctx).expect("read after recovery");
+        let r = h.execute(&stmt(READ), &ctx).expect("read after recovery");
         assert_eq!(val(&r), 4);
 
         // The incident left its trace in telemetry, and the health
